@@ -32,14 +32,8 @@ from .centrality import (
     MEASURES,
     CentralityVector,
     EdgeCentralityReport,
-    betweenness,
-    closeness,
     compute,
     edge_centralities,
-    path_continuation,
-    path_end,
-    path_reach,
-    visitation,
 )
 from .experiment import AUCResult, SplitSpec, auc_score, evaluate, ground_truth, project_up, split
 from .smells import (

@@ -9,13 +9,19 @@ Multi-order values are computed analytically from the model's start
 distribution and fundamental matrix and can be projected to first order:
 betweenness / path end / visitation project by summation over states sharing a
 final node, continuation and reach by visitation-weighted averaging.
+
+Closeness is out-direction harmonic closeness over unweighted hop distances,
+computed for every model family by one sparse breadth-first search; networkx
+is used only for betweenness on the network model.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
 from .models import MOGenModel, NetworkModel, PathModel
@@ -35,6 +41,10 @@ PATH_MEASURES = frozenset(
 )
 
 State = tuple[str, ...]
+
+#: Cells of the dense seen-mask of one BFS batch (source rows x states);
+#: bounds the search's memory on large models.
+_BFS_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,27 +137,74 @@ def _sequence_closeness(ds: PathDataset, max_len: int) -> dict:
 # ---------------------------------------------------------------------------
 # network model
 
-def _digraph(model: NetworkModel) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(model.vocabulary)
-    for (a, b), w in model.edges.items():
-        g.add_edge(a, b, weight=w)
-    return g
-
-
 def _network_betweenness(model: NetworkModel) -> dict:
-    g = _digraph(model)
+    g = nx.DiGraph()
+    g.add_nodes_from(sorted(model.vocabulary))
+    g.add_edges_from(model.edges)
     return dict(nx.betweenness_centrality(g, normalized=False))
 
 
-def _network_closeness(model: NetworkModel, direction: str = "out") -> dict:
-    g = _digraph(model)
-    if direction == "in":
-        g = g.reverse()
-    scores = {v: 0.0 for v in g}
-    for v, lengths in nx.all_pairs_shortest_path_length(g):
-        scores[v] = sum(1.0 / d for u, d in lengths.items() if u != v)
-    return scores
+def _network_closeness(model: NetworkModel) -> dict:
+    nodes = sorted(model.vocabulary)
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    rows = [index[a] for a, _ in model.edges]
+    cols = [index[b] for _, b in model.edges]
+    adj = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    vals = _harmonic_closeness(adj, sp.identity(n, dtype=bool, format="csr"))
+    return dict(zip(nodes, vals.tolist()))
+
+
+def _first_reached(adj, start, groups=None):
+    """Level-synchronous BFS over ``adj`` from the rows of the boolean CSR
+    matrix ``start``, each row a set of states at distance 0.
+
+    ``groups`` maps states to group ids (default: one group per state).
+    Yields ``(dist, rows, grps)`` per level and batch: row ``rows[i]`` first
+    reaches group ``grps[i]`` at ``dist`` >= 1 hops. Start states are never
+    reached, so a row holding all of its own group never reports it.
+    """
+    adj = (adj != 0).tocsr()
+    n = adj.shape[0]
+    groups = np.arange(n) if groups is None else np.asarray(groups, dtype=np.int64)
+    n_groups = int(groups.max()) + 1
+    batch = max(1, _BFS_CELLS // n)
+    for lo in range(0, start.shape[0], batch):
+        frontier = start[lo : lo + batch]
+        b = frontier.shape[0]
+        seen = np.zeros(b * n, dtype=bool)
+        reached = np.zeros(b * n_groups, dtype=bool)
+        r, c = _entries(frontier)
+        seen[r * n + c] = True
+        dist = 0
+        while frontier.nnz:
+            dist += 1
+            r, c = _entries(frontier @ adj)
+            new = ~seen[r * n + c]
+            r, c = r[new], c[new]
+            seen[r * n + c] = True
+            indptr = np.zeros(b + 1, dtype=np.int64)
+            np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
+            frontier = sp.csr_matrix((np.ones(len(c), dtype=bool), c, indptr), shape=(b, n))
+            keys = r * n_groups + groups[c]
+            keys = np.unique(keys[~reached[keys]])
+            reached[keys] = True
+            yield dist, lo + keys // n_groups, keys % n_groups
+
+
+def _entries(m: sp.csr_matrix):
+    """Row and column of every stored entry of ``m``, in row order."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows, m.indices.astype(np.int64)
+
+
+def _harmonic_closeness(adj, start, groups=None) -> np.ndarray:
+    """Per start row, the sum of 1/d over every group it reaches at hop
+    distance d (see :func:`_first_reached`)."""
+    out = np.zeros(start.shape[0])
+    for dist, rows, _ in _first_reached(adj, start, groups):
+        np.add.at(out, rows, 1.0 / dist)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,62 +237,23 @@ def mogen_state_scores(
     elif measure == "visitation":
         vals = sf / sf.sum()
     elif measure == "closeness":
-        dists = _state_distances(model)
-        return {
-            s: sum(1.0 / d for t, d in dists[i].items() if t != i)
-            for i, s in enumerate(model.states)
-        }
+        n = model.n_states
+        vals = _harmonic_closeness(model.trans_p, sp.identity(n, dtype=bool, format="csr"))
     else:
         raise DataError(f"unknown measure {measure!r}")
     return {s: float(vals[i]) for i, s in enumerate(model.states)}
 
 
-def _state_adjacency(model: MOGenModel) -> list:
-    adj = [[] for _ in range(model.n_states)]
-    coo = model.trans_p.tocoo()
-    for i, j in zip(coo.row, coo.col):
-        adj[i].append(j)
-    return adj
-
-
-def _bfs(adj: list, sources: list) -> dict:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return dist
-
-
-def _state_distances(model: MOGenModel) -> list:
-    adj = _state_adjacency(model)
-    return [_bfs(adj, [i]) for i in range(model.n_states)]
-
-
 def _mogen_fo_closeness(model: MOGenModel) -> dict:
-    """First-order harmonic closeness over the multi-order topology.
-
-    The first-order distance between nodes u and w is the minimum state-graph
-    distance over state pairs ending in u and w respectively.
-    """
-    adj = _state_adjacency(model)
-    by_last: dict = defaultdict(list)
-    for i, s in enumerate(model.states):
-        by_last[s[-1]].append(i)
-    last = [s[-1] for s in model.states]
-    scores = {}
-    for u, sources in by_last.items():
-        dist = _bfs(adj, sources)
-        best: dict = {}
-        for i, d in dist.items():
-            w = last[i]
-            if w != u and (w not in best or d < best[w]):
-                best[w] = d
-        scores[u] = sum(1.0 / d for d in best.values() if d > 0)
-    return scores
+    """First-order harmonic closeness over the multi-order topology: one
+    search per node, starting from every state that ends in it."""
+    nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
+    n = model.n_states
+    start = sp.csr_matrix(
+        (np.ones(n, dtype=bool), (last, np.arange(n))), shape=(len(nodes), n)
+    )
+    vals = _harmonic_closeness(model.trans_p, start, last)
+    return dict(zip(nodes.tolist(), vals.tolist()))
 
 
 def _project_first_order(model: MOGenModel, measure: str, state_vals: dict) -> dict:
@@ -262,7 +280,7 @@ def _project_first_order(model: MOGenModel, measure: str, state_vals: dict) -> d
 # ---------------------------------------------------------------------------
 # public API
 
-def compute(model, measure: str, direction: str = "out", literal_end_term: bool = False) -> CentralityVector:
+def compute(model, measure: str) -> CentralityVector:
     """Compute a centrality measure for any fitted model."""
     if measure not in MEASURES:
         raise DataError(f"unknown measure {measure!r}")
@@ -273,7 +291,7 @@ def compute(model, measure: str, direction: str = "out", literal_end_term: bool 
             )
         if measure == "betweenness":
             return CentralityVector(measure, "network", _network_betweenness(model))
-        return CentralityVector(measure, "network", _network_closeness(model, direction))
+        return CentralityVector(measure, "network", _network_closeness(model))
     if isinstance(model, PathModel):
         scores = sequence_scores(model.dataset, measure, max_len=1)
         return CentralityVector(measure, "path", {s[0]: v for s, v in scores.items()})
@@ -282,34 +300,10 @@ def compute(model, measure: str, direction: str = "out", literal_end_term: bool 
             state_vals = None
             fo = _mogen_fo_closeness(model)
         else:
-            state_vals = mogen_state_scores(model, measure, literal_end_term)
+            state_vals = mogen_state_scores(model, measure)
             fo = _project_first_order(model, measure, state_vals)
         return CentralityVector(measure, "mogen", fo, state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
-
-
-def betweenness(model, literal_end_term: bool = False) -> CentralityVector:
-    return compute(model, "betweenness", literal_end_term=literal_end_term)
-
-
-def closeness(model, direction: str = "out") -> CentralityVector:
-    return compute(model, "closeness", direction=direction)
-
-
-def path_end(model) -> CentralityVector:
-    return compute(model, "path_end")
-
-
-def path_continuation(model) -> CentralityVector:
-    return compute(model, "path_continuation")
-
-
-def path_reach(model) -> CentralityVector:
-    return compute(model, "path_reach")
-
-
-def visitation(model) -> CentralityVector:
-    return compute(model, "visitation")
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,8 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     """Windowed centralities, deviation scores, ranking, and evidence flags."""
     length = parse_duration(window)
     step = parse_duration(shift)
+    if k != "auto" and not re.fullmatch(r"-?\d+", k):
+        raise click.UsageError(f"--k expects an integer or 'auto', got {k!r}")
     order = None if k == "auto" else int(k)
     parsed = []
     for spec_text in platforms:

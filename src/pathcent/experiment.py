@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import centrality
 from .errors import DataError
@@ -114,7 +113,8 @@ def auc_score(labels, scores) -> float:
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both positive and negative labels")
-    ranks = rankdata(scores)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -137,15 +137,10 @@ def _mogen_predictions(model, measure: str) -> dict:
     """Prediction scores: first-order projections for single nodes, analytic
     state values for higher-order states."""
     vec = centrality.compute(model, measure)
+    # closeness reports no per-state values from compute
+    states = vec.state_scores or centrality.mogen_state_scores(model, measure)
     scores = {(v,): s for v, s in vec.scores.items()}
-    if vec.state_scores:
-        for s, val in vec.state_scores.items():
-            if len(s) >= 2:
-                scores[s] = val
-    elif measure == "closeness":
-        for s, val in centrality.mogen_state_scores(model, "closeness").items():
-            if len(s) >= 2:
-                scores[s] = val
+    scores.update((s, val) for s, val in states.items() if len(s) >= 2)
     return scores
 
 

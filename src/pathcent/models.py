@@ -173,22 +173,29 @@ class MOGenModel:
 
     @classmethod
     def from_json(cls, source: str | TextIO) -> "MOGenModel":
-        doc = json.loads(source if isinstance(source, str) else source.read())
-        states = [tuple(s) for s in doc["states"]]
-        n = len(states)
-        triplets = doc["trans_counts"]
-        rows = [t[0] for t in triplets]
-        cols = [t[1] for t in triplets]
-        vals = [t[2] for t in triplets]
-        trans = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls(
-            doc["order"],
-            states,
-            np.asarray(doc["start_counts"], dtype=float),
-            trans,
-            np.asarray(doc["end_counts"], dtype=float),
-            doc["n_paths"],
-        )
+        """Load a model written by :meth:`to_json`; a missing key or a
+        mis-typed field raises :class:`DataError`."""
+        try:
+            doc = json.loads(source if isinstance(source, str) else source.read())
+            states, triplets = doc["states"], doc["trans_counts"]
+            if not (isinstance(states, list) and all(
+                isinstance(s, list) and all(isinstance(v, str) for v in s) for s in states
+            )):
+                raise TypeError("states must be lists of node labels")
+            if not isinstance(doc["order"], int) or not isinstance(doc["n_paths"], (int, float)):
+                raise TypeError("order and n_paths must be numbers")
+            n = len(states)
+            t = np.asarray(triplets, dtype=float).reshape(len(triplets), 3)
+            return cls(
+                doc["order"],
+                [tuple(s) for s in states],
+                np.asarray(doc["start_counts"], dtype=float).reshape(n),
+                sp.csr_matrix((t[:, 2], (t[:, 0].astype(int), t[:, 1].astype(int))), shape=(n, n)),
+                np.asarray(doc["end_counts"], dtype=float).reshape(n),
+                doc["n_paths"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed model JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def fit_network(ds: PathDataset) -> NetworkModel:

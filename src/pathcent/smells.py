@@ -9,6 +9,7 @@ human review, not verdicts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .centrality import MEASURES, EdgeCentralityReport, compute
@@ -39,7 +40,8 @@ class PlatformSeries:
     def team_mean(self, measure: str, window: int) -> float:
         vals = self.values[measure][window]
         members = self.active[window]
-        return sum(vals.get(m, 0.0) for m in members) / len(members)
+        # fsum is exact, so the set's hash-seeded iteration order cannot matter
+        return math.fsum(vals.get(m, 0.0) for m in members) / len(members)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """CLI pipeline: commands, exit codes, embedded metadata, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathcent
 from pathcent.cli import main, parse_duration
 from pathcent.pathdata import write_paths
 
@@ -213,6 +218,14 @@ class TestSmellsCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["abc", "2.5", ""])
+    def test_non_integer_order_is_usage_error(self, smell_files, tmp_path, k):
+        code = main([
+            "smells", "--platform", f"p1={smell_files[0]}", "--k", k,
+            "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 1
+
 
 class TestDeterminism:
     def _run_twice(self, args, out_a, out_b):
@@ -242,3 +255,33 @@ class TestDeterminism:
             "--window", "100", "--shift", "100", "--k", "2",
         ]
         self._run_twice(args, tmp_path / "a", tmp_path / "b")
+
+
+def _run_python(args, hash_seed="0"):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(pathcent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+class TestFreshInterpreter:
+    def test_smells_byte_identical_across_hash_seeds(self, smell_files, tmp_path):
+        outputs = []
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"hash{seed}"
+            _run_python([
+                "-m", "pathcent.cli", "smells",
+                "--platform", f"p1={smell_files[0]}", "--platform", f"p2={smell_files[1]}",
+                "--window", "200", "--shift", "100", "--k", "auto",
+                "--output-dir", str(out),
+            ], hash_seed=seed)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) > 1
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        result = _run_python([
+            "-c", "import sys, pathcent.cli; print('scipy.stats' in sys.modules)",
+        ])
+        assert result.stdout.strip() == "False"

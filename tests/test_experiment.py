@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from pathcent import (
     DataError,
@@ -127,6 +128,20 @@ class TestAUC:
             auc_score(labels, rng.random(10000)) for _ in range(5)
         ]
         assert abs(np.mean(aucs) - 0.5) < 0.02
+
+    @pytest.mark.parametrize("levels", [None, 3, 40])
+    def test_matches_rankdata_oracle(self, levels):
+        rng = np.random.default_rng(levels or 0)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            scores = rng.random(n) if levels is None else rng.integers(levels, size=n) / 7
+            labels = rng.random(n) < 0.3
+            labels[:2] = [True, False]
+            n_pos = labels.sum()
+            expected = (rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2) / (
+                n_pos * (n - n_pos)
+            )
+            assert auc_score(labels, scores) == expected
 
 
 class TestModelLabels:

@@ -166,6 +166,27 @@ class TestSerialization:
         assert (again.trans_p != model.trans_p).nnz == 0
         assert again.to_json() == text
 
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: {},
+        lambda doc: {k: v for k, v in doc.items() if k != "trans_counts"},
+        lambda doc: {**doc, "states": "AB"},
+        lambda doc: {**doc, "states": ["A", "B"]},
+        lambda doc: {**doc, "order": "2"},
+        lambda doc: {**doc, "start_counts": doc["start_counts"][:-1]},
+        lambda doc: {**doc, "trans_counts": [t[:2] for t in doc["trans_counts"]]},
+        lambda doc: {**doc, "trans_counts": [[0, 10**6, 1.0]]},
+        lambda doc: [doc],
+    ], ids=["empty", "no_trans_counts", "states_string", "state_strings", "order_string",
+            "short_start_counts", "short_triplets", "index_out_of_range", "not_object"])
+    def test_malformed_json_is_data_error(self, mangle):
+        doc = json.loads(fit_mogen(generators.toy_dataset(), 2).to_json())
+        with pytest.raises(DataError):
+            MOGenModel.from_json(json.dumps(mangle(doc)))
+
+    def test_invalid_json_is_data_error(self):
+        with pytest.raises(DataError):
+            MOGenModel.from_json("{")
+
     def test_json_stream(self):
         model = fit_mogen(generators.toy_dataset(), 2)
         buf = io.StringIO()
