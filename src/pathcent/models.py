@@ -7,12 +7,16 @@ Three representations of the same path dataset:
 * :class:`PathModel` -- the path multiset itself (lossless).
 * :class:`MOGenModel` -- multi-order transition structure over states that
   remember up to K previous nodes, with an explicit start distribution and an
-  absorbing end state. Interpreted as an absorbing Markov chain, its
-  fundamental matrix gives expected state visits analytically.
+  absorbing end state. As an absorbing Markov chain, its fundamental matrix
+  F = (I - Q)^-1 = sum Q^n gives expected state visits: S.F, F.1 and F are
+  solved by the fixed point x <- b + A x, or by sparse LU where that does not
+  converge, with a checked residual; a chain that still fails raises
+  :class:`NumericError` (CLI exit 3). Each solve logs one DEBUG record.
 """
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,15 +25,18 @@ from typing import Sequence, TextIO
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.linalg import LinAlgError
 
 from .errors import DataError, NumericError
 from .pathdata import END, START, PathDataset
 
 #: Row-stochasticity tolerance after normalisation.
 STOCHASTIC_TOL = 1e-12
-#: Above this state count, fundamental-matrix solves go through sparse LU.
-DENSE_THRESHOLD = 500
+#: Largest accepted ||x - A x - b||_inf / ||x||_inf of a chain solve.
+_TOL = 1e-14
+#: Fixed-point iterations before a chain solve falls back to sparse LU.
+_MAX_ITER = 1000
+
+log = logging.getLogger(__name__)
 
 State = tuple[str, ...]
 
@@ -123,13 +130,13 @@ class MOGenModel:
     def expected_visits(self) -> np.ndarray:
         """S . F -- expected number of visits to each state on a random path."""
         if self._sf is None:
-            self._sf = _solve(self, self.start_p, transpose=True)
+            self._sf = _solve(self, "S.F", self.start_p)
         return self._sf
 
     def reach_totals(self) -> np.ndarray:
         """Row sums of F: expected visits to any state before absorption."""
         if self._reach is None:
-            self._reach = _solve(self, np.ones(self.n_states), transpose=False)
+            self._reach = _solve(self, "F.1", np.ones(self.n_states))
         return self._reach
 
     def log_likelihood(self) -> float:
@@ -247,47 +254,38 @@ def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     return MOGenModel(k, states, start, trans, end, float(ds.total))
 
 
-def _system(model: MOGenModel) -> sp.csc_matrix:
-    n = model.n_states
-    return (sp.identity(n, format="csr") - model.trans_p).tocsc()
+def fundamental_matrix(model: MOGenModel) -> np.ndarray:
+    """Expected visits between transient states: F = I + Q F = (I - Q)^-1."""
+    return _solve(model, "F", np.eye(model.n_states))
 
 
-def _solve(model: MOGenModel, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-    a = _system(model)
-    if transpose:
-        a = a.T.tocsc()
-    try:
-        if model.n_states <= DENSE_THRESHOLD:
-            x = np.linalg.solve(a.toarray(), rhs)
-        else:
-            x = spla.splu(a).solve(rhs)
-    except (LinAlgError, RuntimeError) as exc:
-        raise NumericError(f"non-absorbing chain: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-absorbing chain: singular system")
-    return x
+def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
+    """x = b + A x, with A = Q^T for ``system`` "S.F" and A = Q for "F.1" and "F".
 
-
-def fundamental_matrix(model: MOGenModel, dense_threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-    """Expected visits between transient states: the inverse of (I - Q).
-
-    Computed by linear solves; dense factorization is only used below
-    ``dense_threshold`` states.
+    The fixed point stops at the first x whose residual b + A x - x (its next
+    step) is within ``_TOL``; at ``_MAX_ITER`` sparse LU of (I - A) takes over.
     """
-    n = model.n_states
-    a = _system(model)
-    eye = np.eye(n)
-    try:
-        if n <= dense_threshold:
-            f = np.linalg.solve(a.toarray(), eye)
+    a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
+    x, method = np.zeros_like(b), "fixed point"
+    with np.errstate(over="ignore", invalid="ignore"):  # the residual checks catch overflow
+        for iterations in range(1, _MAX_ITER + 1):
+            r = b + a @ x - x
+            residual = np.abs(r).max()
+            if residual <= _TOL * np.abs(x).max():
+                break
+            x += r
         else:
-            lu = spla.splu(a)
-            f = np.column_stack([lu.solve(eye[:, j]) for j in range(n)])
-    except (LinAlgError, RuntimeError) as exc:
-        raise NumericError(f"non-absorbing chain: {exc}") from exc
-    if not np.all(np.isfinite(f)):
-        raise NumericError("non-absorbing chain: singular system")
-    return f
+            method = "LU fallback"
+            try:
+                x = spla.splu((sp.identity(model.n_states, format="csc") - a).tocsc()).solve(b)
+            except RuntimeError as exc:
+                raise NumericError(f"non-absorbing chain: {exc}") from exc
+            residual = np.abs(x - a @ x - b).max()
+    log.debug("solved %s: %d states, %d nnz, %s, %d iterations, residual %.3g",
+              system, model.n_states, a.nnz, method, iterations, residual)
+    if not residual <= _TOL * np.abs(x).max():
+        raise NumericError(f"non-absorbing chain: {system} residual {residual:.3g}")
+    return x
 
 
 def select_order(ds: PathDataset, k_max: int) -> int:

@@ -7,6 +7,7 @@ timestamp. Datasets are immutable after construction and merge identical
 from __future__ import annotations
 
 import logging
+import re
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ START = "*"
 END = "†"
 
 RESERVED = frozenset({START, END})
+#: Separators of state keys (``|``), labels (``,``) and fields (``;``) in outputs.
+SEPARATORS = re.compile(r"[|,;]")
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,9 @@ class Path:
             raise DataError("a path needs at least one node")
         if self.multiplicity < 1:
             raise DataError("path multiplicity must be >= 1")
-        for v in self.nodes:
-            if not v:
-                raise DataError("empty node label")
-            if v in RESERVED:
-                raise DataError(f"node label {v!r} is reserved")
+        if not all(self.nodes) or RESERVED.intersection(self.nodes) or SEPARATORS.search("".join(self.nodes)):
+            bad = next(v for v in self.nodes if not v or v in RESERVED or SEPARATORS.search(v))
+            raise DataError(f"node label {bad!r} is empty, reserved, or contains one of '|,;'")
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -111,6 +111,17 @@ class TestIngest:
         ])
         assert code == 2
 
+    def test_comma_in_label_under_other_delimiter_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "colon.paths"
+        src.write_text("a,b:c\n")
+        code = main([
+            "ingest", "--input", str(src), "--format", "paths", "--delimiter", ":",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "node label 'a,b'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCentralityCommand:
     def test_mogen_report(self, paths_file, tmp_path):
@@ -126,6 +137,16 @@ class TestCentralityCommand:
         assert "C|D" in doc["results"]["edges"]
         csv_body = (out / "centrality.csv").read_text()
         assert csv_body.splitlines()[1] == "measure,model,state,score"
+
+    def test_colliding_state_keys_are_data_error(self, tmp_path):
+        src = tmp_path / "collide.paths"
+        src.write_text("a|b,c\na,b|c\na,b,c\n")
+        code = main([
+            "centrality", "--input", str(src), "--model", "mogen", "--k", "2",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_network_skips_path_measures(self, paths_file, tmp_path):
         out = tmp_path / "cent"

@@ -2,13 +2,18 @@
 selection, and serialization."""
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcent import (
     DataError,
     MOGenModel,
+    NumericError,
     Path,
     PathDataset,
     encode_path,
@@ -18,6 +23,7 @@ from pathcent import (
     fundamental_matrix,
     select_order,
 )
+from pathcent import models
 from pathcent.pathdata import END, START
 
 import generators
@@ -119,15 +125,100 @@ class TestFundamentalMatrix:
 
     def test_sparse_path_agrees_with_dense(self):
         model = fit_mogen(generators.order2_families(seed=5, n_paths=300), 2)
-        dense = fundamental_matrix(model, dense_threshold=10**9)
-        sparse = fundamental_matrix(model, dense_threshold=0)
-        assert np.max(np.abs(dense - sparse)) < 1e-9
+        dense = np.linalg.inv(np.eye(model.n_states) - model.trans_p.toarray())
+        assert np.max(np.abs(fundamental_matrix(model) - dense)) < 1e-9
 
     def test_cyclic_paths_still_absorbing(self):
         ds = PathDataset([Path(("a", "b", "a", "b", "a"))])
         model = fit_mogen(ds, 1)
         f = fundamental_matrix(model)
         assert np.all(np.isfinite(f))
+
+
+def _closed_cycle_doc() -> dict:
+    """a <-> b with no end counts: no path is ever absorbed."""
+    return {"order": 1, "states": [["a"], ["b"]], "start_counts": [1.0, 0.0],
+            "end_counts": [0.0, 0.0], "trans_counts": [[0, 1, 1.0], [1, 0, 1.0]],
+            "n_paths": 1}
+
+
+def _closed_cycle_direct() -> MOGenModel:
+    trans = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2), 1.0)
+
+
+def _slow_chain() -> MOGenModel:
+    """End probability 1e-3 after every "b": spectral radius ~0.9995, so the
+    fixed point cannot converge within the iteration cap."""
+    return fit_mogen(PathDataset([Path(tuple("ab" * 1000))]), 1)
+
+
+#: Corpus makers of ``generators``, each a function of one integer seed.
+SOLVER_CORPORA = {
+    "toy": lambda seed: generators.toy_dataset(1 + seed % 3),
+    "random_small": generators.random_small_dataset,
+    "order2": lambda seed: generators.order2_families(seed=seed, n_paths=150),
+    "first_order": lambda seed: generators.first_order_walks(seed, n_paths=150, max_len=6),
+    "smell": lambda seed: generators.smell_corpus(seed=seed, paths_per_window=10),
+}
+
+
+class TestChainSolver:
+    def test_slow_chain_falls_back_to_lu(self, caplog):
+        model = _slow_chain()
+        with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
+            sf = model.expected_visits()
+        assert sf == pytest.approx([1000.0, 1000.0], rel=1e-12)
+        [record] = caplog.records
+        assert "S.F: 2 states, 2 nnz, LU fallback" in record.getMessage()
+        assert f"{models._MAX_ITER} iterations" in record.getMessage()
+
+    def test_fallback_over_tolerance_is_numeric_error(self, monkeypatch):
+        class WrongLU:
+            def solve(self, b):
+                return 2.0 * b
+
+        monkeypatch.setattr(models.spla, "splu", lambda a: WrongLU())
+        model = _slow_chain()
+        with pytest.raises(NumericError, match="S.F residual"):
+            model.expected_visits()
+
+    def test_one_debug_record_per_solve(self, caplog):
+        model = fit_mogen(generators.toy_dataset(), 2)
+        with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
+            model.expected_visits()
+            model.expected_visits()  # cached: no second solve
+            model.reach_totals()
+            fundamental_matrix(model)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(":")[0] for m in messages] == ["solved S.F", "solved F.1", "solved F"]
+        for message in messages:
+            assert f"{model.n_states} states, {model.trans_p.nnz} nnz, fixed point" in message
+            assert "residual" in message
+
+    @pytest.mark.parametrize("build", [
+        _closed_cycle_direct,
+        lambda: MOGenModel.from_json(json.dumps(_closed_cycle_doc())),
+    ], ids=["constructor", "from_json"])
+    @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])
+    def test_non_absorbing_chain_is_numeric_error(self, build, solve):
+        model = build()
+        with pytest.raises(NumericError):
+            getattr(model, solve)()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SOLVER_CORPORA)), st.integers(0, 2**16), st.data())
+    def test_solves_match_dense_oracle(self, corpus, seed, data):
+        ds = SOLVER_CORPORA[corpus](seed)
+        k = data.draw(st.integers(1, ds.max_length), label="k")
+        model = fit_mogen(ds, k)
+        q = model.trans_p
+        system = np.eye(model.n_states) - q.toarray()
+        sf, reach = model.expected_visits(), model.reach_totals()
+        assert np.max(np.abs(sf - np.linalg.solve(system.T, model.start_p))) < 1e-9
+        assert np.max(np.abs(reach - np.linalg.solve(system, np.ones(model.n_states)))) < 1e-9
+        assert np.max(np.abs(sf - q.T @ sf - model.start_p)) <= models._TOL * np.max(sf)
+        assert np.max(np.abs(reach - q @ reach - 1.0)) <= models._TOL * np.max(reach)
 
 
 class TestLogLikelihoodAndOrderSelection:

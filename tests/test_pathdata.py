@@ -1,5 +1,6 @@
 """Parsing, ingestion, temporal extraction, windows, and statistics."""
 import io
+import re
 
 import pytest
 
@@ -35,6 +36,16 @@ class TestPath:
     def test_rejects_empty_label(self):
         with pytest.raises(DataError):
             Path(("a", ""))
+
+    @pytest.mark.parametrize("bad", ["a|b", "a,b", "a;b", "|"])
+    def test_rejects_separator_characters(self, bad):
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            Path(("x", bad))
+
+    def test_state_key_collision_is_rejected(self):
+        # the states (a|b, c) and (a, b|c) would both be written as "a|b|c"
+        with pytest.raises(DataError, match=r"'a\|b'"):
+            parse_paths(io.StringIO("a|b,c\na,b|c\na,b,c\n"))
 
 
 class TestPathDataset:
