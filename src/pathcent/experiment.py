@@ -82,12 +82,12 @@ def ground_truth(test: PathDataset, measure: str, k_truth: int) -> list:
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def project_up(scores: dict, targets, fallback: str = "min") -> dict:
+def project_up(scores: dict, targets) -> dict:
     """Score each target state by its longest scored suffix.
 
     Each target receives the score of the highest-order scored state that is
     a suffix of it. Targets with no scored suffix get the minimum observed
-    score (default) or are dropped with ``fallback='exclude'``.
+    score.
     """
     floor = min(scores.values()) if scores else 0.0
     out = {}
@@ -97,11 +97,7 @@ def project_up(scores: dict, targets, fallback: str = "min") -> dict:
             if h[-m:] in scores:
                 found = scores[h[-m:]]
                 break
-        if found is None:
-            if fallback == "exclude":
-                continue
-            found = floor
-        out[h] = found
+        out[h] = floor if found is None else found
     return out
 
 
@@ -150,7 +146,6 @@ def evaluate(
     models=("N", "M1", "M2", "P"),
     measures=centrality.MEASURES,
     k_truth: int = 5,
-    fallback: str = "min",
 ) -> list[AUCResult]:
     """Run the full prediction experiment; returns one result per
     (model, measure) pair, skipping pairs the model cannot predict."""
@@ -185,15 +180,9 @@ def evaluate(
                     preds = _mogen_predictions(fitted[label], measure)
                 else:
                     preds = centrality.sequence_scores(fitted[label], measure, k_truth)
-                proj = project_up(preds, targets, fallback)
-                if fallback == "exclude":
-                    keep = [i for i, t in enumerate(targets) if t in proj]
-                    lab = labels[keep]
-                    vals = [proj[targets[i]] for i in keep]
-                else:
-                    lab = labels
-                    vals = [proj[t] for t in targets]
-                collected.setdefault((label, measure), []).append(auc_score(lab, vals))
+                proj = project_up(preds, targets)
+                vals = [proj[t] for t in targets]
+                collected.setdefault((label, measure), []).append(auc_score(labels, vals))
     return [
         AUCResult(label, measure, tuple(aucs))
         for (label, measure), aucs in collected.items()

@@ -10,8 +10,9 @@ Three representations of the same path dataset:
   absorbing end state. As an absorbing Markov chain, its fundamental matrix
   F = (I - Q)^-1 = sum Q^n gives expected state visits: S.F, F.1 and F are
   solved by the fixed point x <- b + A x, or by sparse LU where that does not
-  converge, with a checked residual; a chain that still fails raises
-  :class:`NumericError` (CLI exit 3). Each solve logs one DEBUG record.
+  converge, with a checked residual; a chain with a state that never reaches
+  the end, or that still fails, raises :class:`NumericError` (CLI exit 3).
+  Each solve logs one DEBUG record.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from typing import Sequence, TextIO
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DataError, NumericError
 from .pathdata import END, START, PathDataset
@@ -264,7 +266,15 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
 
     The fixed point stops at the first x whose residual b + A x - x (its next
     step) is within ``_TOL``; at ``_MAX_ITER`` sparse LU of (I - A) takes over.
+    A state that cannot reach a state with ``end_p > 0`` makes the chain
+    non-absorbing (I - Q is then singular or nearly so): no solve is tried.
     """
+    n = model.n_states
+    # backward search from the end state over Q plus the end column
+    to_end = sp.bmat([[model.trans_p != 0, sp.csr_matrix(model.end_p[:, None] != 0)],
+                      [None, sp.csr_matrix((1, 1), dtype=bool)]])
+    if breadth_first_order(to_end.T.tocsr(), n, return_predecessors=False).size <= n:
+        raise NumericError("non-absorbing chain: a state never reaches the end")
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
     x, method = np.zeros_like(b), "fixed point"
     with np.errstate(over="ignore", invalid="ignore"):  # the residual checks catch overflow
@@ -277,12 +287,12 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
         else:
             method = "LU fallback"
             try:
-                x = spla.splu((sp.identity(model.n_states, format="csc") - a).tocsc()).solve(b)
+                x = spla.splu((sp.identity(n, format="csc") - a).tocsc()).solve(b)
             except RuntimeError as exc:
                 raise NumericError(f"non-absorbing chain: {exc}") from exc
             residual = np.abs(x - a @ x - b).max()
     log.debug("solved %s: %d states, %d nnz, %s, %d iterations, residual %.3g",
-              system, model.n_states, a.nnz, method, iterations, residual)
+              system, n, a.nnz, method, iterations, residual)
     if not residual <= _TOL * np.abs(x).max():
         raise NumericError(f"non-absorbing chain: {system} residual {residual:.3g}")
     return x

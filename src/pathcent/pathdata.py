@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import logging
 import re
-import statistics
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError
@@ -231,37 +232,35 @@ def extract_paths(edges: Sequence[TemporalEdge], delta: int) -> PathDataset:
 
     Two edges (u,v;t1), (v,w;t2) chain iff t1 < t2 and t2 - t1 <= delta.
     Chaining is greedy and single-consumption: edges are processed in
-    ascending time; each edge extends the oldest open chain it can continue,
-    or opens a new chain. Every input edge appears on exactly one path.
+    ascending time, stable on ties; each edge extends the oldest open chain
+    ending at its source that it can continue, or opens a new chain. Every
+    input edge appears on exactly one path.
+
+    Chains join a node's queue in end-time order, so chains that ended more
+    than ``delta`` ago form its front and are dropped for good, and only the
+    front chain can be extended. The pass is linear after the sort.
     """
     if delta <= 0:
         raise DataError("delta must be > 0")
     if not edges:
         raise DataError("empty edge list")
     order = sorted(range(len(edges)), key=lambda i: (edges[i].time, i))
-    # chain: [nodes, end_time, start_time, creation_seq]
-    chains: list[list] = []
-    open_by_node: dict[str, list[int]] = defaultdict(list)
+    chains: list[list] = []  # [nodes, end_time, start_time]
+    open_by_node: dict[str, deque[int]] = defaultdict(deque)
     for i in order:
         e = edges[i]
-        extended = None
-        candidates = open_by_node.get(e.source, [])
-        for ci in candidates:
-            nodes, end_t, _, _ = chains[ci]
-            if end_t < e.time and e.time - end_t <= delta:
-                extended = ci
-                break
-        if extended is not None:
-            open_by_node[e.source].remove(extended)
-            chains[extended][0].append(e.target)
-            chains[extended][1] = e.time
-            open_by_node[e.target].append(extended)
-        else:
-            chains.append([[e.source, e.target], e.time, e.time, len(chains)])
-            open_by_node[e.target].append(len(chains) - 1)
-    return PathDataset(
-        Path(tuple(nodes), 1, start_t) for nodes, _, start_t, _ in chains
-    )
+        queue = open_by_node[e.source]
+        while queue and e.time - chains[queue[0]][1] > delta:
+            queue.popleft()
+        if queue and chains[queue[0]][1] < e.time:
+            ci = queue.popleft()
+            chains[ci][0].append(e.target)
+            chains[ci][1] = e.time
+        else:  # no open chain, or the front one (and so every one) ends at e.time
+            ci = len(chains)
+            chains.append([[e.source, e.target], e.time, e.time])
+        open_by_node[e.target].append(ci)
+    return PathDataset(Path(tuple(nodes), 1, start_t) for nodes, _, start_t in chains)
 
 
 def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlice]:
@@ -291,18 +290,28 @@ def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlic
 
 
 def stats(ds: PathDataset) -> DatasetStats:
-    """Summary statistics; totals and length statistics include multiplicity."""
-    lengths = []
+    """Summary statistics; totals and length statistics include multiplicity.
+
+    Lengths are counted, never expanded per instance; the mean and median
+    equal those of ``statistics`` on the expanded list.
+    """
+    counts: Counter[int] = Counter()
     links = set()
     for p in ds.paths:
-        lengths.extend([len(p)] * p.multiplicity)
-        for a, b in zip(p.nodes, p.nodes[1:]):
-            links.add((a, b))
+        counts[len(p)] += p.multiplicity
+        links.update(zip(p.nodes, p.nodes[1:]))
+    lengths = sorted(counts)
+    cumulative = list(accumulate(counts[n] for n in lengths))
+    total, half = cumulative[-1], cumulative[-1] // 2
+
+    def nth(i: int) -> int:  # the i-th smallest length, from 0
+        return lengths[bisect_right(cumulative, i)]
+
     return DatasetStats(
-        total_paths=ds.total,
+        total_paths=total,
         unique_paths=ds.unique,
-        mean_len=sum(lengths) / len(lengths),
-        median_len=statistics.median(lengths),
+        mean_len=sum(n * counts[n] for n in lengths) / total,
+        median_len=nth(half) if total % 2 else (nth(half - 1) + nth(half)) / 2,
         n_nodes=len(ds.vocabulary),
         n_links=len(links),
     )
@@ -310,47 +319,35 @@ def stats(ds: PathDataset) -> DatasetStats:
 
 def read_temporal_edges(source: TextIO | Iterable[str], delimiter: str = ",") -> list[TemporalEdge]:
     """Read a ``source,target,time`` edge list (header optional)."""
-    edges = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [f.strip() for f in line.split(delimiter)]
-        if len(parts) != 3:
-            raise DataError(f"line {lineno}: expected source,target,time")
-        if lineno == 1 and not _is_int(parts[2]):
-            continue  # header row
-        if not _is_int(parts[2]):
-            raise DataError(f"line {lineno}: malformed timestamp {parts[2]!r}")
-        edges.append(TemporalEdge(parts[0], parts[1], int(parts[2])))
-    if not edges:
-        raise DataError("empty edge list")
-    return edges
+    return [TemporalEdge(*r) for r in _read_triples(source, delimiter, "source,target,time",
+                                                   "empty edge list")]
 
 
 def read_actions(source: TextIO | Iterable[str], delimiter: str = ",") -> list[ActionRecord]:
     """Read a ``key,actor,time`` action log (header optional)."""
-    records = []
+    return [ActionRecord(*r) for r in _read_triples(source, delimiter, "key,actor,time",
+                                                   "no action records")]
+
+
+def _read_triples(source: TextIO | Iterable[str], delimiter: str, columns: str,
+                  empty_message: str) -> Iterator[tuple[str, str, int]]:
+    """Yield ``(a, b, time)`` per ``columns`` line. Blank lines and a header on
+    line 1 are skipped; a bad line, or no line at all, raises :class:`DataError`."""
+    empty = True
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         parts = [f.strip() for f in line.split(delimiter)]
         if len(parts) != 3:
-            raise DataError(f"line {lineno}: expected key,actor,time")
-        if lineno == 1 and not _is_int(parts[2]):
-            continue
-        if not _is_int(parts[2]):
-            raise DataError(f"line {lineno}: malformed timestamp {parts[2]!r}")
-        records.append(ActionRecord(parts[0], parts[1], int(parts[2])))
-    if not records:
-        raise DataError("no action records")
-    return records
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+            raise DataError(f"line {lineno}: expected {columns}")
+        try:
+            time = int(parts[2])
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise DataError(f"line {lineno}: malformed timestamp {parts[2]!r}") from None
+        empty = False
+        yield parts[0], parts[1], time
+    if empty:
+        raise DataError(empty_message)

@@ -94,18 +94,14 @@ def windowed_centralities(
     )
 
 
-def deviation_scores(
-    series_list: list[PlatformSeries],
-    strict_absence: bool = False,
-    eps: float = MEAN_EPS,
-) -> list[DeviationScore]:
+def deviation_scores(series_list: list[PlatformSeries]) -> list[DeviationScore]:
     """Aggregate absolute relative deviations from team means.
 
     Per platform, a member's score sums |v - mean| / mean over all windows
-    where the member is active (all windows with ``strict_absence``, counting
-    absences as v = 0) and all measures; terms with |mean| < eps are skipped.
-    The final score averages platform scores over all platforms, with members
-    absent from a platform contributing zero there.
+    where the member is active and all measures; terms with |mean| <
+    ``MEAN_EPS`` are skipped. The final score averages platform scores over
+    all platforms, with members absent from a platform contributing zero
+    there.
     """
     if not series_list:
         raise DataError("need at least one platform series")
@@ -120,12 +116,11 @@ def deviation_scores(
         for series in series_list:
             s = 0.0
             for window in series.window_starts:
-                present = member in series.active[window]
-                if not present and not strict_absence:
+                if member not in series.active[window]:
                     continue
                 for measure in series.values:
                     mean = series.team_mean(measure, window)
-                    if abs(mean) < eps:
+                    if abs(mean) < MEAN_EPS:
                         skipped += 1
                         continue
                     v = series.values[measure][window].get(member, 0.0)

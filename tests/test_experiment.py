@@ -98,10 +98,6 @@ class TestProjectUp:
         proj = project_up(scores, [("Z",)])
         assert proj[("Z",)] == -1.0
 
-    def test_exclude_fallback(self):
-        proj = project_up({("A",): 5.0}, [("Z",), ("A",)], fallback="exclude")
-        assert ("Z",) not in proj and proj[("A",)] == 5.0
-
 
 class TestAUC:
     def test_perfect_ranking(self):

@@ -147,6 +147,19 @@ def _closed_cycle_direct() -> MOGenModel:
     return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2), 1.0)
 
 
+def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
+    """A ring of ``n`` states plus 2n random extra transitions, fractional
+    probabilities and no end counts: one closed class, started at state 0."""
+    rng = np.random.default_rng(seed)
+    extra = rng.integers(n, size=(2 * n, 2))
+    rows = [*range(n), *extra[:, 0]]
+    cols = [*((i + 1) % n for i in range(n)), *extra[:, 1]]
+    trans = sp.csr_matrix((rng.random(len(rows)) + 0.1, (rows, cols)), shape=(n, n))
+    start = np.zeros(n)
+    start[0] = 1.0
+    return MOGenModel(1, [(f"s{i}",) for i in range(n)], start, trans, np.zeros(n), 1.0)
+
+
 def _slow_chain() -> MOGenModel:
     """End probability 1e-3 after every "b": spectral radius ~0.9995, so the
     fixed point cannot converge within the iteration cap."""
@@ -205,6 +218,21 @@ class TestChainSolver:
         model = build()
         with pytest.raises(NumericError):
             getattr(model, solve)()
+
+    @pytest.mark.parametrize("seed, n", [(0, 21), *((s, 8 + s) for s in range(1, 16))])
+    @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])
+    def test_closed_class_with_fractional_probabilities_is_numeric_error(self, seed, n, solve):
+        # LU of the nearly singular I - Q yields ~1e15 visits whose residual passes
+        with pytest.raises(NumericError, match="never reaches the end"):
+            getattr(_closed_ring(seed, n), solve)()
+
+    def test_closed_class_beside_an_absorbing_state_is_numeric_error(self):
+        # a ends half the time; b <-> c, entered from a, never end
+        trans = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+        model = MOGenModel(1, [("a",), ("b",), ("c",)], np.array([1.0, 0.0, 0.0]), trans,
+                           np.array([1.0, 0.0, 0.0]), 1.0)
+        with pytest.raises(NumericError, match="never reaches the end"):
+            fundamental_matrix(model)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(SOLVER_CORPORA)), st.integers(0, 2**16), st.data())

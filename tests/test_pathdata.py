@@ -1,8 +1,12 @@
 """Parsing, ingestion, temporal extraction, windows, and statistics."""
 import io
 import re
+import statistics
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcent import (
     ActionRecord,
@@ -114,6 +118,26 @@ class TestParsePaths:
         again = parse_paths(io.StringIO(buf.getvalue()))
         assert again.paths == ds.paths
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Path,
+                st.lists(st.text("ab-_.é0", min_size=1, max_size=3), min_size=1, max_size=5).map(tuple),
+                st.integers(1, 10**12),
+                st.none() | st.integers(-(10**12), 10**12),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from([",", ":"]),
+    )
+    def test_write_parse_roundtrip_property(self, paths, delimiter):
+        ds = PathDataset(paths)
+        buf = io.StringIO()
+        write_paths(ds, buf, delimiter)
+        assert parse_paths(io.StringIO(buf.getvalue()), delimiter).paths == ds.paths
+
 
 class TestActions:
     def test_orders_by_time_stable_on_ties(self):
@@ -175,6 +199,92 @@ class TestExtractPaths:
         assert edges == [TemporalEdge("a", "b", 3)]
 
 
+def _extract_paths_oracle(edges, delta):
+    """The linear-scan chaining ``extract_paths`` replaced: per node, a list of
+    open chains in arrival order, scanned for the first with
+    end < t <= end + delta."""
+    order = sorted(range(len(edges)), key=lambda i: (edges[i].time, i))
+    chains = []  # [nodes, end_time, start_time]
+    open_by_node = defaultdict(list)
+    for i in order:
+        e = edges[i]
+        extended = None
+        for ci in open_by_node.get(e.source, []):
+            end_t = chains[ci][1]
+            if end_t < e.time and e.time - end_t <= delta:
+                extended = ci
+                break
+        if extended is not None:
+            open_by_node[e.source].remove(extended)
+            chains[extended][0].append(e.target)
+            chains[extended][1] = e.time
+            open_by_node[e.target].append(extended)
+        else:
+            chains.append([[e.source, e.target], e.time, e.time])
+            open_by_node[e.target].append(len(chains) - 1)
+    return PathDataset(Path(tuple(nodes), 1, start_t) for nodes, _, start_t in chains)
+
+
+class TestExtractPathsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(TemporalEdge, st.sampled_from("abc"), st.sampled_from("abc"), st.integers(0, 8)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 4),
+    )
+    def test_matches_linear_scan(self, edges, delta):
+        # three nodes and nine time steps: ties, self-loops and chains ending
+        # exactly delta before the next edge all occur
+        assert extract_paths(edges, delta).paths == _extract_paths_oracle(edges, delta).paths
+
+
+#: Both triple readers: function, record type, column names, empty-input message.
+READERS = {
+    "temporal-edges": (read_temporal_edges, TemporalEdge, "source,target,time", "empty edge list"),
+    "actions": (read_actions, ActionRecord, "key,actor,time", "no action records"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+class TestTripleReaders:
+    def test_blank_lines_and_whitespace_skipped(self, fmt):
+        read, record, _, _ = READERS[fmt]
+        got = read(io.StringIO("\n a , b , 1 \n\n\nc,d,-2\n"))
+        assert got == [record("a", "b", 1), record("c", "d", -2)]
+
+    def test_header_only_on_line_one(self, fmt):
+        read, record, columns, _ = READERS[fmt]
+        assert read(io.StringIO(f"{columns}\nT,u,3\n")) == [record("T", "u", 3)]
+        for text, lineno in ((f"T,u,3\n{columns}\n", 2), (f"\n{columns}\nT,u,3\n", 2)):
+            with pytest.raises(DataError, match=f"line {lineno}: malformed timestamp 'time'"):
+                read(io.StringIO(text))
+
+    @pytest.mark.parametrize("line", ["a,b", "a,b,1,2", "a"])
+    def test_wrong_field_count(self, fmt, line):
+        read, _, columns, _ = READERS[fmt]
+        with pytest.raises(DataError, match=f"^line 2: expected {columns}$"):
+            read(io.StringIO(f"x,y,0\n{line}\n"))
+
+    @pytest.mark.parametrize("stamp", ["1.5", "zzz", "", "1e3"])
+    def test_malformed_timestamp_names_its_line(self, fmt, stamp):
+        read, _, _, _ = READERS[fmt]
+        with pytest.raises(DataError, match=f"^line 3: malformed timestamp {re.escape(repr(stamp))}$"):
+            read(io.StringIO(f"x,y,0\n\na,b,{stamp}\n"))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "h1,h2,h3\n"])
+    def test_empty_input_message(self, fmt, text):
+        read, _, _, message = READERS[fmt]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read(io.StringIO(text))
+
+    def test_delimiter(self, fmt):
+        read, record, _, _ = READERS[fmt]
+        assert read(io.StringIO("a,1\tb\t7\n"), delimiter="\t") == [record("a,1", "b", 7)]
+
+
 class TestRollingWindows:
     def _ds(self, times):
         return PathDataset([Path(("a", "b"), 1, t) for t in times])
@@ -213,3 +323,24 @@ class TestStats:
         assert s.median_len == 3
         assert s.n_nodes == 3
         assert s.n_links == 2  # (a,b) and (b,c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2)),
+                    min_size=1, max_size=12))
+    def test_length_statistics_match_expanded_list(self, spec):
+        ds = PathDataset(Path(tuple(f"n{i}" for i in range(n)), m, t) for n, m, t in spec)
+        expanded = [len(p) for p in ds.paths for _ in range(p.multiplicity)]
+        s = stats(ds)
+        assert s.total_paths == len(expanded)
+        assert s.mean_len == sum(expanded) / len(expanded) == statistics.mean(expanded)
+        median = statistics.median(expanded)
+        assert s.median_len == median and type(s.median_len) is type(median)
+
+    def test_huge_multiplicity_is_not_expanded(self):
+        ds = PathDataset([Path(("a",)), Path(("a", "b"), 10**12), Path(("a", "b", "c"), 10**12 - 1)])
+        s = stats(ds)
+        assert s.total_paths == 2 * 10**12
+        assert s.mean_len == (1 + 2 * 10**12 + 3 * (10**12 - 1)) / (2 * 10**12)
+        assert s.median_len == 2.0 and isinstance(s.median_len, float)
+        odd = stats(PathDataset([Path(("a",), 10**12), Path(("a", "b"), 10**12 + 1)]))
+        assert odd.median_len == 2 and isinstance(odd.median_len, int)
