@@ -11,11 +11,18 @@ betweenness / path end / visitation project by summation over states sharing a
 final node, continuation and reach by visitation-weighted averaging.
 
 Closeness is out-direction harmonic closeness over unweighted hop distances,
-computed for every model family by one sparse breadth-first search; networkx
-is used only for betweenness on the network model.
+computed for network and multi-order models by one sparse breadth-first
+search; networkx is used only for betweenness on the network model.
+
+Path-model values (and the experiment's ground truth) come from one scan of
+the observed paths that counts every sub-path occurrence up to a maximum
+length; the closeness distance between two sequences is the fewest
+transitions from an occurrence of one to a later occurrence of the other on
+the same path, read off the last-seen position of each sequence.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -58,80 +65,59 @@ class CentralityVector:
 # ---------------------------------------------------------------------------
 # sequence statistics on raw path data (path model and ground-truth rankings)
 
-def sequence_scores(ds: PathDataset, measure: str, max_len: int = 1) -> dict:
-    """Path-data centrality for every node sequence up to ``max_len``.
+def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
+    """Path-data centralities of every node sequence up to ``max_len``:
+    ``{measure: {sequence: value}}`` for each of ``measures``, from one scan
+    of the paths.
 
     With ``max_len=1`` these are the path-model node centralities; larger
     values score higher-order sequences by their sub-path occurrences.
+    Closeness of s sums 1/d over every other sequence t, where d is the
+    fewest transitions from an occurrence of s to a later occurrence of t on
+    one path (between occurrence end positions).
     """
-    if measure not in MEASURES:
-        raise DataError(f"unknown measure {measure!r}")
-    if measure == "closeness":
-        return _sequence_closeness(ds, max_len)
-    occ, end_occ, interior, reach_sum = _occurrence_stats(ds, max_len)
-    if measure == "betweenness":
-        return {s: float(interior[s]) for s in occ}
-    if measure == "path_end":
-        n = ds.total
-        return {s: end_occ[s] / n for s in occ}
-    if measure == "path_continuation":
-        return {s: 1.0 - end_occ[s] / occ[s] for s in occ}
-    if measure == "path_reach":
-        return {s: reach_sum[s] / occ[s] for s in occ}
-    total = sum(occ.values())
-    return {s: occ[s] / total for s in occ}  # visitation
-
-
-def _occurrence_stats(ds: PathDataset, max_len: int):
-    occ: dict = defaultdict(int)
-    end_occ: dict = defaultdict(int)
-    interior: dict = defaultdict(int)
-    reach_sum: dict = defaultdict(int)
+    for m in measures:
+        if m not in MEASURES:
+            raise DataError(f"unknown measure {m!r}")
+    weights: dict = defaultdict(int)
     for p in ds.paths:
-        nodes, w, l = p.nodes, p.multiplicity, len(p.nodes)
+        weights[p.nodes] += p.multiplicity
+    occ, end_occ, interior, reach_sum = (defaultdict(int) for _ in range(4))
+    dist: dict = {}  # s -> {t: fewest transitions from s to a later t}
+    closeness = "closeness" in measures
+    for nodes, w in weights.items():
+        l = len(nodes)
+        last: dict = {}  # sequence -> end position of its latest occurrence
         for j in range(l):
-            for m in range(1, min(max_len, j + 1) + 1):
-                s = nodes[j - m + 1 : j + 1]
+            ends = [nodes[j - m + 1 : j + 1] for m in range(1, min(max_len, j + 1) + 1)]
+            if closeness:
+                # the latest earlier occurrence of s is the nearest one
+                for s, a in last.items():
+                    row, d = dist[s], j - a
+                    for t in ends:
+                        if d < row.get(t, math.inf):
+                            row[t] = d
+                for t in ends:
+                    dist.setdefault(t, {})
+                    last[t] = j
+            for m, s in enumerate(ends, 1):
                 occ[s] += w
                 reach_sum[s] += w * (l - 1 - j)
                 if j == l - 1:
                     end_occ[s] += w
                 if j - m + 1 >= 1 and j <= l - 2:
                     interior[s] += w
-    return occ, end_occ, interior, reach_sum
-
-
-def subpath_distances(ds: PathDataset, max_len: int = 1) -> dict:
-    """Shortest observed sub-path distance between sequence occurrences.
-
-    The distance between sequences s and t is the minimum number of
-    transitions between an occurrence of s and a later occurrence of t on the
-    same path (measured between occurrence end positions).
-    """
-    dist: dict = {}
-    for p in ds.paths:
-        nodes, l = p.nodes, len(p.nodes)
-        for a in range(l):
-            s_opts = [nodes[a - m + 1 : a + 1] for m in range(1, min(max_len, a + 1) + 1)]
-            for b in range(a + 1, l):
-                d = b - a
-                for t_len in range(1, min(max_len, b + 1) + 1):
-                    t = nodes[b - t_len + 1 : b + 1]
-                    for s in s_opts:
-                        key = (s, t)
-                        if key not in dist or d < dist[key]:
-                            dist[key] = d
-    return dist
-
-
-def _sequence_closeness(ds: PathDataset, max_len: int) -> dict:
-    occ, _, _, _ = _occurrence_stats(ds, max_len)
-    dist = subpath_distances(ds, max_len)
-    sums: dict = {s: 0.0 for s in occ}
-    for (s, t), d in dist.items():
-        if s != t:
-            sums[s] += 1.0 / d
-    return sums
+    n, total = ds.total, sum(occ.values())
+    value = {
+        "betweenness": lambda s: float(interior[s]),
+        # fsum is exact, so the sum does not depend on dict order
+        "closeness": lambda s: math.fsum(1.0 / d for t, d in dist[s].items() if t != s),
+        "path_end": lambda s: end_occ[s] / n,
+        "path_continuation": lambda s: 1.0 - end_occ[s] / occ[s],
+        "path_reach": lambda s: reach_sum[s] / occ[s],
+        "visitation": lambda s: occ[s] / total,
+    }
+    return {m: {s: value[m](s) for s in occ} for m in measures}
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +279,7 @@ def compute(model, measure: str) -> CentralityVector:
             return CentralityVector(measure, "network", _network_betweenness(model))
         return CentralityVector(measure, "network", _network_closeness(model))
     if isinstance(model, PathModel):
-        scores = sequence_scores(model.dataset, measure, max_len=1)
+        scores = sequence_scores(model.dataset, (measure,))[measure]
         return CentralityVector(measure, "path", {s[0]: v for s, v in scores.items()})
     if isinstance(model, MOGenModel):
         if measure == "closeness":

@@ -122,6 +122,8 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
                    edge_report, min_visitation, output_dir):
     """Compute centrality reports for one model family."""
+    if edge_report and model != "mogen":
+        raise click.UsageError("--edges requires --model mogen")
     measures = measures or cent.MEASURES
     ds = load_dataset(input_path)
     config = {
@@ -167,8 +169,6 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
         raise DataError("no requested measure is supported by this model")
 
     if edge_report:
-        if model != "mogen":
-            raise click.UsageError("--edges requires --model mogen")
         report = cent.edge_centralities(fitted, measures=[m for m in measures if m not in skipped],
                                         min_visitation=min_visitation)
         json_results["edges"] = {

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import centrality
 from .errors import DataError
-from .models import fit_mogen, fit_network
+from .models import MOGenModel, fit_mogen, fit_network
 from .pathdata import Path, PathDataset
 
 State = tuple[str, ...]
@@ -71,34 +71,34 @@ def split(ds: PathDataset, fraction: float, seed, max_attempts: int = 100):
     raise DataError("could not produce a non-degenerate split")
 
 
-def ground_truth(test: PathDataset, measure: str, k_truth: int) -> list:
-    """Rank all sequences up to length ``k_truth`` in the test set, descending.
+def ground_truth(test: PathDataset, measures, k_truth: int) -> dict:
+    """Rank all sequences up to length ``k_truth`` in the test set by each of
+    ``measures``, descending: ``{measure: [(sequence, value), ...]}``.
 
     Ties break lexicographically on the state tuple.
     """
-    if measure not in centrality.MEASURES:
-        raise DataError(f"unknown measure {measure!r}")
-    scores = centrality.sequence_scores(test, measure, max_len=k_truth)
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    scores = centrality.sequence_scores(test, measures, max_len=k_truth)
+    return {m: sorted(v.items(), key=lambda kv: (-kv[1], kv[0])) for m, v in scores.items()}
 
 
-def project_up(scores: dict, targets) -> dict:
-    """Score each target state by its longest scored suffix.
-
-    Each target receives the score of the highest-order scored state that is
-    a suffix of it. Targets with no scored suffix get the minimum observed
-    score.
-    """
-    floor = min(scores.values()) if scores else 0.0
-    out = {}
+def project_up(keys, targets) -> list:
+    """For each target state, its longest suffix in ``keys``, or None."""
+    out = []
     for h in targets:
-        found = None
-        for m in range(len(h), 0, -1):
-            if h[-m:] in scores:
-                found = scores[h[-m:]]
+        for i in range(len(h)):
+            if h[i:] in keys:
+                out.append(h[i:])
                 break
-        out[h] = floor if found is None else found
+        else:
+            out.append(None)
     return out
+
+
+def _scored(values: dict, suffixes) -> list:
+    """The value of each suffix; a target with no scored suffix (None) gets
+    the minimum score."""
+    floor = min(values.values(), default=0.0)
+    return [floor if s is None else values[s] for s in suffixes]
 
 
 def auc_score(labels, scores) -> float:
@@ -129,14 +129,15 @@ def parse_model_label(label: str):
     raise DataError(f"unknown model label {label!r}")
 
 
-def _mogen_predictions(model, measure: str) -> dict:
-    """Prediction scores: first-order projections for single nodes, analytic
-    state values for higher-order states."""
+def _predictions(model, measure: str) -> dict:
+    """First-order scores for single nodes; for a multi-order model also the
+    analytic state values of higher-order states."""
     vec = centrality.compute(model, measure)
-    # closeness reports no per-state values from compute
-    states = vec.state_scores or centrality.mogen_state_scores(model, measure)
     scores = {(v,): s for v, s in vec.scores.items()}
-    scores.update((s, val) for s, val in states.items() if len(s) >= 2)
+    if isinstance(model, MOGenModel):
+        # closeness reports no per-state values from compute
+        states = vec.state_scores or centrality.mogen_state_scores(model, measure)
+        scores.update((s, val) for s, val in states.items() if len(s) >= 2)
     return scores
 
 
@@ -148,42 +149,39 @@ def evaluate(
     k_truth: int = 5,
 ) -> list[AUCResult]:
     """Run the full prediction experiment; returns one result per
-    (model, measure) pair, skipping pairs the model cannot predict."""
-    parsed = [(label, *parse_model_label(label)) for label in models]
-    collected: dict = {}
+    (model, measure) pair, measure-major, skipping pairs the model cannot
+    predict."""
+    parsed = []  # (label, kind, order, measures the model can predict)
+    for label in models:
+        kind, k = parse_model_label(label)
+        wanted = [m for m in measures if kind != "network" or m in NETWORK_MEASURES]
+        parsed.append((label, kind, k, wanted))
+    collected = {(label, m): [] for m in measures for label, *_, wanted in parsed if m in wanted}
+    if not collected:
+        raise DataError("no requested measure is supported by the requested models")
     for rep in range(spec.replicates):
         train, test = split(ds, spec.train_fraction, [spec.seed, rep])
-        truths = {m: ground_truth(test, m, k_truth) for m in measures}
-        fitted = {}
-        for label, kind, k in parsed:
-            if kind == "network":
-                fitted[label] = fit_network(train)
-            elif kind == "mogen":
-                fitted[label] = fit_mogen(train, k)
+        truths = ground_truth(test, measures, k_truth)
+        # every ranking holds the same sequences; label each on one order
+        targets = [s for s, _ in next(iter(truths.values()))]
+        if len(targets) < 10:
+            raise DataError("target set too small for decile labeling")
+        n_pos = math.ceil(0.1 * len(targets))
+        index = {s: i for i, s in enumerate(targets)}
+        labels = {}
+        for m, ranking in truths.items():
+            labels[m] = np.zeros(len(targets), dtype=bool)
+            labels[m][[index[s] for s, _ in ranking[:n_pos]]] = True
+        for label, kind, k, wanted in parsed:
+            if not wanted:
+                continue
+            if kind == "path":
+                preds = centrality.sequence_scores(train, wanted, k_truth)
             else:
-                fitted[label] = train
-        for measure in measures:
-            gt = truths[measure]
-            targets = [s for s, _ in gt]
-            if len(targets) < 10:
-                raise DataError("target set too small for decile labeling")
-            n_pos = math.ceil(0.1 * len(targets))
-            labels = np.zeros(len(targets), dtype=bool)
-            labels[:n_pos] = True  # gt is sorted descending with tie rule
-            for label, kind, _k in parsed:
-                if kind == "network":
-                    if measure not in NETWORK_MEASURES:
-                        continue
-                    vec = centrality.compute(fitted[label], measure)
-                    preds = {(v,): s for v, s in vec.scores.items()}
-                elif kind == "mogen":
-                    preds = _mogen_predictions(fitted[label], measure)
-                else:
-                    preds = centrality.sequence_scores(fitted[label], measure, k_truth)
-                proj = project_up(preds, targets)
-                vals = [proj[t] for t in targets]
-                collected.setdefault((label, measure), []).append(auc_score(labels, vals))
-    return [
-        AUCResult(label, measure, tuple(aucs))
-        for (label, measure), aucs in collected.items()
-    ]
+                model = fit_network(train) if kind == "network" else fit_mogen(train, k)
+                preds = {m: _predictions(model, m) for m in wanted}
+            # a model scores the same keys under every measure
+            suffixes = project_up(preds[wanted[0]], targets)
+            for m in wanted:
+                collected[label, m].append(auc_score(labels[m], _scored(preds[m], suffixes)))
+    return [AUCResult(label, m, tuple(aucs)) for (label, m), aucs in collected.items()]

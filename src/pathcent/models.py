@@ -145,8 +145,9 @@ class MOGenModel:
         """Log-likelihood of the training paths under the fitted probabilities."""
         ll = float(np.sum(self.start_counts * np.log(self.start_p, where=self.start_counts > 0, out=np.zeros_like(self.start_p))))
         coo = self.trans_counts.tocoo()
-        probs = np.asarray(self.trans_p[coo.row, coo.col]).ravel()
-        ll += float(np.sum(coo.data * np.log(probs)))
+        if coo.nnz:  # scipy indexes no entries as a sparse matrix
+            probs = np.asarray(self.trans_p[coo.row, coo.col]).ravel()
+            ll += float(np.sum(coo.data * np.log(probs)))
         mask = self.end_counts > 0
         ll += float(np.sum(self.end_counts[mask] * np.log(self.end_p[mask])))
         return ll

@@ -24,8 +24,9 @@ START = "*"
 END = "†"
 
 RESERVED = frozenset({START, END})
-#: Separators of state keys (``|``), labels (``,``) and fields (``;``) in outputs.
-SEPARATORS = re.compile(r"[|,;]")
+#: Separators of state keys (``|``), labels (``,``) and fields (``;``) in
+#: outputs, and a leading ``#``, which marks a header line in a path file.
+BAD_LABEL = re.compile(r"[|,;]|^#", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,12 @@ class Path:
             raise DataError("a path needs at least one node")
         if self.multiplicity < 1:
             raise DataError("path multiplicity must be >= 1")
-        if not all(self.nodes) or RESERVED.intersection(self.nodes) or SEPARATORS.search("".join(self.nodes)):
-            bad = next(v for v in self.nodes if not v or v in RESERVED or SEPARATORS.search(v))
-            raise DataError(f"node label {bad!r} is empty, reserved, or contains one of '|,;'")
+        # joined by newlines, so that ^# tests the first character of every label
+        if not all(self.nodes) or RESERVED.intersection(self.nodes) or BAD_LABEL.search("\n".join(self.nodes)):
+            bad = next(v for v in self.nodes if not v or v in RESERVED or BAD_LABEL.search(v))
+            raise DataError(
+                f"node label {bad!r} is empty, reserved, starts with '#', or contains one of '|,;'"
+            )
 
     def __len__(self) -> int:
         return len(self.nodes)

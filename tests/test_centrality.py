@@ -1,9 +1,12 @@
 """Centrality measures: hand-derived toy values, an independent brute-force
 counter, network measures, multi-order projections, and edge reports."""
+import math
 from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcent import (
     DataError,
@@ -116,20 +119,129 @@ class TestBruteForceAgreement:
 class TestSequenceScores:
     def test_order2_betweenness_counts_interior_occurrences(self):
         ds = PathDataset([Path(("a", "b", "c", "d"), 3)])
-        scores = sequence_scores(ds, "betweenness", max_len=2)
+        scores = sequence_scores(ds, ("betweenness",), max_len=2)["betweenness"]
         assert scores[("b", "c")] == 3  # starts at 1, ends before the last
         assert scores[("a", "b")] == 0  # touches the first position
         assert scores[("c", "d")] == 0  # touches the last position
 
     def test_order2_path_end(self):
         ds = PathDataset([Path(("a", "b"), 1), Path(("c", "b"), 3)])
-        scores = sequence_scores(ds, "path_end", max_len=2)
+        scores = sequence_scores(ds, ("path_end",), max_len=2)["path_end"]
         assert scores[("c", "b")] == pytest.approx(0.75)
         assert scores[("b",)] == pytest.approx(1.0)
 
     def test_unknown_measure(self):
-        with pytest.raises(DataError):
-            sequence_scores(generators.toy_dataset(), "pagerank")
+        for measures in (("pagerank",), ("betweenness", "pagerank")):
+            with pytest.raises(DataError, match="'pagerank'"):
+                sequence_scores(generators.toy_dataset(), measures)
+
+    def test_one_scan_returns_every_requested_measure(self):
+        ds = generators.random_small_dataset(3)
+        scores = sequence_scores(ds, MEASURES, max_len=3)
+        assert list(scores) == list(MEASURES)
+        assert len({frozenset(v) for v in scores.values()}) == 1
+        assert sequence_scores(ds, ("path_reach", "visitation"), 3) == {
+            m: scores[m] for m in ("path_reach", "visitation")
+        }
+
+    def test_closeness_takes_the_nearest_earlier_occurrence(self):
+        # a occurs at 0 and 2, c at 3: the a -> c distance is 1, not 3
+        ds = PathDataset([Path(("a", "b", "a", "c"))])
+        scores = sequence_scores(ds, ("closeness",))["closeness"]
+        assert scores == {("a",): 1 / 1 + 1 / 1, ("b",): 1 / 1 + 1 / 2, ("c",): 0.0}
+
+    def test_closeness_minimum_across_paths_and_orders(self):
+        ds = PathDataset([Path(("a", "x", "x", "b")), Path(("a", "b"), 4)])
+        scores = sequence_scores(ds, ("closeness",), max_len=2)["closeness"]
+        # a reaches b in 1 (second path), x in 1, (a, x) in 1, (x, x) in 2,
+        # (x, b) in 3, (a, b) in 1
+        assert scores[("a",)] == pytest.approx(1 + 1 + 1 + 1 / 2 + 1 / 3 + 1)
+        assert scores[("a", "b")] == 0.0
+
+
+def _occurrence_stats(ds, max_len):
+    """The per-measure occurrence scan ``sequence_scores`` replaced."""
+    occ, end_occ, interior, reach_sum = (defaultdict(int) for _ in range(4))
+    for p in ds.paths:
+        nodes, w, l = p.nodes, p.multiplicity, len(p.nodes)
+        for j in range(l):
+            for m in range(1, min(max_len, j + 1) + 1):
+                s = nodes[j - m + 1 : j + 1]
+                occ[s] += w
+                reach_sum[s] += w * (l - 1 - j)
+                if j == l - 1:
+                    end_occ[s] += w
+                if j - m + 1 >= 1 and j <= l - 2:
+                    interior[s] += w
+    return occ, end_occ, interior, reach_sum
+
+
+def _subpath_distances(ds, max_len):
+    """Shortest distance between sequence occurrences by a scan over every
+    pair of positions, as ``sequence_scores`` computed it before."""
+    dist = {}
+    for p in ds.paths:
+        nodes, l = p.nodes, len(p.nodes)
+        for a in range(l):
+            s_opts = [nodes[a - m + 1 : a + 1] for m in range(1, min(max_len, a + 1) + 1)]
+            for b in range(a + 1, l):
+                for t_len in range(1, min(max_len, b + 1) + 1):
+                    t = nodes[b - t_len + 1 : b + 1]
+                    for s in s_opts:
+                        if (s, t) not in dist or b - a < dist[s, t]:
+                            dist[s, t] = b - a
+    return dist
+
+
+def _sequence_scores_oracle(ds, measure, max_len):
+    occ, end_occ, interior, reach_sum = _occurrence_stats(ds, max_len)
+    if measure == "closeness":
+        sums = {s: 0.0 for s in occ}
+        for (s, t), d in _subpath_distances(ds, max_len).items():
+            if s != t:
+                sums[s] += 1.0 / d
+        return sums
+    if measure == "betweenness":
+        return {s: float(interior[s]) for s in occ}
+    if measure == "path_end":
+        return {s: end_occ[s] / ds.total for s in occ}
+    if measure == "path_continuation":
+        return {s: 1.0 - end_occ[s] / occ[s] for s in occ}
+    if measure == "path_reach":
+        return {s: reach_sum[s] / occ[s] for s in occ}
+    total = sum(occ.values())
+    return {s: occ[s] / total for s in occ}
+
+
+# small vocabularies, so sequences repeat within a path
+_corpora = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=9).map(tuple),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSequenceScoresOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        paths=_corpora,
+        max_len=st.integers(1, 5),
+        measures=st.sets(st.sampled_from(MEASURES), min_size=1).map(sorted),
+    )
+    def test_matches_pair_scan(self, paths, max_len, measures):
+        ds = PathDataset(Path(nodes, w) for nodes, w in paths)
+        got = sequence_scores(ds, measures, max_len)
+        assert list(got) == measures
+        for m in measures:
+            want = _sequence_scores_oracle(ds, m, max_len)
+            assert got[m].keys() == want.keys()
+            if m == "closeness":
+                assert all(math.isclose(got[m][s], want[s], rel_tol=1e-12) for s in want)
+            else:
+                assert got[m] == want
 
 
 class TestNetworkModel:

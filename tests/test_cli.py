@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathcent
+from pathcent.centrality import MEASURES
 from pathcent.cli import main, parse_duration
 from pathcent.pathdata import write_paths
 
@@ -122,6 +126,19 @@ class TestIngest:
         assert "node label 'a,b'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_label_starting_with_hash_is_data_error(self, tmp_path, capsys):
+        # load_dataset skips '#' lines as headers, so such a label would be
+        # written at the start of a line and silently dropped on reload
+        src = tmp_path / "hash.paths"
+        src.write_text("#general,bob;3\nbob,carol;2\ncarol,#general;1\n")
+        code = main([
+            "ingest", "--input", str(src), "--format", "paths",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "node label '#general'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCentralityCommand:
     def test_mogen_report(self, paths_file, tmp_path):
@@ -172,6 +189,15 @@ class TestCentralityCommand:
         ])
         assert code == 1
 
+    def test_edges_flag_checked_before_loading(self, tmp_path):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN\n")  # a data error (exit 2) once loaded
+        code = main([
+            "centrality", "--input", str(src), "--model", "network",
+            "--edges", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 1
+
     def test_auto_order(self, order2_file, tmp_path):
         out = tmp_path / "cent"
         code = main([
@@ -206,6 +232,15 @@ class TestExperimentCommand:
             "--output-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    def test_nothing_to_score_is_data_error(self, order2_file, tmp_path, capsys):
+        code = main([
+            "experiment", "--input", order2_file, "--models", "N",
+            "--measure", "path_end", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "no requested measure is supported" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSmellsCommand:
@@ -306,3 +341,69 @@ class TestFreshInterpreter:
             "-c", "import sys, pathcent.cli; print('scipy.stats' in sys.modules)",
         ])
         assert result.stdout.strip() == "False"
+
+
+# --- exit codes: random small inputs and arguments through main() -----------
+
+def _corpus(label, count, time):
+    path_line = st.builds(
+        lambda nodes, c, t: f"{','.join(nodes)};{c};{t}",
+        st.lists(label, min_size=1, max_size=6), count, time,
+    )
+    triple_line = st.builds(lambda a, b, t: f"{a},{b},{t}", label, label, time)
+    return st.one_of(st.lists(path_line, min_size=2, max_size=30),
+                     st.lists(triple_line, min_size=2, max_size=30))
+
+
+# mostly well-formed corpora, so that every command also runs to the end
+_VALID = _corpus(st.sampled_from("abcd"), st.sampled_from(["", "1", "3"]),
+                 st.sampled_from(["0", "40", "90", "130"]))
+_CORPUS = st.one_of(
+    _VALID, _VALID,
+    _corpus(st.sampled_from(["a", "b", "#x", "a|b", "*", ""]),
+            st.sampled_from(["1", "0", "x", ""]), st.sampled_from(["5", "-7", "t", ""])),
+).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def _options(required=None, **choices):
+    """Command-line options: ``required`` is always given, every other one is
+    drawn from its choices or left out; ``True`` marks a flag."""
+    draws = {name: st.sampled_from(values) for name, values in (required or {}).items()}
+    draws.update({name: st.sampled_from([None, *values]) for name, values in choices.items()})
+    return st.fixed_dictionaries(draws).map(
+        lambda opts: [arg for name, value in opts.items() if value is not None
+                      for arg in (("--" + name,) if value is True else ("--" + name, value))]
+    )
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just("ingest"), _options(
+        {"format": ["paths", "temporal-edges", "actions"]},
+        delta=["5", "1d", "0", "x"], delimiter=[",", ":"])),
+    st.tuples(st.just("centrality"), _options(
+        {"model": ["network", "path", "mogen"]}, k=["1", "2", "3", "0", "-1"],
+        **{"auto-order": [True], "k-max": ["1", "3", "0"], "measure": list(MEASURES),
+           "edges": [True], "min-visitation": ["0", "0.5", "2"]})),
+    st.tuples(st.just("experiment"), _options(
+        models=["N", "P", "M1", "M2", "N,M1,P", "M0"], measure=list(MEASURES),
+        **{"train-fraction": ["0.3", "0.5", "0", "1"], "replicates": ["1", "2", "0"],
+           "k-truth": ["1", "2", "3", "0"]}, seed=["0", "1"])),
+    st.tuples(st.just("smells"), _options(
+        window=["100", "50", "0"], shift=["50", "100", "0"], k=["auto", "1", "2", "0"],
+        top=["1", "3", "0"], consecutive=["1", "0"],
+        **{"k-max": ["1", "2", "0"], "theta-end": ["0.5", "0"], "theta-role": ["0.05", "1"]})),
+)
+
+
+class TestExitCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_CORPUS, command=_COMMANDS)
+    def test_every_run_exits_with_a_documented_code(self, corpus, command):
+        name, options = command
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "in.txt")
+            with open(src, "w", encoding="utf-8") as fh:
+                fh.write(corpus)
+            where = ["--platform", f"p={src}"] if name == "smells" else ["--input", src]
+            args = [name, *where, *options, "--output-dir", os.path.join(tmp, "out")]
+            assert main(args) in (0, 1, 2, 3)

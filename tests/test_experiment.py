@@ -11,11 +11,14 @@ from pathcent import (
     SplitSpec,
     auc_score,
     evaluate,
+    fit_mogen,
+    fit_network,
     ground_truth,
     project_up,
     split,
 )
-from pathcent.experiment import parse_model_label
+from pathcent.centrality import MEASURES
+from pathcent.experiment import NETWORK_MEASURES, _predictions, _scored, parse_model_label
 
 import generators
 
@@ -57,46 +60,56 @@ class TestSplit:
 class TestGroundTruth:
     def test_sorted_descending_with_tie_rule(self):
         ds = generators.toy_dataset()
-        gt = ground_truth(ds, "betweenness", 2)
+        gt = ground_truth(ds, ("betweenness",), 2)["betweenness"]
         scores = [v for _, v in gt]
         assert scores == sorted(scores, reverse=True)
         tied = [s for s, v in gt if v == 0.0]
         assert tied == sorted(tied)
 
     def test_contains_all_orders_up_to_k(self):
-        gt = ground_truth(generators.toy_dataset(), "visitation", 3)
+        gt = ground_truth(generators.toy_dataset(), ("visitation",), 3)["visitation"]
         lengths = {len(s) for s, _ in gt}
         assert lengths == {1, 2, 3}
 
     def test_top_state_on_toy(self):
-        gt = ground_truth(generators.toy_dataset(), "betweenness", 2)
+        gt = ground_truth(generators.toy_dataset(), ("betweenness",), 2)["betweenness"]
         top = [s for s, v in gt if v == 2.0]
         assert top == [("C",), ("C", "D"), ("D",)]
 
     def test_unknown_measure(self):
         with pytest.raises(DataError):
-            ground_truth(generators.toy_dataset(), "pagerank", 2)
+            ground_truth(generators.toy_dataset(), ("pagerank",), 2)
+
+    def test_one_ranking_per_measure_over_the_same_sequences(self):
+        gt = ground_truth(generators.toy_dataset(), MEASURES, 3)
+        assert list(gt) == list(MEASURES)
+        assert len({frozenset(s for s, _ in ranking) for ranking in gt.values()}) == 1
+        assert gt["path_end"] == ground_truth(generators.toy_dataset(), ("path_end",), 3)["path_end"]
 
 
 class TestProjectUp:
     def test_longest_scored_suffix_wins(self):
-        scores = {("A", "B"): 7.0, ("B",): 2.0}
-        proj = project_up(scores, [("C", "A", "B")])
-        assert proj[("C", "A", "B")] == 7.0
+        keys = {("A", "B"): 7.0, ("B",): 2.0}
+        assert project_up(keys, [("C", "A", "B")]) == [("A", "B")]
 
     def test_shorter_suffix_as_fallback(self):
-        scores = {("B",): 2.0, ("X", "B"): 9.0}
-        proj = project_up(scores, [("C", "B")])
-        assert proj[("C", "B")] == 2.0
+        keys = {("B",): 2.0, ("X", "B"): 9.0}
+        assert project_up(keys, [("C", "B")]) == [("B",)]
 
     def test_exact_match_preferred(self):
-        scores = {("C", "B"): 4.0, ("B",): 2.0}
-        assert project_up(scores, [("C", "B")])[("C", "B")] == 4.0
+        keys = {("C", "B"): 4.0, ("B",): 2.0}
+        assert project_up(keys, [("C", "B")]) == [("C", "B")]
 
     def test_min_fallback(self):
         scores = {("A",): 5.0, ("B",): -1.0}
-        proj = project_up(scores, [("Z",)])
-        assert proj[("Z",)] == -1.0
+        suffixes = project_up(scores, [("Z",), ("A",)])
+        assert suffixes == [None, ("A",)]
+        assert _scored(scores, suffixes) == [-1.0, 5.0]
+
+    def test_one_entry_per_target_in_order(self):
+        keys = {("a",), ("b", "a")}
+        targets = [("b", "a"), ("c",), ("c", "a"), ("a",)]
+        assert project_up(keys, targets) == [("b", "a"), None, ("a",), ("a",)]
 
 
 class TestAUC:
@@ -183,6 +196,34 @@ class TestEvaluate:
             models=("M2",), measures=("path_end",), k_truth=3,
         )
         assert res[0].mean > 0.8
+
+    def test_results_are_measure_major_and_match_single_pair_runs(self):
+        # one ground-truth pass and one suffix resolution per model must
+        # give every pair the AUCs of a run that scores that pair alone
+        ds = generators.order2_families(seed=0, n_paths=300)
+        spec = SplitSpec(0.3, seed=4, replicates=2)
+        models, measures = ("N", "M2", "P"), ("path_end", "closeness", "betweenness")
+        res = evaluate(ds, spec, models=models, measures=measures, k_truth=3)
+        assert [(r.model, r.measure) for r in res] == [
+            (label, m) for m in measures for label in models
+            if not (label == "N" and m == "path_end")
+        ]
+        for r in res:
+            alone = evaluate(ds, spec, models=(r.model,), measures=(r.measure,), k_truth=3)
+            assert alone[0].aucs == r.aucs
+
+    def test_each_model_scores_the_same_keys_under_every_measure(self):
+        # evaluate resolves a model's suffixes once for all its measures
+        train = generators.order2_families(seed=0, n_paths=200)
+        for model, measures in ((fit_network(train), NETWORK_MEASURES), (fit_mogen(train, 2), MEASURES)):
+            assert len({frozenset(_predictions(model, m)) for m in measures}) == 1
+
+    def test_no_supported_pair_is_data_error(self):
+        ds = generators.order2_families(seed=0, n_paths=100)
+        with pytest.raises(DataError, match="no requested measure"):
+            evaluate(ds, SplitSpec(0.3), models=("N",), measures=("path_end",))
+        with pytest.raises(DataError, match="no requested measure"):
+            evaluate(ds, SplitSpec(0.3), models=(), measures=("betweenness",))
 
     def test_bad_spec(self):
         with pytest.raises(DataError):

@@ -255,6 +255,13 @@ class TestLogLikelihoodAndOrderSelection:
         model = fit_mogen(PathDataset([Path(("a", "b", "c"))]), 2)
         assert model.log_likelihood() == pytest.approx(0.0)
 
+    def test_loglik_without_transitions(self):
+        # single-node paths only start and end: no transition term
+        ds = PathDataset([Path(("a",), 3), Path(("b",), 1)])
+        model = fit_mogen(ds, 2)
+        assert model.log_likelihood() == pytest.approx(3 * np.log(0.75) + np.log(0.25))
+        assert select_order(ds, k_max=2) == 1
+
     def test_higher_order_never_decreases_loglik(self):
         ds = generators.order2_families(seed=2, n_paths=300)
         lls = [fit_mogen(ds, k).log_likelihood() for k in (1, 2, 3)]

@@ -46,6 +46,14 @@ class TestPath:
         with pytest.raises(DataError, match=re.escape(repr(bad))):
             Path(("x", bad))
 
+    @pytest.mark.parametrize("bad", ["#", "#general", "\n#x"])
+    def test_rejects_leading_hash(self, bad):
+        with pytest.raises(DataError, match="starts with '#'"):
+            Path(("x", bad))
+
+    def test_hash_inside_a_label_is_allowed(self):
+        assert Path(("a#", "b#c")).nodes == ("a#", "b#c")
+
     def test_state_key_collision_is_rejected(self):
         # the states (a|b, c) and (a, b|c) would both be written as "a|b|c"
         with pytest.raises(DataError, match=r"'a\|b'"):
