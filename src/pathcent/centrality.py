@@ -10,9 +10,10 @@ distribution and fundamental matrix and can be projected to first order:
 betweenness / path end / visitation project by summation over states sharing a
 final node, continuation and reach by visitation-weighted averaging.
 
-Closeness is out-direction harmonic closeness over unweighted hop distances,
-computed for network and multi-order models by one sparse breadth-first
-search; networkx is used only for betweenness on the network model.
+Closeness is out-direction harmonic closeness over unweighted hop distances.
+One sparse breadth-first search (:func:`pathcent.models._first_reached`)
+serves closeness on network and multi-order models, Brandes betweenness on
+the network model, and the models' absorbing check.
 
 Path-model values (and the experiment's ground truth) come from one scan of
 the observed paths that counts every sub-path occurrence up to a maximum
@@ -26,12 +27,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import MOGenModel, NetworkModel, PathModel
+from .models import MOGenModel, NetworkModel, PathModel, _first_reached
 from .pathdata import PathDataset
 
 MEASURES = (
@@ -48,10 +48,6 @@ PATH_MEASURES = frozenset(
 )
 
 State = tuple[str, ...]
-
-#: Cells of the dense seen-mask of one BFS batch (source rows x states);
-#: bounds the search's memory on large models.
-_BFS_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,72 +119,40 @@ def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # network model
 
-def _network_betweenness(model: NetworkModel) -> dict:
-    g = nx.DiGraph()
-    g.add_nodes_from(sorted(model.vocabulary))
-    g.add_edges_from(model.edges)
-    return dict(nx.betweenness_centrality(g, normalized=False))
-
-
-def _network_closeness(model: NetworkModel) -> dict:
+def _network_adjacency(model: NetworkModel):
+    """Sorted nodes and the unweighted adjacency matrix over them."""
     nodes = sorted(model.vocabulary)
     index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    rows = [index[a] for a, _ in model.edges]
-    cols = [index[b] for _, b in model.edges]
-    adj = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
-    vals = _harmonic_closeness(adj, sp.identity(n, dtype=bool, format="csr"))
-    return dict(zip(nodes, vals.tolist()))
+    ids = np.array([(index[a], index[b]) for a, b in model.edges], dtype=np.int64).reshape(-1, 2)
+    return nodes, sp.csr_matrix((np.ones(len(ids)), ids.T), shape=(len(nodes), len(nodes)))
 
 
-def _first_reached(adj, start, groups=None):
-    """Level-synchronous BFS over ``adj`` from the rows of the boolean CSR
-    matrix ``start``, each row a set of states at distance 0.
-
-    ``groups`` maps states to group ids (default: one group per state).
-    Yields ``(dist, rows, grps)`` per level and batch: row ``rows[i]`` first
-    reaches group ``grps[i]`` at ``dist`` >= 1 hops. Start states are never
-    reached, so a row holding all of its own group never reports it.
-    """
-    adj = (adj != 0).tocsr()
-    n = adj.shape[0]
-    groups = np.arange(n) if groups is None else np.asarray(groups, dtype=np.int64)
-    n_groups = int(groups.max()) + 1
-    batch = max(1, _BFS_CELLS // n)
-    for lo in range(0, start.shape[0], batch):
-        frontier = start[lo : lo + batch]
-        b = frontier.shape[0]
-        seen = np.zeros(b * n, dtype=bool)
-        reached = np.zeros(b * n_groups, dtype=bool)
-        r, c = _entries(frontier)
-        seen[r * n + c] = True
-        dist = 0
-        while frontier.nnz:
-            dist += 1
-            r, c = _entries(frontier @ adj)
-            new = ~seen[r * n + c]
-            r, c = r[new], c[new]
-            seen[r * n + c] = True
-            indptr = np.zeros(b + 1, dtype=np.int64)
-            np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
-            frontier = sp.csr_matrix((np.ones(len(c), dtype=bool), c, indptr), shape=(b, n))
-            keys = r * n_groups + groups[c]
-            keys = np.unique(keys[~reached[keys]])
-            reached[keys] = True
-            yield dist, lo + keys // n_groups, keys % n_groups
-
-
-def _entries(m: sp.csr_matrix):
-    """Row and column of every stored entry of ``m``, in row order."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows, m.indices.astype(np.int64)
+def _network_betweenness(adj) -> np.ndarray:
+    """Brandes betweenness (unnormalised) from the BFS levels of every source:
+    with σ_d the shortest-path counts of level d, the dependencies are
+    δ_d = σ_d ⊙ (((1 + δ_{d+1}) / σ_{d+1}) @ adjᵀ), summed backward over the
+    levels of each batch of sources."""
+    out = np.zeros(adj.shape[0])
+    levels = []
+    for _, _, _, sigma in _first_reached(adj, sp.identity(adj.shape[0], format="csr")):
+        if sigma.nnz:
+            levels.append(sigma)
+            continue
+        coef = sigma  # the batch's last level is empty
+        for sigma in reversed(levels):
+            delta = sigma.multiply(coef @ adj.T)
+            out += delta.sum(axis=0).A1
+            inv = sigma.power(-1)
+            coef = inv + inv.multiply(delta)
+        levels = []
+    return out
 
 
 def _harmonic_closeness(adj, start, groups=None) -> np.ndarray:
     """Per start row, the sum of 1/d over every group it reaches at hop
     distance d (see :func:`_first_reached`)."""
     out = np.zeros(start.shape[0])
-    for dist, rows, _ in _first_reached(adj, start, groups):
+    for dist, rows, _, _ in _first_reached(adj, start, groups):
         np.add.at(out, rows, 1.0 / dist)
     return out
 
@@ -196,24 +160,17 @@ def _harmonic_closeness(adj, start, groups=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # multi-order model
 
-def mogen_state_scores(
-    model: MOGenModel, measure: str, literal_end_term: bool = False
-) -> dict:
+def mogen_state_scores(model: MOGenModel, measure: str) -> dict:
     """Per-state analytic centrality values.
 
     Betweenness is reported in expected interior-occurrence counts over the
-    training dataset, matching the path-model counting convention. With
-    ``literal_end_term`` the per-state absorption probability is subtracted
-    directly instead of the expected number of terminations.
+    training dataset, matching the path-model counting convention.
     """
     sf = model.expected_visits()
     r = model.end_p
     s0 = model.start_p
     if measure == "betweenness":
-        if literal_end_term:
-            vals = (sf - s0 - r) * model.n_paths
-        else:
-            vals = (sf - s0) * (1.0 - r) * model.n_paths
+        vals = (sf - s0) * (1.0 - r) * model.n_paths
     elif measure == "path_end":
         vals = sf * r
     elif measure == "path_continuation":
@@ -223,44 +180,29 @@ def mogen_state_scores(
     elif measure == "visitation":
         vals = sf / sf.sum()
     elif measure == "closeness":
-        n = model.n_states
-        vals = _harmonic_closeness(model.trans_p, sp.identity(n, dtype=bool, format="csr"))
+        vals = _harmonic_closeness(model.trans_p, sp.identity(model.n_states, dtype=bool, format="csr"))
     else:
         raise DataError(f"unknown measure {measure!r}")
     return {s: float(vals[i]) for i, s in enumerate(model.states)}
 
 
-def _mogen_fo_closeness(model: MOGenModel) -> dict:
+def _mogen_fo_closeness(model: MOGenModel, last: np.ndarray) -> np.ndarray:
     """First-order harmonic closeness over the multi-order topology: one
-    search per node, starting from every state that ends in it."""
-    nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
+    search per node id of ``last`` (per state, the id of its last node),
+    starting from every state that ends in it."""
     n = model.n_states
-    start = sp.csr_matrix(
-        (np.ones(n, dtype=bool), (last, np.arange(n))), shape=(len(nodes), n)
-    )
-    vals = _harmonic_closeness(model.trans_p, start, last)
-    return dict(zip(nodes.tolist(), vals.tolist()))
+    start = sp.csr_matrix((np.ones(n, dtype=bool), (last, np.arange(n))), shape=(last.max() + 1, n))
+    return _harmonic_closeness(model.trans_p, start, last)
 
 
-def _project_first_order(model: MOGenModel, measure: str, state_vals: dict) -> dict:
+def _project_first_order(model: MOGenModel, measure: str, state_vals: np.ndarray,
+                         last: np.ndarray) -> np.ndarray:
+    if measure in ("betweenness", "path_end", "visitation"):
+        return np.bincount(last, state_vals)
     sf = model.expected_visits()
-    sums: dict = defaultdict(float)
-    weights: dict = defaultdict(float)
-    for i, s in enumerate(model.states):
-        v = s[-1]
-        if measure in ("betweenness", "path_end"):
-            sums[v] += state_vals[s]
-        elif measure == "visitation":
-            sums[v] += sf[i]
-        else:  # continuation / reach: visitation-weighted average
-            sums[v] += sf[i] * state_vals[s]
-            weights[v] += sf[i]
-    if measure == "visitation":
-        total = sum(sums.values())
-        return {v: val / total for v, val in sums.items()}
-    if measure in ("betweenness", "path_end"):
-        return dict(sums)
-    return {v: (sums[v] / weights[v] if weights[v] > 0 else 0.0) for v in sums}
+    weights = np.bincount(last, sf)
+    return np.divide(np.bincount(last, sf * state_vals), weights,
+                     out=np.zeros_like(weights), where=weights > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +217,23 @@ def compute(model, measure: str) -> CentralityVector:
             raise UnsupportedMeasureError(
                 f"{measure} cannot be computed for a network model"
             )
+        nodes, adj = _network_adjacency(model)
         if measure == "betweenness":
-            return CentralityVector(measure, "network", _network_betweenness(model))
-        return CentralityVector(measure, "network", _network_closeness(model))
+            vals = _network_betweenness(adj)
+        else:
+            vals = _harmonic_closeness(adj, sp.identity(len(nodes), dtype=bool, format="csr"))
+        return CentralityVector(measure, "network", dict(zip(nodes, vals.tolist())))
     if isinstance(model, PathModel):
         scores = sequence_scores(model.dataset, (measure,))[measure]
         return CentralityVector(measure, "path", {s[0]: v for s, v in scores.items()})
     if isinstance(model, MOGenModel):
+        nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
         if measure == "closeness":
-            state_vals = None
-            fo = _mogen_fo_closeness(model)
+            state_vals, vals = None, _mogen_fo_closeness(model, last)
         else:
             state_vals = mogen_state_scores(model, measure)
-            fo = _project_first_order(model, measure, state_vals)
-        return CentralityVector(measure, "mogen", fo, state_vals)
+            vals = _project_first_order(model, measure, np.fromiter(state_vals.values(), float), last)
+        return CentralityVector(measure, "mogen", dict(zip(nodes.tolist(), vals.tolist())), state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 

@@ -103,8 +103,7 @@ def ingest(input_path, fmt, delta, delimiter, output_dir):
 
 def load_dataset(path: str) -> pathdata.PathDataset:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return pathdata.parse_paths(lines)
+        return pathdata.parse_paths(fh)
 
 
 @cli.command("centrality")
@@ -141,6 +140,8 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
             click.echo(f"selected order K={k}")
         fitted = fit_mogen(ds, k)
         config["k"] = k
+        states = sorted(fitted.states)
+        keys = ["|".join(s) for s in states]
 
     rows = []
     json_results: dict = {}
@@ -158,13 +159,9 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
             "first_order": {n: vec.scores[n] for n in sorted(vec.scores)},
         }
         if vec.state_scores:
-            rows.extend(
-                (measure, model, "|".join(s), vec.state_scores[s])
-                for s in sorted(vec.state_scores)
-            )
-            json_results[measure]["states"] = {
-                "|".join(s): vec.state_scores[s] for s in sorted(vec.state_scores)
-            }
+            vals = [vec.state_scores[s] for s in states]
+            rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
+            json_results[measure]["states"] = dict(zip(keys, vals))
     if len(skipped) == len(measures):
         raise DataError("no requested measure is supported by this model")
 

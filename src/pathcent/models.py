@@ -12,7 +12,8 @@ Three representations of the same path dataset:
   solved by the fixed point x <- b + A x, or by sparse LU where that does not
   converge, with a checked residual; a chain with a state that never reaches
   the end, or that still fails, raises :class:`NumericError` (CLI exit 3).
-  Each solve logs one DEBUG record.
+  Each solve logs one DEBUG record. That end check runs the package's one
+  breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ from typing import Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DataError, NumericError
 from .pathdata import END, START, PathDataset
@@ -37,6 +36,9 @@ STOCHASTIC_TOL = 1e-12
 _TOL = 1e-14
 #: Fixed-point iterations before a chain solve falls back to sparse LU.
 _MAX_ITER = 1000
+#: Cells of the dense seen-mask of one BFS batch (source rows x states);
+#: bounds the search's memory on large models.
+_BFS_CELLS = 1 << 20
 
 log = logging.getLogger(__name__)
 
@@ -271,10 +273,9 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     non-absorbing (I - Q is then singular or nearly so): no solve is tried.
     """
     n = model.n_states
-    # backward search from the end state over Q plus the end column
-    to_end = sp.bmat([[model.trans_p != 0, sp.csr_matrix(model.end_p[:, None] != 0)],
-                      [None, sp.csr_matrix((1, 1), dtype=bool)]])
-    if breadth_first_order(to_end.T.tocsr(), n, return_predecessors=False).size <= n:
+    # backward search over Q from the states that can end a path
+    ends = sp.csr_matrix(model.end_p[None, :] > 0)
+    if ends.nnz + sum(len(rows) for _, rows, _, _ in _first_reached(model.trans_p.T, ends)) < n:
         raise NumericError("non-absorbing chain: a state never reaches the end")
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
     x, method = np.zeros_like(b), "fixed point"
@@ -287,6 +288,7 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
             x += r
         else:
             method = "LU fallback"
+            import scipy.sparse.linalg as spla  # slow to import, and needed only here
             try:
                 x = spla.splu((sp.identity(n, format="csc") - a).tocsc()).solve(b)
             except RuntimeError as exc:
@@ -297,6 +299,51 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     if not residual <= _TOL * np.abs(x).max():
         raise NumericError(f"non-absorbing chain: {system} residual {residual:.3g}")
     return x
+
+
+def _first_reached(adj, start, groups=None):
+    """Level-synchronous BFS over ``adj`` from the rows of the CSR matrix
+    ``start``, each row a set of states at distance 0; ``groups`` maps states
+    to group ids (default: one group per state).
+
+    Yields ``(dist, rows, grps, level)`` per level and batch: row ``rows[i]``
+    first reaches group ``grps[i]`` at ``dist`` >= 1 hops (start states are
+    never reached), and ``level`` (batch rows x states) counts the shortest
+    paths to each state first seen at ``dist``. A batch's last level is empty.
+    """
+    adj = (adj != 0).astype(float).tocsr()
+    n = adj.shape[0]
+    groups = np.arange(n) if groups is None else np.asarray(groups, dtype=np.int64)
+    n_groups = int(groups.max()) + 1
+    batch = max(1, _BFS_CELLS // n)
+    for lo in range(0, start.shape[0], batch):
+        frontier = start[lo : lo + batch].astype(float)
+        b = frontier.shape[0]
+        seen = np.zeros(b * n, dtype=bool)
+        reached = np.zeros(b * n_groups, dtype=bool)
+        r, c = _entries(frontier)
+        seen[r * n + c] = True
+        dist = 0
+        while frontier.nnz:
+            dist += 1
+            paths = frontier @ adj
+            r, c = _entries(paths)
+            new = ~seen[r * n + c]
+            r, c = r[new], c[new]
+            seen[r * n + c] = True
+            indptr = np.zeros(b + 1, dtype=np.int64)
+            np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
+            frontier = sp.csr_matrix((paths.data[new], c, indptr), shape=(b, n))
+            keys = r * n_groups + groups[c]
+            keys = np.unique(keys[~reached[keys]])
+            reached[keys] = True
+            yield dist, lo + keys // n_groups, keys % n_groups, frontier
+
+
+def _entries(m: sp.csr_matrix):
+    """Row and column of every stored entry of ``m``, in row order."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows, m.indices.astype(np.int64)
 
 
 def select_order(ds: PathDataset, k_max: int) -> int:

@@ -167,12 +167,15 @@ class WindowSlice:
 def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDataset:
     """Parse a path file: one path per line, ``;count`` / ``;timestamp`` suffixes optional.
 
-    Identical lines are merged with summed multiplicities. Blank lines are
-    skipped with a warning; malformed count or timestamp fields raise
-    :class:`DataError` with the line number.
+    Identical lines are merged with summed multiplicities. Lines starting
+    with ``#`` are headers and skipped; blank lines are skipped with a
+    warning; malformed count or timestamp fields raise :class:`DataError`
+    with the line number in the source.
     """
     paths = []
     for lineno, raw in enumerate(source, start=1):
+        if raw.startswith("#"):
+            continue
         line = raw.strip()
         if not line:
             log.warning("skipping empty line %d", lineno)

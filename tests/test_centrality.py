@@ -288,11 +288,6 @@ class TestMOGenStateScores:
         assert vals[("A",)] == pytest.approx(0.0)
         assert vals[("D", "E")] == pytest.approx(0.0)
 
-    def test_literal_end_term_variant(self):
-        vals = mogen_state_scores(self.model, "betweenness", literal_end_term=True)
-        # sf - s0 - r with sf=0.5, s0=0, r=1, scaled by 2 paths  [DERIVED]
-        assert vals[("D", "E")] == pytest.approx(-1.0)
-
     def test_reach(self):
         vals = mogen_state_scores(self.model, "path_reach")
         assert vals[("A",)] == pytest.approx(3.0)
@@ -303,7 +298,48 @@ class TestMOGenStateScores:
         assert sum(vals.values()) == pytest.approx(1.0)
 
 
+def _project_first_order_oracle(model, measure):
+    """The first-order projection as a loop over states."""
+    sf = model.expected_visits()
+    state_vals = mogen_state_scores(model, measure)
+    sums, weights = defaultdict(float), defaultdict(float)
+    for i, s in enumerate(model.states):
+        v = s[-1]
+        if measure in ("betweenness", "path_end"):
+            sums[v] += state_vals[s]
+        elif measure == "visitation":
+            sums[v] += sf[i]
+        else:  # continuation / reach: visitation-weighted average
+            sums[v] += sf[i] * state_vals[s]
+            weights[v] += sf[i]
+    if measure == "visitation":
+        total = sum(sums.values())
+        return {v: val / total for v, val in sums.items()}
+    if measure in ("betweenness", "path_end"):
+        return dict(sums)
+    return {v: (sums[v] / weights[v] if weights[v] > 0 else 0.0) for v in sums}
+
+
 class TestProjection:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["toy", "random", "order2", "walks"]), st.integers(0, 2**16),
+           st.sampled_from([m for m in MEASURES if m != "closeness"]), st.data())
+    def test_matches_loop_oracle(self, corpus, seed, measure, data):
+        ds = {
+            "toy": lambda: generators.toy_dataset(1 + seed % 3),
+            "random": lambda: generators.random_small_dataset(seed),
+            "order2": lambda: generators.order2_families(seed=seed, n_paths=100),
+            "walks": lambda: generators.first_order_walks(seed, n_paths=100, max_len=6),
+        }[corpus]()
+        model = fit_mogen(ds, data.draw(st.integers(1, ds.max_length), label="k"))
+        got = compute(model, measure).scores
+        expected = _project_first_order_oracle(model, measure)
+        assert list(got) == sorted(expected)
+        if measure == "visitation":  # sums per-state shares, not visits over their total
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        else:
+            assert got == expected
+
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("seed", range(3))
     def test_lossless_projection_matches_path_model(self, measure, seed):

@@ -127,7 +127,7 @@ class TestIngest:
         assert not (tmp_path / "out").exists()
 
     def test_label_starting_with_hash_is_data_error(self, tmp_path, capsys):
-        # load_dataset skips '#' lines as headers, so such a label would be
+        # parse_paths skips '#' lines as headers, so such a label would be
         # written at the start of a line and silently dropped on reload
         src = tmp_path / "hash.paths"
         src.write_text("#general,bob;3\nbob,carol;2\ncarol,#general;1\n")
@@ -154,6 +154,16 @@ class TestCentralityCommand:
         assert "C|D" in doc["results"]["edges"]
         csv_body = (out / "centrality.csv").read_text()
         assert csv_body.splitlines()[1] == "measure,model,state,score"
+
+    def test_error_line_numbers_count_the_header(self, tmp_path, capsys):
+        src = tmp_path / "header.paths"
+        src.write_text("# header\na,b;1\na,c;x\n")
+        code = main([
+            "centrality", "--input", str(src), "--model", "path",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "line 3: malformed count 'x'" in capsys.readouterr().err
 
     def test_colliding_state_keys_are_data_error(self, tmp_path):
         src = tmp_path / "collide.paths"
@@ -337,10 +347,14 @@ class TestFreshInterpreter:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_cli_import_leaves_out_scipy_stats(self):
+        # nor the graph and dense/sparse linear-algebra modules, which are slow
+        # to import and which no command needs up front
+        modules = ["scipy.stats", "networkx", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                   "scipy.linalg"]
         result = _run_python([
-            "-c", "import sys, pathcent.cli; print('scipy.stats' in sys.modules)",
+            "-c", f"import sys, pathcent.cli; print([m for m in {modules!r} if m in sys.modules])",
         ])
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 # --- exit codes: random small inputs and arguments through main() -----------

@@ -1,19 +1,23 @@
-"""Closeness against reference oracles: a plain-Python BFS over multi-order
-states and networkx shortest paths on the network model.
+"""The breadth-first search behind closeness and network betweenness against
+reference oracles: a plain-Python BFS over multi-order states, and networkx
+shortest paths and Brandes betweenness on the network model.
 
-Hop distances must match exactly; harmonic sums are compared at a relative
-tolerance of 1e-12, because the search adds the reciprocals level by level
+Hop distances must match exactly; harmonic sums and betweenness are compared
+at a relative tolerance of 1e-12, because the search adds level by level
 rather than in the oracles' order.
 """
 from collections import defaultdict, deque
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcent import Path, PathDataset, fit_mogen, fit_network
-from pathcent import centrality
+from pathcent import models
 from pathcent.centrality import compute, mogen_state_scores
 
 import generators
@@ -72,13 +76,17 @@ def oracle_first_order_distances(model) -> dict:
     return out
 
 
-def oracle_network_distances(model) -> dict:
+def oracle_graph(model):
     g = nx.DiGraph()
     g.add_nodes_from(model.vocabulary)
     g.add_edges_from(model.edges)
+    return g
+
+
+def oracle_network_distances(model) -> dict:
     return {
         (v, u): d
-        for v, lengths in nx.all_pairs_shortest_path_length(g)
+        for v, lengths in nx.all_pairs_shortest_path_length(oracle_graph(model))
         for u, d in lengths.items()
         if u != v
     }
@@ -97,7 +105,7 @@ def harmonic(distances: dict, sources) -> dict:
 
 def searched(adj, start, groups=None) -> dict:
     out = {}
-    for dist, rows, grps in centrality._first_reached(adj, start, groups):
+    for dist, rows, grps, _ in models._first_reached(adj, start, groups):
         for r, g in zip(rows.tolist(), grps.tolist()):
             assert (r, g) not in out
             out[(r, g)] = dist
@@ -175,6 +183,47 @@ def test_batches_do_not_change_results(monkeypatch, cells):
     model = fit_mogen(CORPORA["order2"](), 3)
     per_state = mogen_state_scores(model, "closeness")
     first_order = compute(model, "closeness").scores
-    monkeypatch.setattr(centrality, "_BFS_CELLS", cells)
+    network = fit_network(CORPORA["walks"]())
+    betweenness = compute(network, "betweenness").scores
+    monkeypatch.setattr(models, "_BFS_CELLS", cells)
     assert mogen_state_scores(model, "closeness") == per_state
     assert compute(model, "closeness").scores == first_order
+    assert compute(network, "betweenness").scores == pytest.approx(betweenness, rel=REL, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# Brandes betweenness on the network model
+
+
+def oracle_betweenness(model) -> dict:
+    return nx.betweenness_centrality(oracle_graph(model), normalized=False)
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_network_betweenness(name):
+    model = fit_network(CORPORA[name]())
+    scores = compute(model, "betweenness").scores
+    assert scores == pytest.approx(oracle_betweenness(model), rel=REL, abs=0)
+
+
+@st.composite
+def digraphs(draw):
+    """Path datasets whose network is a random digraph on up to 29 nodes:
+    one two-node path per edge (self-loops included) and one single-node
+    path per isolated node."""
+    n = draw(st.integers(1, 29))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    isolated = set(range(n)).difference(*edges)
+    return PathDataset([Path((f"v{a}", f"v{b}")) for a, b in sorted(edges)]
+                       + [Path((f"v{v}",)) for v in sorted(isolated)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.sampled_from([1, 7, 64, models._BFS_CELLS]))
+def test_network_betweenness_on_random_digraphs(ds, cells):
+    # cells=1 searches one source row per batch
+    model = fit_network(ds)
+    with mock.patch.object(models, "_BFS_CELLS", cells):
+        scores = compute(model, "betweenness").scores
+    assert scores == pytest.approx(oracle_betweenness(model), rel=REL, abs=0)

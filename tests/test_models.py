@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,7 +192,7 @@ class TestChainSolver:
             def solve(self, b):
                 return 2.0 * b
 
-        monkeypatch.setattr(models.spla, "splu", lambda a: WrongLU())
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: WrongLU())
         model = _slow_chain()
         with pytest.raises(NumericError, match="S.F residual"):
             model.expected_visits()
