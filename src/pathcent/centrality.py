@@ -9,6 +9,9 @@ Multi-order values are computed analytically from the model's start
 distribution and fundamental matrix and can be projected to first order:
 betweenness / path end / visitation project by summation over states sharing a
 final node, continuation and reach by visitation-weighted averaging.
+Per-state values are arrays aligned with ``model.states``; the edge report
+reads them at the rows of its order-2 states and searches closeness from those
+rows only.
 
 Closeness is out-direction harmonic closeness over unweighted hop distances.
 One sparse breadth-first search (:func:`pathcent.models._first_reached`)
@@ -55,7 +58,7 @@ class CentralityVector:
     measure: str
     model_kind: str
     scores: dict  # first-order node -> value
-    state_scores: dict | None = None  # multi-order state -> value (mogen only)
+    state_scores: np.ndarray | None = None  # aligned with model.states (mogen, not closeness)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,8 @@ def _harmonic_closeness(adj, start, groups=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # multi-order model
 
-def mogen_state_scores(model: MOGenModel, measure: str) -> dict:
-    """Per-state analytic centrality values.
+def mogen_state_scores(model: MOGenModel, measure: str) -> np.ndarray:
+    """Per-state analytic centrality values, aligned with ``model.states``.
 
     Betweenness is reported in expected interior-occurrence counts over the
     training dataset, matching the path-model counting convention.
@@ -183,7 +186,7 @@ def mogen_state_scores(model: MOGenModel, measure: str) -> dict:
         vals = _harmonic_closeness(model.trans_p, sp.identity(model.n_states, dtype=bool, format="csr"))
     else:
         raise DataError(f"unknown measure {measure!r}")
-    return {s: float(vals[i]) for i, s in enumerate(model.states)}
+    return vals
 
 
 def _mogen_fo_closeness(model: MOGenModel, last: np.ndarray) -> np.ndarray:
@@ -232,7 +235,7 @@ def compute(model, measure: str) -> CentralityVector:
             state_vals, vals = None, _mogen_fo_closeness(model, last)
         else:
             state_vals = mogen_state_scores(model, measure)
-            vals = _project_first_order(model, measure, np.fromiter(state_vals.values(), float), last)
+            vals = _project_first_order(model, measure, state_vals, last)
         return CentralityVector(measure, "mogen", dict(zip(nodes.tolist(), vals.tolist())), state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
@@ -245,31 +248,23 @@ class EdgeCentralityReport:
     shares: dict  # order-2 state -> visitation share
     values: dict  # order-2 state -> {measure: value}
 
-    def by_source(self, node: str) -> dict:
-        return {s: v for s, v in self.values.items() if s[0] == node}
-
-    def by_target(self, node: str) -> dict:
-        return {s: v for s, v in self.values.items() if s[-1] == node}
-
 
 def edge_centralities(
     model: MOGenModel,
     measures=MEASURES,
     min_visitation: float = 0.02,
 ) -> EdgeCentralityReport:
-    """Per order-2-state centralities, filtered by total visitation share."""
+    """Per order-2-state centralities, filtered by total visitation share;
+    closeness is searched only from the selected states."""
     if model.order < 2:
         raise DataError("edge centralities require a model of order >= 2")
     sf = model.expected_visits()
-    total = sf.sum()
-    selected = {
-        s: sf[i] / total
-        for i, s in enumerate(model.states)
-        if len(s) == 2 and sf[i] / total >= min_visitation
-    }
-    values: dict = {s: {} for s in selected}
-    for measure in measures:
-        state_vals = mogen_state_scores(model, measure)
-        for s in selected:
-            values[s][measure] = float(state_vals[s])
-    return EdgeCentralityReport(min_visitation, selected, values)
+    shares = sf / sf.sum()
+    rows = np.flatnonzero((shares >= min_visitation) & [len(s) == 2 for s in model.states])
+    columns = {m: mogen_state_scores(model, m)[rows] for m in measures if m != "closeness"}
+    if "closeness" in measures and len(rows):
+        start = sp.identity(model.n_states, dtype=bool, format="csr")[rows]
+        columns["closeness"] = _harmonic_closeness(model.trans_p, start)
+    selected = [model.states[i] for i in rows]
+    values = {s: {m: float(columns[m][j]) for m in measures} for j, s in enumerate(selected)}
+    return EdgeCentralityReport(min_visitation, dict(zip(selected, shares[rows].tolist())), values)

@@ -140,8 +140,8 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
             click.echo(f"selected order K={k}")
         fitted = fit_mogen(ds, k)
         config["k"] = k
-        states = sorted(fitted.states)
-        keys = ["|".join(s) for s in states]
+        order = sorted(range(fitted.n_states), key=fitted.states.__getitem__)
+        keys = ["|".join(fitted.states[i]) for i in order]
 
     rows = []
     json_results: dict = {}
@@ -158,8 +158,8 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
         json_results[measure] = {
             "first_order": {n: vec.scores[n] for n in sorted(vec.scores)},
         }
-        if vec.state_scores:
-            vals = [vec.state_scores[s] for s in states]
+        if vec.state_scores is not None:
+            vals = vec.state_scores[order].tolist()
             rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
             json_results[measure]["states"] = dict(zip(keys, vals))
     if len(skipped) == len(measures):

@@ -135,9 +135,10 @@ def _predictions(model, measure: str) -> dict:
     vec = centrality.compute(model, measure)
     scores = {(v,): s for v, s in vec.scores.items()}
     if isinstance(model, MOGenModel):
-        # closeness reports no per-state values from compute
-        states = vec.state_scores or centrality.mogen_state_scores(model, measure)
-        scores.update((s, val) for s, val in states.items() if len(s) >= 2)
+        values = vec.state_scores
+        if values is None:  # closeness reports no per-state values from compute
+            values = centrality.mogen_state_scores(model, measure)
+        scores.update((s, val) for s, val in zip(model.states, values.tolist()) if len(s) >= 2)
     return scores
 
 

@@ -14,6 +14,10 @@ Three representations of the same path dataset:
   the end, or that still fails, raises :class:`NumericError` (CLI exit 3).
   Each solve logs one DEBUG record. That end check runs the package's one
   breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
+
+:func:`fit_mogen` counts each transition once, by its node window, and gives
+each state its row; ``model.states[i]`` is the only state-to-row key, and every
+later layer holds per-state values as arrays over those rows.
 """
 from __future__ import annotations
 
@@ -49,7 +53,8 @@ def encode_path(nodes: Sequence[str], k: int) -> list:
     """Encode a node sequence as its multi-order state walk.
 
     Returns ``[START, (v1,), (v1,v2), ..., sliding K-tuples ..., END]``;
-    tuples grow to length ``k`` and then slide.
+    tuples grow to length ``k`` and then slide. Consecutive states of the walk
+    are the transitions :func:`fit_mogen` counts by their windows.
     """
     if k < 1:
         raise DataError("order must be >= 1")
@@ -226,36 +231,29 @@ def fit_path(ds: PathDataset) -> PathModel:
 def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     """Fit a multi-order model of maximum order ``k`` by transition counting.
 
-    Only observed states and transitions are materialized.
+    The transition into node i is the window ``g = nodes[max(0, i - k) : i + 1]``,
+    from state ``g[:-1]`` to ``g[-k:]``; a path starts in ``nodes[:1]`` and ends
+    in ``nodes[-k:]``. Only observed states and transitions are materialized.
     """
     if k < 1:
         raise DataError("order must be >= 1")
     start_c: Counter = Counter()
-    trans_c: Counter = Counter()
     end_c: Counter = Counter()
+    windows: Counter = Counter()
     for p in ds.paths:
-        walk = encode_path(p.nodes, k)
-        w = p.multiplicity
-        start_c[walk[1]] += w
-        end_c[walk[-2]] += w
-        for a, b in zip(walk[1:-2], walk[2:-1]):
-            trans_c[(a, b)] += w
-    states = sorted(set(start_c) | set(end_c) | {s for pair in trans_c for s in pair},
-                    key=lambda s: (len(s), s))
+        nodes, w = p.nodes, p.multiplicity
+        start_c[nodes[:1]] += w
+        end_c[nodes[-k:]] += w
+        for i in range(1, len(nodes)):
+            windows[nodes[max(0, i - k) : i + 1]] += w
+    states = sorted(set(start_c).union(g[-k:] for g in windows), key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
-    start = np.zeros(n)
-    for s, c in start_c.items():
-        start[index[s]] = c
-    end = np.zeros(n)
-    for s, c in end_c.items():
-        end[index[s]] = c
-    rows, cols, vals = [], [], []
-    for (a, b), c in trans_c.items():
-        rows.append(index[a])
-        cols.append(index[b])
-        vals.append(float(c))
-    trans = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    start, end = np.zeros(n), np.zeros(n)
+    start[[index[s] for s in start_c]] = list(start_c.values())
+    end[[index[s] for s in end_c]] = list(end_c.values())
+    rows, cols = [index[g[:-1]] for g in windows], [index[g[-k:]] for g in windows]
+    trans = sp.csr_matrix((list(map(float, windows.values())), (rows, cols)), shape=(n, n))
     return MOGenModel(k, states, start, trans, end, float(ds.total))
 
 

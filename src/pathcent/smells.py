@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
-from .centrality import MEASURES, EdgeCentralityReport, compute
+from .centrality import MEASURES, compute
 from .errors import DataError
 from .models import fit_mogen, select_order
 from .pathdata import WindowSlice
 
 #: Team-mean magnitudes below this are skipped in deviation terms.
 MEAN_EPS = 1e-9
+#: A window is a code-red candidate when at most this many members hold a role.
+MAX_ROLE_MEMBERS = 3
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,8 @@ class DeviationScore:
 class SmellEvidence:
     member: str
     end_dominance: bool
-    end_dominance_windows: tuple  # (start, end_exclusive) runs of dominance
+    end_dominance_windows: tuple  # (first, last) window start of each dominant run
     code_red_windows: tuple  # windows where few members end paths
-    breadth: dict | None  # partner summary from an order-2 edge report
 
 
 def windowed_centralities(
@@ -145,66 +147,36 @@ def evidence(
     theta_end: float = 0.5,
     min_consecutive: int = 4,
     theta_role: float = 0.05,
-    max_role_members: int = 3,
-    edge_report: EdgeCentralityReport | None = None,
 ) -> SmellEvidence:
     """Extract smell-candidate evidence for one member.
 
     Flags raised: end-dominance when the member's path-end share stays at or
     above ``theta_end`` for at least ``min_consecutive`` consecutive non-empty
-    windows; code-red candidate windows when at most ``max_role_members``
-    members reach a path-end share of ``theta_role``. An optional order-2 edge
-    report adds an interaction-breadth summary.
+    windows; code-red candidate windows when at most ``MAX_ROLE_MEMBERS``
+    members reach a path-end share of ``theta_role``.
     """
     if member not in series.members():
         raise DataError(f"unknown member {member!r}")
     if "path_end" not in series.values:
         raise DataError("evidence extraction requires the path_end measure")
-    runs = []
-    run_start = None
-    prev = None
-    for window in series.window_starts:
-        share = series.values["path_end"][window].get(member, 0.0)
-        if share >= theta_end:
-            if run_start is None:
-                run_start = window
-            prev = window
-        elif run_start is not None:
-            runs.append((run_start, prev))
-            run_start = None
-    if run_start is not None:
-        runs.append((run_start, prev))
-    dominant = tuple(
-        (a, b) for a, b in runs
-        if _run_length(series, a, b) >= min_consecutive
-    )
+    path_end = series.values["path_end"]
+    # runs of consecutive non-empty windows at or above theta_end
+    runs = (list(run) for hit, run in groupby(
+        series.window_starts, key=lambda w: path_end[w].get(member, 0.0) >= theta_end) if hit)
+    dominant = tuple((run[0], run[-1]) for run in runs if len(run) >= min_consecutive)
     code_red = tuple(
         window
         for window in series.window_starts
         if sum(
             1
             for m in series.active[window]
-            if series.values["path_end"][window].get(m, 0.0) >= theta_role
+            if path_end[window].get(m, 0.0) >= theta_role
         )
-        <= max_role_members
+        <= MAX_ROLE_MEMBERS
     )
-    breadth = None
-    if edge_report is not None:
-        incoming = edge_report.by_target(member)
-        outgoing = edge_report.by_source(member)
-        breadth = {
-            "in_partners": len(incoming),
-            "out_partners": len(outgoing),
-            "total_partners": len(incoming) + len(outgoing),
-        }
     return SmellEvidence(
         member=member,
         end_dominance=bool(dominant),
         end_dominance_windows=dominant,
         code_red_windows=code_red,
-        breadth=breadth,
     )
-
-
-def _run_length(series: PlatformSeries, start: int, end: int) -> int:
-    return sum(1 for w in series.window_starts if start <= w <= end)

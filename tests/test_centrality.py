@@ -17,6 +17,7 @@ from pathcent import (
     fit_network,
     fit_path,
 )
+from pathcent import centrality, models
 from pathcent.centrality import (
     MEASURES,
     compute,
@@ -271,31 +272,37 @@ class TestMOGenStateScores:
     def setup_method(self):
         self.model = fit_mogen(generators.toy_dataset(), 2)
 
+    def scores(self, measure):
+        """The per-state array, read by state."""
+        vals = mogen_state_scores(self.model, measure)
+        assert vals.shape == (self.model.n_states,)
+        return lambda *state: vals[self.model.index[state]]
+
     def test_continuation(self):
-        vals = mogen_state_scores(self.model, "path_continuation")
-        assert vals[("C", "D")] == pytest.approx(1.0)
-        assert vals[("D", "E")] == pytest.approx(0.0)
+        vals = self.scores("path_continuation")
+        assert vals("C", "D") == pytest.approx(1.0)
+        assert vals("D", "E") == pytest.approx(0.0)
 
     def test_path_end(self):
-        vals = mogen_state_scores(self.model, "path_end")
-        assert vals[("D", "E")] == pytest.approx(0.5)
-        assert vals[("C", "D")] == pytest.approx(0.0)
+        vals = self.scores("path_end")
+        assert vals("D", "E") == pytest.approx(0.5)
+        assert vals("C", "D") == pytest.approx(0.0)
 
     def test_betweenness_interior_counts(self):
-        vals = mogen_state_scores(self.model, "betweenness")
-        assert vals[("C", "D")] == pytest.approx(2.0)
-        assert vals[("A", "C")] == pytest.approx(1.0)
-        assert vals[("A",)] == pytest.approx(0.0)
-        assert vals[("D", "E")] == pytest.approx(0.0)
+        vals = self.scores("betweenness")
+        assert vals("C", "D") == pytest.approx(2.0)
+        assert vals("A", "C") == pytest.approx(1.0)
+        assert vals("A") == pytest.approx(0.0)
+        assert vals("D", "E") == pytest.approx(0.0)
 
     def test_reach(self):
-        vals = mogen_state_scores(self.model, "path_reach")
-        assert vals[("A",)] == pytest.approx(3.0)
-        assert vals[("C", "D")] == pytest.approx(1.0)
+        vals = self.scores("path_reach")
+        assert vals("A") == pytest.approx(3.0)
+        assert vals("C", "D") == pytest.approx(1.0)
 
     def test_visitation_sums_to_one(self):
         vals = mogen_state_scores(self.model, "visitation")
-        assert sum(vals.values()) == pytest.approx(1.0)
+        assert vals.sum() == pytest.approx(1.0)
 
 
 def _project_first_order_oracle(model, measure):
@@ -306,11 +313,11 @@ def _project_first_order_oracle(model, measure):
     for i, s in enumerate(model.states):
         v = s[-1]
         if measure in ("betweenness", "path_end"):
-            sums[v] += state_vals[s]
+            sums[v] += state_vals[i]
         elif measure == "visitation":
             sums[v] += sf[i]
         else:  # continuation / reach: visitation-weighted average
-            sums[v] += sf[i] * state_vals[s]
+            sums[v] += sf[i] * state_vals[i]
             weights[v] += sf[i]
     if measure == "visitation":
         total = sum(sums.values())
@@ -380,9 +387,34 @@ class TestEdgeCentralities:
         with pytest.raises(DataError):
             edge_centralities(model)
 
-    def test_by_source_and_target(self):
-        model = fit_mogen(generators.toy_dataset(), 2)
+    @pytest.mark.parametrize("min_visitation", [0.0, 0.02, 1.1])
+    def test_closeness_searched_from_selected_rows(self, monkeypatch, min_visitation):
+        model = fit_mogen(generators.order2_families(seed=0), 2)
+        sf = model.expected_visits()  # the absorbing check runs its own search
+        rows = [i for i, s in enumerate(model.states)
+                if len(s) == 2 and sf[i] / sf.sum() >= min_visitation]
+        starts = []
+        search = models._first_reached
+
+        def spy(adj, start, groups=None):
+            starts.append(start.shape[0])
+            return search(adj, start, groups)
+
+        for module in (models, centrality):
+            monkeypatch.setattr(module, "_first_reached", spy)
+        report = edge_centralities(model, ("closeness",), min_visitation=min_visitation)
+        assert sum(starts) == len(rows)
+        assert all(starts)  # 1.1 selects nothing, and nothing is searched
+        monkeypatch.undo()
+        assert [model.index[s] for s in report.values] == rows
+        full = mogen_state_scores(model, "closeness")
+        assert [v["closeness"] for v in report.values.values()] == full[rows].tolist()
+
+    def test_measures_read_at_selected_rows(self):
+        model = fit_mogen(generators.order2_families(seed=1, n_paths=200), 3)
         report = edge_centralities(model, min_visitation=0.0)
-        assert ("C", "D") in report.by_source("C")
-        assert ("C", "D") in report.by_target("D")
-        assert ("C", "D") not in report.by_target("C")
+        rows = [model.index[s] for s in report.values]
+        assert rows and all(len(model.states[i]) == 2 for i in rows)
+        for measure in MEASURES:
+            full = mogen_state_scores(model, measure)
+            assert [v[measure] for v in report.values.values()] == full[rows].tolist()

@@ -3,6 +3,7 @@ selection, and serialization."""
 import io
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,6 +70,71 @@ class TestFitNetwork:
         assert model.edges == {("a", "b"): 2, ("b", "c"): 3}
         assert model.vocabulary == {"a", "b", "c"}
         assert model.kind == "network"
+
+
+def _fit_mogen_oracle(ds, k):
+    """The multi-order fit as a walk over encoded states: counts every pair
+    of consecutive states of ``encode_path``."""
+    start_c, trans_c, end_c = Counter(), Counter(), Counter()
+    for p in ds.paths:
+        walk = encode_path(p.nodes, k)
+        start_c[walk[1]] += p.multiplicity
+        end_c[walk[-2]] += p.multiplicity
+        for a, b in zip(walk[1:-2], walk[2:-1]):
+            trans_c[(a, b)] += p.multiplicity
+    states = sorted(set(start_c) | set(end_c) | {s for pair in trans_c for s in pair},
+                    key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    start, end = np.zeros(n), np.zeros(n)
+    for s, c in start_c.items():
+        start[index[s]] = c
+    for s, c in end_c.items():
+        end[index[s]] = c
+    rows = [index[a] for a, _ in trans_c]
+    cols = [index[b] for _, b in trans_c]
+    trans = sp.csr_matrix((list(map(float, trans_c.values())), (rows, cols)), shape=(n, n))
+    return MOGenModel(k, states, start, trans, end, float(ds.total))
+
+
+def assert_same_fit(got, want):
+    assert got.states == want.states
+    assert np.array_equal(got.start_counts, want.start_counts)
+    assert np.array_equal(got.end_counts, want.end_counts)
+    assert np.array_equal(got.trans_counts.toarray(), want.trans_counts.toarray())
+    assert got.log_likelihood() == want.log_likelihood()
+    assert got.dof() == want.dof()
+
+
+@st.composite
+def small_corpora(draw):
+    """Paths over a/b/c of 1-9 nodes, multiplicities 1-4; optional start
+    times keep equal node sequences as separate paths."""
+    paths = draw(st.lists(
+        st.tuples(st.text("abc", min_size=1, max_size=9), st.integers(1, 4),
+                  st.none() | st.integers(0, 2)),
+        min_size=1, max_size=12,
+    ))
+    return PathDataset([Path(tuple(nodes), m, t) for nodes, m, t in paths])
+
+
+class TestFitMatchesWalkOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(small_corpora(), st.integers(1, 7))
+    def test_random_corpora(self, ds, k):
+        assert_same_fit(fit_mogen(ds, k), _fit_mogen_oracle(ds, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("corpus", [
+        generators.toy_dataset,
+        lambda: generators.order2_families(seed=2, n_paths=300),
+        lambda: generators.first_order_walks(seed=1, n_paths=300),
+        lambda: generators.random_small_dataset(3),
+        generators.smell_corpus,
+    ])
+    def test_generator_corpora(self, corpus, k):
+        ds = corpus()
+        assert_same_fit(fit_mogen(ds, k), _fit_mogen_oracle(ds, k))
 
 
 class TestFitMOGen:

@@ -11,8 +11,6 @@ from pathcent import (
     rolling_windows,
     windowed_centralities,
 )
-from pathcent.centrality import edge_centralities
-from pathcent.models import fit_mogen
 
 import generators
 
@@ -128,19 +126,8 @@ class TestEvidence:
     def test_code_red_windows(self):
         # only zed reaches a 50% end share anywhere
         series = make_series()
-        ev = evidence(series, "zed", theta_role=0.5, max_role_members=1)
+        ev = evidence(series, "zed", theta_role=0.5)
         assert set(ev.code_red_windows) == set(series.window_starts)
-
-    def test_breadth_from_edge_report(self):
-        ds = generators.smell_corpus()
-        report = edge_centralities(fit_mogen(ds, 2), min_visitation=0.0)
-        series = make_series()
-        ev = evidence(series, "zed", edge_report=report)
-        assert ev.breadth is not None
-        assert ev.breadth["in_partners"] > 0
-        assert ev.breadth["total_partners"] == (
-            ev.breadth["in_partners"] + ev.breadth["out_partners"]
-        )
 
     def test_unknown_member(self):
         with pytest.raises(DataError):
