@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -97,7 +98,7 @@ def ingest(input_path, fmt, delta, delimiter, output_dir):
     with open(out / "dataset.paths", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         pathdata.write_paths(ds, fh)
-    _write_json(out / "stats.json", meta, pathdata.stats(ds).as_dict())
+    _write_json(out / "stats.json", meta, dataclasses.asdict(pathdata.stats(ds)))
     click.echo(f"ingested {ds.total} paths ({ds.unique} unique)")
 
 
@@ -305,7 +306,7 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     for member in ranked:
         report["evidence"][member] = []
         for series in series_list:
-            if member not in series.members():
+            if member not in series.members:
                 continue
             ev = smells.evidence(
                 series, member, theta_end=theta_end,
@@ -318,22 +319,23 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
                 "code_red_windows": list(ev.code_red_windows),
             })
     _write_json(out / "smells.json", meta, report)
+    team_means = [{m: series.team_means(m).tolist() for m in sorted(series.values)}
+                  for series in series_list]
     for member in ranked:
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", member)
         with open(out / f"series_{safe}.csv", "w", encoding="utf-8") as fh:
             _csv_header(fh, meta)
             fh.write("platform,window_start,measure,value,team_mean\n")
-            for series in series_list:
-                for measure in sorted(series.values):
-                    for w in series.window_starts:
-                        if member not in series.active[w]:
-                            continue
-                        val = series.values[measure][w].get(member, 0.0)
-                        mean = series.team_mean(measure, w)
-                        fh.write(
-                            f"{series.platform},{w},{measure},"
-                            f"{_fmt(val)},{_fmt(mean)}\n"
-                        )
+            for series, means in zip(series_list, team_means):
+                if member not in series.members:
+                    continue
+                j = series.members.index(member)
+                active = series.active[:, j].tolist()
+                for measure, mean in means.items():
+                    rows = zip(series.window_starts, active, series.values[measure][:, j].tolist(), mean)
+                    for w, on, val, mu in rows:
+                        if on:
+                            fh.write(f"{series.platform},{w},{measure},{_fmt(val)},{_fmt(mu)}\n")
     click.echo("ranked: " + ", ".join(ranked))
 
 

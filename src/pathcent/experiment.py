@@ -23,6 +23,8 @@ State = tuple[str, ...]
 
 #: Measures a plain network model can predict.
 NETWORK_MEASURES = frozenset({"betweenness", "closeness"})
+#: Draws :func:`split` makes before it gives up on a non-degenerate split.
+MAX_SPLIT_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -49,25 +51,27 @@ class AUCResult:
         return float(np.mean(self.aucs))
 
 
-def split(ds: PathDataset, fraction: float, seed, max_attempts: int = 100):
+def split(ds: PathDataset, fraction: float, seed):
     """Assign each path instance independently to train with ``fraction``.
 
-    Multiplicities are unrolled so a repeated path can straddle the split.
-    Degenerate draws (either side empty) retry with the next sub-seed.
+    Multiplicities are unrolled so a repeated path can straddle the split;
+    each side holds one ``Path`` per path with its count of instances (the
+    input's own object when all of them fall on that side). Degenerate draws
+    (either side empty) retry with the next sub-seed, ``MAX_SPLIT_ATTEMPTS`` times.
     """
-    instances = []
-    for p in ds.paths:
-        instances.extend([(p.nodes, p.start_time)] * p.multiplicity)
-    if len(instances) < 2:
+    counts = np.array([p.multiplicity for p in ds.paths])
+    owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance
+    if len(owner) < 2:
         raise DataError("need at least 2 path instances to split")
     base = seed if isinstance(seed, (list, tuple)) else [seed]
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_SPLIT_ATTEMPTS):
         rng = np.random.default_rng(list(base) + [attempt])
-        mask = rng.random(len(instances)) < fraction
+        mask = rng.random(len(owner)) < fraction
         if mask.any() and not mask.all():
-            train = [Path(n, 1, t) for (n, t), m in zip(instances, mask) if m]
-            test = [Path(n, 1, t) for (n, t), m in zip(instances, mask) if not m]
-            return PathDataset(train), PathDataset(test)
+            train = np.bincount(owner[mask], minlength=len(counts))
+            return tuple(PathDataset(p if c == p.multiplicity else Path(p.nodes, c, p.start_time)
+                                     for p, c in zip(ds.paths, side.tolist()) if c)
+                         for side in (train, counts - train))
     raise DataError("could not produce a non-degenerate split")
 
 

@@ -73,20 +73,12 @@ class NetworkModel:
     vocabulary: frozenset[str]
     edges: dict  # (source, target) -> observed count
 
-    @property
-    def kind(self) -> str:
-        return "network"
-
 
 @dataclass(frozen=True)
 class PathModel:
     """Lossless model: the training multiset itself."""
 
     dataset: PathDataset
-
-    @property
-    def kind(self) -> str:
-        return "path"
 
 
 class MOGenModel:
@@ -120,6 +112,7 @@ class MOGenModel:
         self._validate()
         self._sf: np.ndarray | None = None
         self._reach: np.ndarray | None = None
+        self._absorbing = False  # set once _solve's end search passes
 
     def _validate(self):
         rows = np.asarray(self.trans_p.sum(axis=1)).ravel() + self.end_p
@@ -127,10 +120,6 @@ class MOGenModel:
             raise NumericError("transition rows are not stochastic")
         if abs(self.start_p.sum() - 1.0) > STOCHASTIC_TOL:
             raise NumericError("start distribution does not sum to 1")
-
-    @property
-    def kind(self) -> str:
-        return "mogen"
 
     @property
     def n_states(self) -> int:
@@ -269,12 +258,14 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     step) is within ``_TOL``; at ``_MAX_ITER`` sparse LU of (I - A) takes over.
     A state that cannot reach a state with ``end_p > 0`` makes the chain
     non-absorbing (I - Q is then singular or nearly so): no solve is tried.
+    That search runs once per model; its verdict is kept on the model.
     """
     n = model.n_states
-    # backward search over Q from the states that can end a path
-    ends = sp.csr_matrix(model.end_p[None, :] > 0)
-    if ends.nnz + sum(len(rows) for _, rows, _, _ in _first_reached(model.trans_p.T, ends)) < n:
-        raise NumericError("non-absorbing chain: a state never reaches the end")
+    if not model._absorbing:  # backward search over Q from the states that can end a path
+        ends = sp.csr_matrix(model.end_p[None, :] > 0)
+        if ends.nnz + sum(len(rows) for _, rows, _, _ in _first_reached(model.trans_p.T, ends)) < n:
+            raise NumericError("non-absorbing chain: a state never reaches the end")
+        model._absorbing = True
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
     x, method = np.zeros_like(b), "fixed point"
     with np.errstate(over="ignore", invalid="ignore"):  # the residual checks catch overflow

@@ -2,13 +2,14 @@
 
 A path is an ordered node sequence with a multiplicity and an optional start
 timestamp. Datasets are immutable after construction and merge identical
-(sequence, start_time) entries by summing multiplicities.
+(sequence, start_time) entries by summing multiplicities. A path is validated
+once, when it is built; datasets keep the ``Path`` objects they are given.
 """
 from __future__ import annotations
 
 import logging
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -54,25 +55,25 @@ class Path:
 
 
 class PathDataset:
-    """An immutable multiset of paths over a shared vocabulary."""
+    """An immutable multiset of paths over a shared vocabulary.
+
+    An input :class:`Path` whose ``(nodes, start_time)`` key occurs once is
+    kept as it is, so a window or a split side validates nothing again; a
+    key that merges gets one new ``Path`` with the summed multiplicity.
+    """
 
     def __init__(self, paths: Iterable[Path]):
-        merged: dict[tuple[tuple[str, ...], int | None], int] = {}
+        merged: dict[tuple[tuple[str, ...], int | None], list] = {}
         for p in paths:
-            key = (p.nodes, p.start_time)
-            merged[key] = merged.get(key, 0) + p.multiplicity
+            merged.setdefault((p.nodes, p.start_time), [p, 0])[1] += p.multiplicity
         if not merged:
             raise DataError("empty dataset")
-        self._paths = tuple(
-            Path(nodes, mult, t)
-            for (nodes, t), mult in sorted(
-                merged.items(), key=lambda kv: (kv[0][0], kv[0][1] is not None, kv[0][1] or 0)
-            )
-        )
-        vocab: set[str] = set()
-        for p in self._paths:
-            vocab.update(p.nodes)
-        self._vocabulary = frozenset(vocab)
+        self._paths = tuple(sorted(
+            (p if p.multiplicity == total else Path(p.nodes, total, p.start_time)
+             for p, total in merged.values()),
+            key=lambda p: (p.nodes, p.start_time is not None, p.start_time or 0),
+        ))
+        self._vocabulary = frozenset(v for p in self._paths for v in p.nodes)
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -136,28 +137,13 @@ class DatasetStats:
     n_nodes: int
     n_links: int
 
-    def as_dict(self) -> dict:
-        return {
-            "total_paths": self.total_paths,
-            "unique_paths": self.unique_paths,
-            "mean_len": self.mean_len,
-            "median_len": self.median_len,
-            "n_nodes": self.n_nodes,
-            "n_links": self.n_links,
-        }
-
 
 @dataclass(frozen=True)
 class WindowSlice:
     """One rolling window; ``dataset`` is None when the window is empty."""
 
     start: int
-    length: int
     dataset: PathDataset | None
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
 
     @property
     def empty(self) -> bool:
@@ -274,25 +260,25 @@ def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlic
     """Slice a timestamped dataset into rolling half-open windows.
 
     The first window starts at the minimum start_time rounded down to the
-    shift granularity; windows advance by ``shift`` until every path is
-    covered. A path belongs to a window iff start <= t < start + length.
-    Empty windows are kept, with ``dataset`` set to None.
+    shift granularity; windows advance by ``shift`` up to the maximum
+    start_time. A path belongs to a window iff start <= t < start + length,
+    so with ``length < shift`` a path may fall between two windows. Empty
+    windows are kept, with ``dataset`` set to None.
+
+    The paths are sorted once by start time, and each window is the index
+    range of that order found by bisection; its dataset keeps the corpus's
+    ``Path`` objects.
     """
     if length <= 0 or shift <= 0:
         raise DataError("window length and shift must be > 0")
     if not ds.has_timestamps:
         raise DataError("rolling windows require timestamps on every path")
-    times = [p.start_time for p in ds.paths]
-    t_min, t_max = min(times), max(times)
-    anchor = (t_min // shift) * shift
+    by_time = sorted(ds.paths, key=lambda p: p.start_time)
+    times = [p.start_time for p in by_time]
     out = []
-    start = anchor
-    while start <= t_max:
-        members = [p for p in ds.paths if start <= p.start_time < start + length]
-        out.append(
-            WindowSlice(start, length, PathDataset(members) if members else None)
-        )
-        start += shift
+    for start in range(times[0] // shift * shift, times[-1] + 1, shift):
+        members = by_time[bisect_left(times, start) : bisect_left(times, start + length)]
+        out.append(WindowSlice(start, PathDataset(members) if members else None))
     return out
 
 

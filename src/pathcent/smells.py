@@ -6,12 +6,20 @@ absolute relative deviation of their centrality from the team mean. Members
 with consistently extreme deviations are candidates for bottleneck, silo,
 lone-wolf, or code-red situations; the flags produced here are candidates for
 human review, not verdicts.
+
+A platform's series holds one (windows x members) array per measure: row i is
+the i-th non-empty window, column j the j-th member in sorted order, and a
+member inactive in a window holds 0 there, masked out by the ``active`` array.
+Team means and deviations are then array reductions in one fixed order, so
+reruns give the same bits under any hash seed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
+
+import numpy as np
 
 from .centrality import MEASURES, compute
 from .errors import DataError
@@ -30,21 +38,14 @@ class PlatformSeries:
 
     platform: str
     window_starts: tuple[int, ...]  # non-empty windows only, ascending
-    values: dict  # measure -> {window_start: {member: value}}
-    active: dict  # window_start -> frozenset of members
-    orders: dict  # window_start -> fitted maximum order
+    members: tuple[str, ...]  # sorted; the columns of every array
+    values: dict  # measure -> (windows x members) array, 0 where inactive
+    active: np.ndarray  # (windows x members) bool
+    orders: tuple[int, ...]  # fitted maximum order, aligned with window_starts
 
-    def members(self) -> set:
-        out: set = set()
-        for members in self.active.values():
-            out.update(members)
-        return out
-
-    def team_mean(self, measure: str, window: int) -> float:
-        vals = self.values[measure][window]
-        members = self.active[window]
-        # fsum is exact, so the set's hash-seeded iteration order cannot matter
-        return math.fsum(vals.get(m, 0.0) for m in members) / len(members)
+    def team_means(self, measure: str) -> np.ndarray:
+        """Per-window mean of ``measure`` over the active members."""
+        return self.values[measure].sum(axis=1) / self.active.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -66,34 +67,28 @@ class SmellEvidence:
 def windowed_centralities(
     windows: list[WindowSlice],
     k: int | None = None,
-    measures=MEASURES,
     k_max: int = 3,
     platform: str = "",
 ) -> PlatformSeries:
     """Fit a multi-order model per non-empty window and collect first-order
-    centralities. With ``k=None`` the order is selected per window by AIC.
-    Empty windows are gaps, not zeros."""
+    centralities of every measure. With ``k=None`` the order is selected per
+    window by AIC. Empty windows are gaps, not zeros."""
     non_empty = [w for w in windows if not w.empty]
     if not non_empty:
         raise DataError("all windows are empty")
-    values: dict = {m: {} for m in measures}
-    active: dict = {}
-    orders: dict = {}
-    for w in non_empty:
-        order = k if k is not None else select_order(w.dataset, k_max)
+    members = tuple(sorted(frozenset().union(*(w.dataset.vocabulary for w in non_empty))))
+    column = {m: j for j, m in enumerate(members)}
+    shape = (len(non_empty), len(members))
+    values = {m: np.zeros(shape) for m in MEASURES}
+    active = np.zeros(shape, dtype=bool)
+    orders = tuple(k if k is not None else select_order(w.dataset, k_max) for w in non_empty)
+    for i, (w, order) in enumerate(zip(non_empty, orders)):
         model = fit_mogen(w.dataset, order)
-        orders[w.start] = order
-        active[w.start] = frozenset(w.dataset.vocabulary)
-        for m in measures:
-            vec = compute(model, m)
-            values[m][w.start] = dict(vec.scores)
-    return PlatformSeries(
-        platform,
-        tuple(w.start for w in non_empty),
-        values,
-        active,
-        orders,
-    )
+        active[i, [column[v] for v in w.dataset.vocabulary]] = True
+        for m in MEASURES:
+            scores = compute(model, m).scores
+            values[m][i, [column[v] for v in scores]] = list(scores.values())
+    return PlatformSeries(platform, tuple(w.start for w in non_empty), members, values, active, orders)
 
 
 def deviation_scores(series_list: list[PlatformSeries]) -> list[DeviationScore]:
@@ -107,29 +102,23 @@ def deviation_scores(series_list: list[PlatformSeries]) -> list[DeviationScore]:
     """
     if not series_list:
         raise DataError("need at least one platform series")
-    members: set = set()
+    per_series = []  # per series: {member: (score, skipped terms)}
     for series in series_list:
-        members.update(series.members())
+        score = np.zeros(len(series.members))
+        skipped = np.zeros(len(series.members), dtype=np.int64)
+        for measure, vals in series.values.items():
+            mean = series.team_means(measure)[:, None]
+            ok = np.abs(mean) >= MEAN_EPS
+            score += np.divide(np.abs(vals - mean), np.abs(mean), out=np.zeros_like(vals),
+                               where=series.active & ok).sum(axis=0)
+            skipped += (series.active & ~ok).sum(axis=0)
+        per_series.append(dict(zip(series.members, zip(score.tolist(), skipped.tolist()))))
     out = []
-    n_platforms = len(series_list)
-    for member in sorted(members):
-        per_platform = {}
-        skipped = 0
-        for series in series_list:
-            s = 0.0
-            for window in series.window_starts:
-                if member not in series.active[window]:
-                    continue
-                for measure in series.values:
-                    mean = series.team_mean(measure, window)
-                    if abs(mean) < MEAN_EPS:
-                        skipped += 1
-                        continue
-                    v = series.values[measure][window].get(member, 0.0)
-                    s += abs((v - mean) / mean)
-            per_platform[series.platform] = s
-        total = sum(per_platform.values()) / n_platforms
-        out.append(DeviationScore(member, per_platform, total, skipped))
+    for member in sorted(frozenset().union(*per_series)):
+        terms = [by_member.get(member, (0.0, 0)) for by_member in per_series]
+        per_platform = {series.platform: value for series, (value, _) in zip(series_list, terms)}
+        total = sum(per_platform.values()) / len(series_list)
+        out.append(DeviationScore(member, per_platform, total, sum(n for _, n in terms)))
     return out
 
 
@@ -155,28 +144,18 @@ def evidence(
     windows; code-red candidate windows when at most ``MAX_ROLE_MEMBERS``
     members reach a path-end share of ``theta_role``.
     """
-    if member not in series.members():
+    if member not in series.members:
         raise DataError(f"unknown member {member!r}")
-    if "path_end" not in series.values:
-        raise DataError("evidence extraction requires the path_end measure")
     path_end = series.values["path_end"]
+    share = path_end[:, series.members.index(member)]
     # runs of consecutive non-empty windows at or above theta_end
     runs = (list(run) for hit, run in groupby(
-        series.window_starts, key=lambda w: path_end[w].get(member, 0.0) >= theta_end) if hit)
-    dominant = tuple((run[0], run[-1]) for run in runs if len(run) >= min_consecutive)
-    code_red = tuple(
-        window
-        for window in series.window_starts
-        if sum(
-            1
-            for m in series.active[window]
-            if path_end[window].get(m, 0.0) >= theta_role
-        )
-        <= MAX_ROLE_MEMBERS
-    )
+        zip(series.window_starts, (share >= theta_end).tolist()), key=itemgetter(1)) if hit)
+    dominant = tuple((run[0][0], run[-1][0]) for run in runs if len(run) >= min_consecutive)
+    few = ((path_end >= theta_role) & series.active).sum(axis=1) <= MAX_ROLE_MEMBERS
     return SmellEvidence(
         member=member,
         end_dominance=bool(dominant),
         end_dominance_windows=dominant,
-        code_red_windows=code_red,
+        code_red_windows=tuple(w for w, hit in zip(series.window_starts, few.tolist()) if hit),
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from pathcent import (
@@ -21,6 +23,25 @@ from pathcent.centrality import MEASURES
 from pathcent.experiment import NETWORK_MEASURES, _predictions, _scored, parse_model_label
 
 import generators
+
+
+def _split_oracle(ds, fraction, seed, max_attempts=100):
+    """The instance-by-instance split: one unit ``Path`` per instance, merged
+    again by ``PathDataset``."""
+    instances = []
+    for p in ds.paths:
+        instances.extend([(p.nodes, p.start_time)] * p.multiplicity)
+    if len(instances) < 2:
+        raise DataError("need at least 2 path instances to split")
+    base = seed if isinstance(seed, (list, tuple)) else [seed]
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng(list(base) + [attempt])
+        mask = rng.random(len(instances)) < fraction
+        if mask.any() and not mask.all():
+            train = [Path(n, 1, t) for (n, t), m in zip(instances, mask) if m]
+            test = [Path(n, 1, t) for (n, t), m in zip(instances, mask) if not m]
+            return PathDataset(train), PathDataset(test)
+    raise DataError("could not produce a non-degenerate split")
 
 
 class TestSplit:
@@ -55,6 +76,44 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(DataError):
             split(PathDataset([Path(("a", "b"))]), 0.5, seed=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Path,
+                st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple),
+                st.integers(1, 5),
+                st.none() | st.integers(-3, 3),
+            ),
+            min_size=1,
+            max_size=15,
+        ),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1) | st.lists(st.integers(0, 2**16), min_size=1, max_size=2),
+    )
+    def test_matches_instance_oracle(self, paths, fraction, seed):
+        ds = PathDataset(paths)
+        if ds.total < 2:
+            with pytest.raises(DataError):
+                split(ds, fraction, seed)
+            return
+        try:
+            expected = _split_oracle(ds, fraction, seed)
+        except DataError:
+            with pytest.raises(DataError, match="non-degenerate"):
+                split(ds, fraction, seed)
+            return
+        got = split(ds, fraction, seed)
+        assert [side.paths for side in got] == [side.paths for side in expected]
+
+    def test_keeps_paths_that_fall_whole_on_one_side(self):
+        ds = generators.order2_families(seed=0, n_paths=200)
+        given_ids = {id(p) for p in ds.paths}
+        for side in split(ds, 0.3, seed=3):
+            for p in side.paths:
+                original = next(q for q in ds.paths if (q.nodes, q.start_time) == (p.nodes, p.start_time))
+                assert (id(p) in given_ids) == (p.multiplicity == original.multiplicity)
 
 
 class TestGroundTruth:

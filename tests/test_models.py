@@ -69,7 +69,6 @@ class TestFitNetwork:
         model = fit_network(ds)
         assert model.edges == {("a", "b"): 2, ("b", "c"): 3}
         assert model.vocabulary == {"a", "b", "c"}
-        assert model.kind == "network"
 
 
 def _fit_mogen_oracle(ds, k):
@@ -276,6 +275,23 @@ class TestChainSolver:
             assert f"{model.n_states} states, {model.trans_p.nnz} nnz, fixed point" in message
             assert "residual" in message
 
+    def test_end_search_runs_once_per_model(self, monkeypatch):
+        searches = []
+        search = models._first_reached
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_first_reached", spy)
+        model = fit_mogen(generators.toy_dataset(), 2)
+        model.expected_visits()
+        model.reach_totals()
+        fundamental_matrix(model)
+        assert len(searches) == 1
+        fundamental_matrix(fit_mogen(generators.toy_dataset(), 1))  # a new model searches again
+        assert len(searches) == 2
+
     @pytest.mark.parametrize("build", [
         _closed_cycle_direct,
         lambda: MOGenModel.from_json(json.dumps(_closed_cycle_doc())),
@@ -393,4 +409,3 @@ class TestFitPath:
         ds = generators.toy_dataset()
         model = fit_path(ds)
         assert model.dataset is ds
-        assert model.kind == "path"

@@ -5,7 +5,7 @@ import statistics
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcent import (
@@ -81,6 +81,20 @@ class TestPathDataset:
         ds = PathDataset([Path(("a", "b", "c")), Path(("b",))])
         assert ds.vocabulary == {"a", "b", "c"}
         assert ds.max_length == 3
+
+    def test_keeps_paths_whose_key_occurs_once(self):
+        ds = parse_paths(io.StringIO("b,c;1;5\na,b;2;7\na,b;1;3\nc;4\n"))
+        again = PathDataset(ds.paths)
+        assert len(again) == len(ds)
+        assert all(p is q for p, q in zip(again.paths, ds.paths))
+
+    def test_merging_key_builds_one_path_with_the_summed_multiplicity(self):
+        first, second, alone = Path(("a", "b"), 2, 0), Path(("a", "b"), 3, 0), Path(("c",), 1, 0)
+        ds = PathDataset([first, alone, second])
+        merged = next(p for p in ds.paths if p.nodes == ("a", "b"))
+        assert merged == Path(("a", "b"), 5, 0)
+        assert merged is not first and merged is not second
+        assert next(p for p in ds.paths if p.nodes == ("c",)) is alone
 
 
 class TestParsePaths:
@@ -293,9 +307,55 @@ class TestTripleReaders:
         assert read(io.StringIO("a,1\tb\t7\n"), delimiter="\t") == [record("a,1", "b", 7)]
 
 
+def _rolling_windows_oracle(ds, length, shift):
+    """The scanning windowing: every path tested against every window, as
+    ``(start, dataset or None)`` pairs."""
+    times = [p.start_time for p in ds.paths]
+    out = []
+    start = (min(times) // shift) * shift
+    while start <= max(times):
+        members = [p for p in ds.paths if start <= p.start_time < start + length]
+        out.append((start, PathDataset(members) if members else None))
+        start += shift
+    return out
+
+
 class TestRollingWindows:
     def _ds(self, times):
         return PathDataset([Path(("a", "b"), 1, t) for t in times])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Path,
+                st.sampled_from([("a",), ("a", "b"), ("b", "a"), ("a", "b", "c")]),
+                st.integers(1, 4),
+                st.integers(-40, 40),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.integers(1, 30),
+        st.integers(1, 30),
+    )
+    @example([Path(("a", "b"), 1, t) for t in (-7, -7, 0, 5, 9, 20)], 10, 10)
+    @example([Path(("a",), 2, t) for t in (-7, -1, 0, 13)] + [Path(("b", "a"), 1, 0)], 4, 6)
+    @example([Path(("a", "b"), 1, t) for t in (-20, -3, 0, 14)] + [Path(("a", "b"), 2, 0)], 15, 4)
+    def test_matches_scanning_oracle(self, paths, length, shift):
+        ds = PathDataset(paths)
+        got = rolling_windows(ds, length, shift)
+        expected = _rolling_windows_oracle(ds, length, shift)
+        assert [w.start for w in got] == [start for start, _ in expected]
+        assert [w.empty for w in got] == [window is None for _, window in expected]
+        for w, (_, window) in zip(got, expected):
+            assert (w.dataset and w.dataset.paths) == (window and window.paths)
+
+    def test_windows_keep_the_corpus_paths(self):
+        ds = self._ds([0, 3, 9, 10, 14, 30])
+        ids = {id(p) for p in ds.paths}
+        windows = rolling_windows(ds, length=10, shift=5)
+        assert all(id(p) in ids for w in windows if not w.empty for p in w.dataset.paths)
 
     def test_window_membership_half_open(self):
         windows = rolling_windows(self._ds([0, 9, 10]), length=10, shift=10)

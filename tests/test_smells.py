@@ -1,16 +1,29 @@
 """Windowed centralities, deviation scores, ranking, and evidence flags."""
+import math
+from dataclasses import dataclass
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcent import (
+    MEASURES,
     DataError,
+    DeviationScore,
     Path,
     PathDataset,
+    SmellEvidence,
+    compute,
     deviation_scores,
     evidence,
+    fit_mogen,
     rank_members,
     rolling_windows,
+    select_order,
     windowed_centralities,
 )
+from pathcent.smells import MAX_ROLE_MEMBERS, MEAN_EPS
 
 import generators
 
@@ -33,14 +46,15 @@ class TestWindowedCentralities:
 
     def test_dominant_member_path_end_share(self):
         series = make_series()
-        for w in series.window_starts:
-            assert series.values["path_end"][w]["zed"] == pytest.approx(0.7, abs=0.02)
+        for share in series.values["path_end"][:, series.members.index("zed")]:
+            assert share == pytest.approx(0.7, abs=0.02)
 
     def test_auto_order_records_selection(self):
         ds = generators.smell_corpus(seed=1, n_windows=2)
         windows = rolling_windows(ds, length=100, shift=100)
         series = windowed_centralities(windows, k=None, k_max=2)
-        assert all(o in (1, 2) for o in series.orders.values())
+        assert len(series.orders) == len(series.window_starts)
+        assert set(series.orders) <= {1, 2}
 
     def test_empty_windows_are_gaps(self):
         ds = PathDataset([
@@ -132,3 +146,134 @@ class TestEvidence:
     def test_unknown_member(self):
         with pytest.raises(DataError):
             evidence(make_series(), "nobody")
+
+
+@dataclass(frozen=True)
+class _DictSeries:
+    """The dict-keyed series: ``values[measure][window][member]``."""
+
+    platform: str
+    window_starts: tuple
+    values: dict
+    active: dict  # window -> frozenset of members
+
+    def members(self) -> set:
+        return set().union(*self.active.values())
+
+    def team_mean(self, measure, window) -> float:
+        vals = self.values[measure][window]
+        return math.fsum(vals.get(m, 0.0) for m in self.active[window]) / len(self.active[window])
+
+
+def _windowed_oracle(windows, k=None, k_max=3, platform=""):
+    values, active = {m: {} for m in MEASURES}, {}
+    non_empty = [w for w in windows if not w.empty]
+    for w in non_empty:
+        model = fit_mogen(w.dataset, k if k is not None else select_order(w.dataset, k_max))
+        active[w.start] = frozenset(w.dataset.vocabulary)
+        for m in MEASURES:
+            values[m][w.start] = dict(compute(model, m).scores)
+    return _DictSeries(platform, tuple(w.start for w in non_empty), values, active)
+
+
+def _deviation_oracle(series_list):
+    members = set().union(*(series.members() for series in series_list))
+    out = []
+    for member in sorted(members):
+        per_platform, skipped = {}, 0
+        for series in series_list:
+            s = 0.0
+            for window in series.window_starts:
+                if member not in series.active[window]:
+                    continue
+                for measure in series.values:
+                    mean = series.team_mean(measure, window)
+                    if abs(mean) < MEAN_EPS:
+                        skipped += 1
+                        continue
+                    s += abs((series.values[measure][window].get(member, 0.0) - mean) / mean)
+            per_platform[series.platform] = s
+        out.append(DeviationScore(member, per_platform,
+                                  sum(per_platform.values()) / len(series_list), skipped))
+    return out
+
+
+def _evidence_oracle(series, member, theta_end, min_consecutive, theta_role):
+    path_end = series.values["path_end"]
+    runs = (list(run) for hit, run in groupby(
+        series.window_starts, key=lambda w: path_end[w].get(member, 0.0) >= theta_end) if hit)
+    dominant = tuple((run[0], run[-1]) for run in runs if len(run) >= min_consecutive)
+    code_red = tuple(
+        w for w in series.window_starts
+        if sum(path_end[w].get(m, 0.0) >= theta_role for m in series.active[w]) <= MAX_ROLE_MEMBERS
+    )
+    return SmellEvidence(member, bool(dominant), dominant, code_red)
+
+
+THETAS = [(0.0, 1, 0.0), (0.2, 2, 0.05), (0.5, 4, 0.05), (0.7, 1, 0.2), (0.69, 3, 0.5)]
+
+
+def _assert_matches_dict_oracle(windows_per_platform, k, k_max=3):
+    """Array series, deviations and evidence equal the dict-keyed pipeline's."""
+    series_list, oracles = [], []
+    for platform, windows in windows_per_platform.items():
+        series_list.append(windowed_centralities(windows, k=k, k_max=k_max, platform=platform))
+        oracles.append(_windowed_oracle(windows, k=k, k_max=k_max, platform=platform))
+    for series, oracle in zip(series_list, oracles):
+        assert series.window_starts == oracle.window_starts
+        assert series.members == tuple(sorted(oracle.members()))
+        for i, w in enumerate(series.window_starts):
+            assert {m for m, on in zip(series.members, series.active[i]) if on} == oracle.active[w]
+        for measure in MEASURES:
+            means = series.team_means(measure)
+            for i, w in enumerate(series.window_starts):
+                assert means[i] == pytest.approx(oracle.team_mean(measure, w), rel=1e-12, abs=1e-300)
+    got, expected = deviation_scores(series_list), _deviation_oracle(oracles)
+    assert [d.member for d in got] == [d.member for d in expected]
+    for d, e in zip(got, expected):
+        assert d.skipped_terms == e.skipped_terms
+        assert d.per_platform == pytest.approx(e.per_platform, rel=1e-12, abs=1e-300)
+        assert d.total == pytest.approx(e.total, rel=1e-12, abs=1e-300)
+    for series, oracle in zip(series_list, oracles):
+        for member in series.members:
+            for theta_end, run, theta_role in THETAS:
+                assert evidence(series, member, theta_end, run, theta_role) == _evidence_oracle(
+                    oracle, member, theta_end, run, theta_role)
+
+
+class TestMatchesDictOracle:
+    @pytest.mark.parametrize("k", [1, 2, None])
+    @pytest.mark.parametrize("seeds", [(0,), (1, 2)])
+    def test_smell_corpus(self, seeds, k):
+        windows = {f"p{seed}": rolling_windows(generators.smell_corpus(seed=seed), 100, 50)
+                   for seed in seeds}
+        _assert_matches_dict_oracle(windows, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.builds(
+                    Path,
+                    st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map(tuple),
+                    st.integers(1, 3),
+                    st.integers(-20, 40),
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(5, 30),
+        st.integers(5, 30),
+        st.sampled_from([1, 2, None]),
+    )
+    def test_random_timestamped_corpora(self, corpora, length, shift, k):
+        windows = {f"p{i}": rolling_windows(PathDataset(paths), length, shift)
+                   for i, paths in enumerate(corpora)}
+        if any(all(w.empty for w in ws) for ws in windows.values()):  # paths between windows
+            with pytest.raises(DataError, match="all windows are empty"):
+                _assert_matches_dict_oracle(windows, k, k_max=2)
+            return
+        _assert_matches_dict_oracle(windows, k, k_max=2)
