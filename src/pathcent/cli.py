@@ -51,9 +51,9 @@ def _meta(config: dict, inputs: list[str]) -> dict:
 
 
 def _write_json(path: FsPath, meta: dict, results) -> None:
-    doc = dict(meta)
-    doc["results"] = results
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**meta, "results": results}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _csv_header(out, meta: dict) -> None:
@@ -124,7 +124,7 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
     """Compute centrality reports for one model family."""
     if edge_report and model != "mogen":
         raise click.UsageError("--edges requires --model mogen")
-    measures = measures or cent.MEASURES
+    measures = tuple(dict.fromkeys(measures or cent.MEASURES))
     ds = load_dataset(input_path)
     config = {
         "command": "centrality", "model": model, "k": k,
@@ -144,32 +144,23 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
         order = sorted(range(fitted.n_states), key=fitted.states.__getitem__)
         keys = ["|".join(fitted.states[i]) for i in order]
 
-    rows = []
-    json_results: dict = {}
-    skipped = []
+    results: dict = {}
     for measure in measures:
         try:
             vec = cent.compute(fitted, measure)
         except UnsupportedMeasureError as err:
             click.echo(f"warning: {err}", err=True)
-            skipped.append(measure)
             continue
-        for node in sorted(vec.scores):
-            rows.append((measure, model, node, vec.scores[node]))
-        json_results[measure] = {
-            "first_order": {n: vec.scores[n] for n in sorted(vec.scores)},
-        }
+        results[measure] = {"first_order": dict(sorted(vec.scores.items()))}
         if vec.state_scores is not None:
-            vals = vec.state_scores[order].tolist()
-            rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
-            json_results[measure]["states"] = dict(zip(keys, vals))
-    if len(skipped) == len(measures):
+            results[measure]["states"] = dict(zip(keys, vec.state_scores[order].tolist()))
+    if not results:
         raise DataError("no requested measure is supported by this model")
+    computed = list(results)
 
     if edge_report:
-        report = cent.edge_centralities(fitted, measures=[m for m in measures if m not in skipped],
-                                        min_visitation=min_visitation)
-        json_results["edges"] = {
+        report = cent.edge_centralities(fitted, measures=computed, min_visitation=min_visitation)
+        results["edges"] = {
             "|".join(s): {"visitation_share": report.shares[s], **report.values[s]}
             for s in sorted(report.values)
         }
@@ -180,9 +171,11 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
     with open(out / "centrality.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write("measure,model,state,score\n")
-        for measure, mdl, state, score in rows:
-            fh.write(f"{measure},{mdl},{state},{_fmt(score)}\n")
-    _write_json(out / "centrality.json", meta, json_results)
+        for measure in computed:
+            for scores in results[measure].values():  # first_order, then states
+                fh.writelines(f"{measure},{model},{state},{_fmt(score)}\n"
+                              for state, score in scores.items())
+    _write_json(out / "centrality.json", meta, results)
 
 
 @cli.command("experiment")
@@ -197,8 +190,8 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 def experiment_cmd(input_path, models, measures, train_fraction, replicates,
                    k_truth, seed, output_dir):
     """Top-decile AUC prediction experiment across model families."""
-    measures = measures or cent.MEASURES
-    model_labels = [m.strip() for m in models.split(",") if m.strip()]
+    measures = tuple(dict.fromkeys(measures or cent.MEASURES))
+    model_labels = list(dict.fromkeys(m.strip() for m in models.split(",") if m.strip()))
     for label in model_labels:
         exp.parse_model_label(label)
     ds = load_dataset(input_path)
@@ -209,27 +202,14 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates,
     }
     spec = exp.SplitSpec(train_fraction, seed, replicates)
     results = exp.evaluate(ds, spec, model_labels, measures, k_truth)
-    by_key = {(r.model, r.measure): r for r in results}
 
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(config, [input_path])
     with open(out / "auc.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
-        cols = [
-            f"{measure}:{label}"
-            for measure in measures
-            for label in model_labels
-            if (label, measure) in by_key
-        ]
-        fh.write("dataset," + ",".join(cols) + "\n")
-        cells = [
-            f"{by_key[(label, measure)].mean:.3f}"
-            for measure in measures
-            for label in model_labels
-            if (label, measure) in by_key
-        ]
-        fh.write(FsPath(input_path).name + "," + ",".join(cells) + "\n")
+        fh.write(",".join(["dataset", *(f"{r.measure}:{r.model}" for r in results)]) + "\n")
+        fh.write(",".join([FsPath(input_path).name, *(f"{r.mean:.3f}" for r in results)]) + "\n")
     _write_json(
         out / "auc.json",
         meta,
@@ -259,6 +239,8 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     """Windowed centralities, deviation scores, ranking, and evidence flags."""
     length = parse_duration(window)
     step = parse_duration(shift)
+    if length < step:  # a path starting between two windows would be in neither
+        raise click.UsageError("--window must be at least --shift")
     if k != "auto" and not re.fullmatch(r"-?\d+", k):
         raise click.UsageError(f"--k expects an integer or 'auto', got {k!r}")
     order = None if k == "auto" else int(k)

@@ -21,8 +21,6 @@ from .pathdata import Path, PathDataset
 
 State = tuple[str, ...]
 
-#: Measures a plain network model can predict.
-NETWORK_MEASURES = frozenset({"betweenness", "closeness"})
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
 MAX_SPLIT_ATTEMPTS = 100
 
@@ -155,11 +153,12 @@ def evaluate(
 ) -> list[AUCResult]:
     """Run the full prediction experiment; returns one result per
     (model, measure) pair, measure-major, skipping pairs the model cannot
-    predict."""
+    predict. A repeated model label or measure counts once."""
+    measures = list(dict.fromkeys(measures))
     parsed = []  # (label, kind, order, measures the model can predict)
-    for label in models:
+    for label in dict.fromkeys(models):
         kind, k = parse_model_label(label)
-        wanted = [m for m in measures if kind != "network" or m in NETWORK_MEASURES]
+        wanted = [m for m in measures if kind != "network" or m not in centrality.PATH_MEASURES]
         parsed.append((label, kind, k, wanted))
     collected = {(label, m): [] for m in measures for label, *_, wanted in parsed if m in wanted}
     if not collected:

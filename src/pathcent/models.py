@@ -83,7 +83,8 @@ class PathModel:
 
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
-    absorption column R, fitted by counting encoded transitions."""
+    absorption column R, fitted by counting encoded transitions. A negative
+    or non-finite count raises :class:`DataError`."""
 
     def __init__(
         self,
@@ -101,6 +102,9 @@ class MOGenModel:
         self.trans_counts = trans_counts
         self.end_counts = end_counts
         self.n_paths = n_paths
+        counts = np.concatenate([start_counts, trans_counts.data, end_counts, [n_paths]])
+        if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
+            raise DataError("counts must be finite and non-negative")
 
         self.start_p = start_counts / start_counts.sum()
         row_tot = np.asarray(trans_counts.sum(axis=1)).ravel() + end_counts
@@ -254,8 +258,9 @@ def fundamental_matrix(model: MOGenModel) -> np.ndarray:
 def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     """x = b + A x, with A = Q^T for ``system`` "S.F" and A = Q for "F.1" and "F".
 
-    The fixed point stops at the first x whose residual b + A x - x (its next
-    step) is within ``_TOL``; at ``_MAX_ITER`` sparse LU of (I - A) takes over.
+    The fixed point stops at the first x whose residual x - A x - b is within
+    ``_TOL`` and otherwise steps x -= residual; at ``_MAX_ITER`` sparse LU of
+    (I - A) takes over, checked on the same residual.
     A state that cannot reach a state with ``end_p > 0`` makes the chain
     non-absorbing (I - Q is then singular or nearly so): no solve is tried.
     That search runs once per model; its verdict is kept on the model.
@@ -270,11 +275,11 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     x, method = np.zeros_like(b), "fixed point"
     with np.errstate(over="ignore", invalid="ignore"):  # the residual checks catch overflow
         for iterations in range(1, _MAX_ITER + 1):
-            r = b + a @ x - x
+            r = x - a @ x - b
             residual = np.abs(r).max()
             if residual <= _TOL * np.abs(x).max():
                 break
-            x += r
+            x -= r
         else:
             method = "LU fallback"
             import scipy.sparse.linalg as spla  # slow to import, and needed only here

@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathcent
+from pathcent import centrality as cent
+from pathcent import experiment as exp
 from pathcent.centrality import MEASURES
-from pathcent.cli import main, parse_duration
+from pathcent.cli import _csv_header, _fmt, _meta, _write_json, load_dataset, main, parse_duration
+from pathcent.errors import UnsupportedMeasureError
+from pathcent.models import fit_mogen, fit_network, fit_path
 from pathcent.pathdata import write_paths
 
 import generators
@@ -140,6 +144,116 @@ class TestIngest:
         assert not (tmp_path / "out").exists()
 
 
+def _write_json_oracle(path, meta, results):
+    doc = dict(meta)
+    doc["results"] = results
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitation, out):
+    """The writer that kept every value in a row list beside the JSON dicts."""
+    ds = load_dataset(input_path)
+    config = {
+        "command": "centrality", "model": model, "k": k, "auto_order": False, "k_max": 5,
+        "measures": list(measures), "edges": edge_report, "min_visitation": min_visitation,
+    }
+    if model == "network":
+        fitted = fit_network(ds)
+    elif model == "path":
+        fitted = fit_path(ds)
+    else:
+        fitted = fit_mogen(ds, k)
+        order = sorted(range(fitted.n_states), key=fitted.states.__getitem__)
+        keys = ["|".join(fitted.states[i]) for i in order]
+    rows, json_results, skipped = [], {}, []
+    for measure in measures:
+        try:
+            vec = cent.compute(fitted, measure)
+        except UnsupportedMeasureError:
+            skipped.append(measure)
+            continue
+        for node in sorted(vec.scores):
+            rows.append((measure, model, node, vec.scores[node]))
+        json_results[measure] = {"first_order": {n: vec.scores[n] for n in sorted(vec.scores)}}
+        if vec.state_scores is not None:
+            vals = vec.state_scores[order].tolist()
+            rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
+            json_results[measure]["states"] = dict(zip(keys, vals))
+    if edge_report:
+        report = cent.edge_centralities(fitted, measures=[m for m in measures if m not in skipped],
+                                        min_visitation=min_visitation)
+        json_results["edges"] = {
+            "|".join(s): {"visitation_share": report.shares[s], **report.values[s]}
+            for s in sorted(report.values)
+        }
+    out.mkdir(parents=True)
+    meta = _meta(config, [input_path])
+    with open(out / "centrality.csv", "w", encoding="utf-8") as fh:
+        _csv_header(fh, meta)
+        fh.write("measure,model,state,score\n")
+        for measure, mdl, state, score in rows:
+            fh.write(f"{measure},{mdl},{state},{_fmt(score)}\n")
+    _write_json_oracle(out / "centrality.json", meta, json_results)
+
+
+def _experiment_oracle(input_path, model_labels, measures, spec, k_truth, out):
+    """The writer that looked every cell up by (model, measure)."""
+    config = {
+        "command": "experiment", "models": model_labels, "measures": list(measures),
+        "train_fraction": spec.train_fraction, "replicates": spec.replicates,
+        "k_truth": k_truth, "seed": spec.seed,
+    }
+    results = exp.evaluate(load_dataset(input_path), spec, model_labels, measures, k_truth)
+    by_key = {(r.model, r.measure): r for r in results}
+    out.mkdir(parents=True)
+    meta = _meta(config, [input_path])
+    with open(out / "auc.csv", "w", encoding="utf-8") as fh:
+        _csv_header(fh, meta)
+        pairs = [(label, m) for m in measures for label in model_labels if (label, m) in by_key]
+        fh.write("dataset," + ",".join(f"{m}:{label}" for label, m in pairs) + "\n")
+        cells = [f"{by_key[pair].mean:.3f}" for pair in pairs]
+        fh.write(Path(input_path).name + "," + ",".join(cells) + "\n")
+    _write_json_oracle(out / "auc.json", meta, [
+        {"model": r.model, "measure": r.measure, "mean": r.mean, "replicates": list(r.aucs)}
+        for r in results
+    ])
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestWritersMatchOracles:
+    def test_write_json_matches_dumps(self, tmp_path):
+        meta = {"config": {"label": "Zoë→b"}, "input_sha256": {"x": "0"}}
+        results = {"b|Zoë": {"z": 1.5, "a": [1, 2.25e-300]}, "édge": None}
+        _write_json(tmp_path / "doc.json", meta, results)
+        doc = {**meta, "results": results}
+        assert (tmp_path / "doc.json").read_bytes() == (
+            json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("model, k, edges", [
+        ("network", 2, False), ("path", 2, False), ("mogen", 1, False), ("mogen", 2, False),
+        ("mogen", 2, True), ("mogen", 3, True),
+    ])
+    def test_centrality(self, order2_file, tmp_path, model, k, edges):
+        args = ["centrality", "--input", order2_file, "--model", model, "--k", str(k),
+                "--min-visitation", "0", "--output-dir", str(tmp_path / "new")]
+        assert main(args + (["--edges"] if edges else [])) == 0
+        _centrality_oracle(order2_file, model, k, MEASURES, edges, 0.0, tmp_path / "old")
+        assert _files(tmp_path / "new") == _files(tmp_path / "old")
+
+    def test_experiment(self, order2_file, tmp_path):
+        assert main([
+            "experiment", "--input", order2_file, "--models", "P,N,M2,M1",
+            "--replicates", "2", "--k-truth", "2", "--seed", "5",
+            "--output-dir", str(tmp_path / "new"),
+        ]) == 0
+        spec = exp.SplitSpec(0.3, 5, 2)
+        _experiment_oracle(order2_file, ["P", "N", "M2", "M1"], MEASURES, spec, 2, tmp_path / "old")
+        assert _files(tmp_path / "new") == _files(tmp_path / "old")
+
+
 class TestCentralityCommand:
     def test_mogen_report(self, paths_file, tmp_path):
         out = tmp_path / "cent"
@@ -208,6 +322,17 @@ class TestCentralityCommand:
         ])
         assert code == 1
 
+    def test_repeated_measure_counts_once(self, paths_file, tmp_path):
+        base = ["centrality", "--input", paths_file, "--model", "mogen", "--k", "2"]
+        assert main(base + ["--measure", "betweenness", "--measure", "path_end",
+                            "--measure", "betweenness", "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(base + ["--measure", "betweenness", "--measure", "path_end",
+                            "--output-dir", str(tmp_path / "b")]) == 0
+        assert _files(tmp_path / "a") == _files(tmp_path / "b")
+        doc = json.loads((tmp_path / "a" / "centrality.json").read_text())
+        entries = sum(len(v) for r in doc["results"].values() for v in r.values())
+        assert len((tmp_path / "a" / "centrality.csv").read_text().splitlines()) == entries + 2
+
     def test_auto_order(self, order2_file, tmp_path):
         out = tmp_path / "cent"
         code = main([
@@ -235,6 +360,17 @@ class TestExperimentCommand:
         assert all(len(r["replicates"]) == 2 for r in doc["results"])
         header = (out / "auc.csv").read_text().splitlines()[1]
         assert header.startswith("dataset,betweenness:N")
+
+    def test_repeated_model_counts_once(self, order2_file, tmp_path):
+        base = ["experiment", "--input", order2_file, "--replicates", "2", "--k-truth", "2",
+                "--measure", "betweenness", "--measure", "betweenness"]
+        assert main(base + ["--models", "M2,M2,N", "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(base[:-2] + ["--models", "M2,N", "--output-dir", str(tmp_path / "b")]) == 0
+        assert _files(tmp_path / "a") == _files(tmp_path / "b")
+        doc = json.loads((tmp_path / "a" / "auc.json").read_text())
+        assert [(r["model"], len(r["replicates"])) for r in doc["results"]] == [("M2", 2), ("N", 2)]
+        assert (tmp_path / "a" / "auc.csv").read_text().splitlines()[1] == (
+            "dataset,betweenness:M2,betweenness:N")
 
     def test_bad_model_label(self, order2_file, tmp_path):
         code = main([
@@ -283,6 +419,23 @@ class TestSmellsCommand:
             "--output-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    def test_window_shorter_than_shift_is_usage_error(self, tmp_path, capsys):
+        # a path starting between two windows would fall in neither
+        src = tmp_path / "one.paths"
+        src.write_text("a;1;-1\n")
+        args = ["smells", "--platform", f"p={src}", "--shift", "6"]
+        assert main(args + ["--window", "5", "--output-dir", str(tmp_path / "x")]) == 1
+        assert "--window must be at least --shift" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert main(args + ["--window", "6", "--output-dir", str(tmp_path / "y")]) == 0
+
+    def test_window_checked_before_loading(self, tmp_path):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        code = main(["smells", "--platform", f"p={src}", "--window", "5", "--shift", "6",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 1
 
     @pytest.mark.parametrize("k", ["abc", "2.5", ""])
     def test_non_integer_order_is_usage_error(self, smell_files, tmp_path, k):

@@ -19,8 +19,8 @@ from pathcent import (
     project_up,
     split,
 )
-from pathcent.centrality import MEASURES
-from pathcent.experiment import NETWORK_MEASURES, _predictions, _scored, parse_model_label
+from pathcent.centrality import MEASURES, PATH_MEASURES
+from pathcent.experiment import _predictions, _scored, parse_model_label
 
 import generators
 
@@ -274,8 +274,20 @@ class TestEvaluate:
     def test_each_model_scores_the_same_keys_under_every_measure(self):
         # evaluate resolves a model's suffixes once for all its measures
         train = generators.order2_families(seed=0, n_paths=200)
-        for model, measures in ((fit_network(train), NETWORK_MEASURES), (fit_mogen(train, 2), MEASURES)):
+        network_measures = [m for m in MEASURES if m not in PATH_MEASURES]
+        for model, measures in ((fit_network(train), network_measures), (fit_mogen(train, 2), MEASURES)):
             assert len({frozenset(_predictions(model, m)) for m in measures}) == 1
+
+    def test_repeated_models_and_measures_count_once(self):
+        ds = generators.order2_families(seed=0, n_paths=300)
+        spec = SplitSpec(0.3, seed=4, replicates=2)
+        once = evaluate(ds, spec, models=("M2", "N"), measures=("betweenness", "path_end"), k_truth=2)
+        again = evaluate(ds, spec, models=("M2", "M2", "N", "M2"),
+                         measures=("betweenness", "path_end", "betweenness"), k_truth=2)
+        assert [(r.model, r.measure) for r in again] == [
+            ("M2", "betweenness"), ("N", "betweenness"), ("M2", "path_end")]
+        assert again == once
+        assert all(len(r.aucs) == 2 for r in again)
 
     def test_no_supported_pair_is_data_error(self):
         ds = generators.order2_families(seed=0, n_paths=100)

@@ -332,6 +332,16 @@ class TestChainSolver:
         assert np.max(np.abs(reach - q @ reach - 1.0)) <= models._TOL * np.max(reach)
 
 
+    def test_residual_is_within_bound_on_a_rounding_case(self):
+        # stepping on b + A x - x once returned an F.1 residual of 4.84e-14
+        # against a bound of 4.83e-14 here
+        model = fit_mogen(generators.random_small_dataset(29855), 2)
+        q = model.trans_p
+        sf, reach = model.expected_visits(), model.reach_totals()
+        assert np.max(np.abs(sf - q.T @ sf - model.start_p)) <= models._TOL * np.max(sf)
+        assert np.max(np.abs(reach - q @ reach - 1.0)) <= models._TOL * np.max(reach)
+
+
 class TestLogLikelihoodAndOrderSelection:
     def test_loglik_single_path_is_zero(self):
         # one deterministic path: every probability is 1
@@ -385,12 +395,26 @@ class TestSerialization:
         lambda doc: {**doc, "trans_counts": [t[:2] for t in doc["trans_counts"]]},
         lambda doc: {**doc, "trans_counts": [[0, 10**6, 1.0]]},
         lambda doc: [doc],
+        lambda doc: {**doc, "trans_counts": [[r, c, -v] for r, c, v in doc["trans_counts"]]},
+        lambda doc: {**doc, "start_counts": [-1.0, *doc["start_counts"][1:]]},
+        lambda doc: {**doc, "end_counts": [float("nan"), *doc["end_counts"][1:]]},
     ], ids=["empty", "no_trans_counts", "states_string", "state_strings", "order_string",
-            "short_start_counts", "short_triplets", "index_out_of_range", "not_object"])
+            "short_start_counts", "short_triplets", "index_out_of_range", "not_object",
+            "negative_transition_count", "negative_start_count", "nan_count"])
     def test_malformed_json_is_data_error(self, mangle):
         doc = json.loads(fit_mogen(generators.toy_dataset(), 2).to_json())
         with pytest.raises(DataError):
             MOGenModel.from_json(json.dumps(mangle(doc)))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_constructor_rejects_bad_counts(self, bad):
+        trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        MOGenModel(1, [("a",), ("b",)], start, trans, end, 1.0)
+        with pytest.raises(DataError, match="finite and non-negative"):
+            MOGenModel(1, [("a",), ("b",)], np.array([1.0, bad]), trans, end, 1.0)
+        with pytest.raises(DataError, match="finite and non-negative"):
+            MOGenModel(1, [("a",), ("b",)], start, trans * bad, end, 1.0)
 
     def test_invalid_json_is_data_error(self):
         with pytest.raises(DataError):
