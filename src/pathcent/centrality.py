@@ -50,13 +50,9 @@ PATH_MEASURES = frozenset(
     {"path_end", "path_continuation", "path_reach", "visitation"}
 )
 
-State = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class CentralityVector:
-    measure: str
-    model_kind: str
     scores: dict  # first-order node -> value
     state_scores: np.ndarray | None = None  # aligned with model.states (mogen, not closeness)
 
@@ -225,10 +221,10 @@ def compute(model, measure: str) -> CentralityVector:
             vals = _network_betweenness(adj)
         else:
             vals = _harmonic_closeness(adj, sp.identity(len(nodes), dtype=bool, format="csr"))
-        return CentralityVector(measure, "network", dict(zip(nodes, vals.tolist())))
+        return CentralityVector(dict(zip(nodes, vals.tolist())))
     if isinstance(model, PathModel):
         scores = sequence_scores(model.dataset, (measure,))[measure]
-        return CentralityVector(measure, "path", {s[0]: v for s, v in scores.items()})
+        return CentralityVector({s[0]: v for s, v in scores.items()})
     if isinstance(model, MOGenModel):
         nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
         if measure == "closeness":
@@ -236,7 +232,7 @@ def compute(model, measure: str) -> CentralityVector:
         else:
             state_vals = mogen_state_scores(model, measure)
             vals = _project_first_order(model, measure, state_vals, last)
-        return CentralityVector(measure, "mogen", dict(zip(nodes.tolist(), vals.tolist())), state_vals)
+        return CentralityVector(dict(zip(nodes.tolist(), vals.tolist())), state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 
@@ -244,7 +240,6 @@ def compute(model, measure: str) -> CentralityVector:
 class EdgeCentralityReport:
     """Centralities of order-2 states above a visitation-share threshold."""
 
-    min_visitation: float
     shares: dict  # order-2 state -> visitation share
     values: dict  # order-2 state -> {measure: value}
 
@@ -267,4 +262,4 @@ def edge_centralities(
         columns["closeness"] = _harmonic_closeness(model.trans_p, start)
     selected = [model.states[i] for i in rows]
     values = {s: {m: float(columns[m][j]) for m in measures} for j, s in enumerate(selected)}
-    return EdgeCentralityReport(min_visitation, dict(zip(selected, shares[rows].tolist())), values)
+    return EdgeCentralityReport(dict(zip(selected, shares[rows].tolist())), values)

@@ -184,7 +184,7 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 @click.option("--measure", "measures", multiple=True, type=click.Choice(cent.MEASURES))
 @click.option("--train-fraction", default=0.3, show_default=True, type=float)
 @click.option("--replicates", default=5, show_default=True, type=int)
-@click.option("--k-truth", default=5, show_default=True, type=int)
+@click.option("--k-truth", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output-dir", required=True, type=click.Path())
 def experiment_cmd(input_path, models, measures, train_fraction, replicates,
@@ -229,7 +229,7 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates,
 @click.option("--k", default="auto", show_default=True,
               help="maximum order, or 'auto' for per-window AIC selection")
 @click.option("--k-max", default=3, show_default=True, type=int)
-@click.option("--top", default=5, show_default=True, type=int)
+@click.option("--top", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--theta-end", default=0.5, show_default=True, type=float)
 @click.option("--consecutive", default=4, show_default=True, type=int)
 @click.option("--theta-role", default=0.05, show_default=True, type=float)

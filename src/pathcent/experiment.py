@@ -19,8 +19,6 @@ from .errors import DataError
 from .models import MOGenModel, fit_mogen, fit_network
 from .pathdata import Path, PathDataset
 
-State = tuple[str, ...]
-
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
 MAX_SPLIT_ATTEMPTS = 100
 

@@ -15,18 +15,19 @@ Three representations of the same path dataset:
   Each solve logs one DEBUG record. That end check runs the package's one
   breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
 
-:func:`fit_mogen` counts each transition once, by its node window, and gives
-each state its row; ``model.states[i]`` is the only state-to-row key, and every
-later layer holds per-state values as arrays over those rows.
+A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts each
+transition once, by its node window, and gives each state its row, or from its
+constructor over such counts; models have no file format. ``model.states[i]``
+is the only state-to-row key, and every later layer holds per-state values as
+arrays over those rows.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,8 +84,9 @@ class PathModel:
 
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
-    absorption column R, fitted by counting encoded transitions. A negative
-    or non-finite count raises :class:`DataError`."""
+    absorption column R, normalised from start, transition and end counts.
+    Stored zero transition counts are dropped from a copy; a negative or
+    non-finite count, or start counts summing to 0, raise :class:`DataError`."""
 
     def __init__(
         self,
@@ -97,16 +99,19 @@ class MOGenModel:
     ):
         self.order = order
         self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
         self.start_counts = start_counts
-        self.trans_counts = trans_counts
+        self.trans_counts = trans_counts = trans_counts.tocsr(copy=True)
+        trans_counts.eliminate_zeros()  # a stored zero is no observed transition
         self.end_counts = end_counts
         self.n_paths = n_paths
         counts = np.concatenate([start_counts, trans_counts.data, end_counts, [n_paths]])
         if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
             raise DataError("counts must be finite and non-negative")
+        n_starts = start_counts.sum()
+        if not n_starts > 0:
+            raise DataError("start counts must sum to more than 0")
 
-        self.start_p = start_counts / start_counts.sum()
+        self.start_p = start_counts / n_starts
         row_tot = np.asarray(trans_counts.sum(axis=1)).ravel() + end_counts
         if np.any(row_tot <= 0):
             raise NumericError("state with no outgoing transitions")
@@ -160,52 +165,6 @@ class MOGenModel:
             + int(np.count_nonzero(self.end_counts))
         )
         return nnz - (self.n_states + 1)
-
-    def to_json(self, out: TextIO | None = None) -> str | None:
-        """Serialize to JSON; probabilities round-trip exactly."""
-        coo = self.trans_counts.tocoo()
-        doc = {
-            "order": self.order,
-            "states": [list(s) for s in self.states],
-            "start_counts": self.start_counts.tolist(),
-            "end_counts": self.end_counts.tolist(),
-            "trans_counts": [
-                [int(r), int(c), float(v)]
-                for r, c, v in zip(coo.row, coo.col, coo.data)
-            ],
-            "n_paths": self.n_paths,
-        }
-        text = json.dumps(doc, sort_keys=True)
-        if out is None:
-            return text
-        out.write(text)
-        return None
-
-    @classmethod
-    def from_json(cls, source: str | TextIO) -> "MOGenModel":
-        """Load a model written by :meth:`to_json`; a missing key or a
-        mis-typed field raises :class:`DataError`."""
-        try:
-            doc = json.loads(source if isinstance(source, str) else source.read())
-            states, triplets = doc["states"], doc["trans_counts"]
-            if not (isinstance(states, list) and all(
-                isinstance(s, list) and all(isinstance(v, str) for v in s) for s in states
-            )):
-                raise TypeError("states must be lists of node labels")
-            if not isinstance(doc["order"], int) or not isinstance(doc["n_paths"], (int, float)):
-                raise TypeError("order and n_paths must be numbers")
-            n = len(states)
-            t = np.asarray(triplets, dtype=float).reshape(len(triplets), 3)
-            return cls(
-                doc["order"],
-                [tuple(s) for s in states],
-                np.asarray(doc["start_counts"], dtype=float).reshape(n),
-                sp.csr_matrix((t[:, 2], (t[:, 0].astype(int), t[:, 1].astype(int))), shape=(n, n)),
-                np.asarray(doc["end_counts"], dtype=float).reshape(n),
-                doc["n_paths"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed model JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def fit_network(ds: PathDataset) -> NetworkModel:

@@ -101,9 +101,6 @@ class PathDataset:
     def has_timestamps(self) -> bool:
         return all(p.start_time is not None for p in self._paths)
 
-    def __iter__(self) -> Iterator[Path]:
-        return iter(self._paths)
-
     def __len__(self) -> int:
         return len(self._paths)
 

@@ -105,7 +105,7 @@ class TestCriterion4Encoding:
         m1 = fit_mogen(ds, 1)
         net = fit_network(ds)
         for (u, v), count in net.edges.items():
-            i, j = m1.index[(u,)], m1.index[(v,)]
+            i, j = m1.states.index((u,)), m1.states.index((v,))
             total = m1.trans_counts[i].sum() + m1.end_counts[i]
             assert m1.trans_p[i, j] == pytest.approx(count / total, abs=1e-12)
 

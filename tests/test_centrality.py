@@ -276,7 +276,7 @@ class TestMOGenStateScores:
         """The per-state array, read by state."""
         vals = mogen_state_scores(self.model, measure)
         assert vals.shape == (self.model.n_states,)
-        return lambda *state: vals[self.model.index[state]]
+        return lambda *state: vals[self.model.states.index(state)]
 
     def test_continuation(self):
         vals = self.scores("path_continuation")
@@ -406,14 +406,14 @@ class TestEdgeCentralities:
         assert sum(starts) == len(rows)
         assert all(starts)  # 1.1 selects nothing, and nothing is searched
         monkeypatch.undo()
-        assert [model.index[s] for s in report.values] == rows
+        assert [model.states.index(s) for s in report.values] == rows
         full = mogen_state_scores(model, "closeness")
         assert [v["closeness"] for v in report.values.values()] == full[rows].tolist()
 
     def test_measures_read_at_selected_rows(self):
         model = fit_mogen(generators.order2_families(seed=1, n_paths=200), 3)
         report = edge_centralities(model, min_visitation=0.0)
-        rows = [model.index[s] for s in report.values]
+        rows = [model.states.index(s) for s in report.values]
         assert rows and all(len(model.states[i]) == 2 for i in rows)
         for measure in MEASURES:
             full = mogen_state_scores(model, measure)

@@ -388,6 +388,14 @@ class TestExperimentCommand:
         assert "no requested measure is supported" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_k_truth_below_one_is_usage_error(self, tmp_path):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN\n")  # a data error (exit 2) once loaded
+        code = main(["experiment", "--input", str(src), "--k-truth", "0",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestSmellsCommand:
     def test_end_to_end(self, smell_files, tmp_path):
@@ -436,6 +444,14 @@ class TestSmellsCommand:
         code = main(["smells", "--platform", f"p={src}", "--window", "5", "--shift", "6",
                      "--output-dir", str(tmp_path / "x")])
         assert code == 1
+
+    def test_top_below_one_is_usage_error(self, tmp_path):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        code = main(["smells", "--platform", f"p={src}", "--top", "0",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("k", ["abc", "2.5", ""])
     def test_non_integer_order_is_usage_error(self, smell_files, tmp_path, k):

@@ -1,7 +1,5 @@
 """Model fitting: encoding, transition counting, block structure, AIC order
-selection, and serialization."""
-import io
-import json
+selection, and the constructor's count checks."""
 import logging
 from collections import Counter
 
@@ -147,9 +145,9 @@ class TestFitMOGen:
 
     def test_start_and_end_probabilities(self):
         model = fit_mogen(generators.toy_dataset(), 2)
-        i_a = model.index[("A",)]
+        i_a = model.states.index(("A",))
         assert model.start_p[i_a] == pytest.approx(0.5)
-        i_de = model.index[("D", "E")]
+        i_de = model.states.index(("D", "E"))
         assert model.end_p[i_de] == pytest.approx(1.0)
 
     def test_rows_are_stochastic(self):
@@ -163,7 +161,7 @@ class TestFitMOGen:
             Path(("a", "b", "d"), 1),
         ])
         model = fit_mogen(ds, 1)
-        i_b, i_c = model.index[("b",)], model.index[("c",)]
+        i_b, i_c = model.states.index(("b",)), model.states.index(("c",))
         assert model.trans_p[i_b, i_c] == pytest.approx(0.75)
 
     def test_expected_visits_on_toy(self):
@@ -173,7 +171,7 @@ class TestFitMOGen:
         # except the shared (C, D) which lies on both  [DERIVED]
         for s in model.states:
             expected = 1.0 if s == ("C", "D") else 0.5
-            assert sf[model.index[s]] == pytest.approx(expected)
+            assert sf[model.states.index(s)] == pytest.approx(expected)
 
     def test_invalid_order(self):
         with pytest.raises(DataError):
@@ -201,14 +199,8 @@ class TestFundamentalMatrix:
         assert np.all(np.isfinite(f))
 
 
-def _closed_cycle_doc() -> dict:
-    """a <-> b with no end counts: no path is ever absorbed."""
-    return {"order": 1, "states": [["a"], ["b"]], "start_counts": [1.0, 0.0],
-            "end_counts": [0.0, 0.0], "trans_counts": [[0, 1, 1.0], [1, 0, 1.0]],
-            "n_paths": 1}
-
-
 def _closed_cycle_direct() -> MOGenModel:
+    """a <-> b with no end counts: no path is ever absorbed."""
     trans = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2), 1.0)
 
@@ -292,10 +284,7 @@ class TestChainSolver:
         fundamental_matrix(fit_mogen(generators.toy_dataset(), 1))  # a new model searches again
         assert len(searches) == 2
 
-    @pytest.mark.parametrize("build", [
-        _closed_cycle_direct,
-        lambda: MOGenModel.from_json(json.dumps(_closed_cycle_doc())),
-    ], ids=["constructor", "from_json"])
+    @pytest.mark.parametrize("build", [_closed_cycle_direct], ids=["constructor"])
     @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])
     def test_non_absorbing_chain_is_numeric_error(self, build, solve):
         model = build()
@@ -374,38 +363,7 @@ class TestLogLikelihoodAndOrderSelection:
             select_order(generators.toy_dataset(), 0)
 
 
-class TestSerialization:
-    def test_json_roundtrip(self):
-        model = fit_mogen(generators.order2_families(seed=4, n_paths=200), 2)
-        text = model.to_json()
-        again = MOGenModel.from_json(text)
-        assert again.states == model.states
-        assert np.array_equal(again.start_p, model.start_p)
-        assert np.array_equal(again.end_p, model.end_p)
-        assert (again.trans_p != model.trans_p).nnz == 0
-        assert again.to_json() == text
-
-    @pytest.mark.parametrize("mangle", [
-        lambda doc: {},
-        lambda doc: {k: v for k, v in doc.items() if k != "trans_counts"},
-        lambda doc: {**doc, "states": "AB"},
-        lambda doc: {**doc, "states": ["A", "B"]},
-        lambda doc: {**doc, "order": "2"},
-        lambda doc: {**doc, "start_counts": doc["start_counts"][:-1]},
-        lambda doc: {**doc, "trans_counts": [t[:2] for t in doc["trans_counts"]]},
-        lambda doc: {**doc, "trans_counts": [[0, 10**6, 1.0]]},
-        lambda doc: [doc],
-        lambda doc: {**doc, "trans_counts": [[r, c, -v] for r, c, v in doc["trans_counts"]]},
-        lambda doc: {**doc, "start_counts": [-1.0, *doc["start_counts"][1:]]},
-        lambda doc: {**doc, "end_counts": [float("nan"), *doc["end_counts"][1:]]},
-    ], ids=["empty", "no_trans_counts", "states_string", "state_strings", "order_string",
-            "short_start_counts", "short_triplets", "index_out_of_range", "not_object",
-            "negative_transition_count", "negative_start_count", "nan_count"])
-    def test_malformed_json_is_data_error(self, mangle):
-        doc = json.loads(fit_mogen(generators.toy_dataset(), 2).to_json())
-        with pytest.raises(DataError):
-            MOGenModel.from_json(json.dumps(mangle(doc)))
-
+class TestConstructor:
     @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
     def test_constructor_rejects_bad_counts(self, bad):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
@@ -416,16 +374,22 @@ class TestSerialization:
         with pytest.raises(DataError, match="finite and non-negative"):
             MOGenModel(1, [("a",), ("b",)], start, trans * bad, end, 1.0)
 
-    def test_invalid_json_is_data_error(self):
-        with pytest.raises(DataError):
-            MOGenModel.from_json("{")
+    def test_stored_zero_counts_are_no_transitions(self):
+        start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        plain = sp.csr_matrix(([2.0], ([0], [1])), shape=(2, 2))
+        zeros = sp.csr_matrix(([2.0, 0.0], ([0, 1], [1, 0])), shape=(2, 2))
+        assert zeros.nnz == 2
+        a = MOGenModel(1, [("a",), ("b",)], start, plain, end, 1.0)
+        b = MOGenModel(1, [("a",), ("b",)], start, zeros, end, 1.0)
+        assert b.log_likelihood() == a.log_likelihood() == 0.0
+        assert b.dof() == a.dof() == 0
+        assert b.trans_p.nnz == a.trans_p.nnz == 1
+        assert zeros.nnz == 2  # the caller's matrix keeps its entries
 
-    def test_json_stream(self):
-        model = fit_mogen(generators.toy_dataset(), 2)
-        buf = io.StringIO()
-        model.to_json(buf)
-        doc = json.loads(buf.getvalue())
-        assert doc["order"] == 2
+    def test_zero_start_counts_are_data_error(self):
+        trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(DataError, match="start counts must sum to more than 0"):
+            MOGenModel(1, [("a",), ("b",)], np.zeros(2), trans, np.array([0.0, 1.0]), 1.0)
 
 
 class TestFitPath:
