@@ -85,8 +85,9 @@ class PathModel:
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
     absorption column R, normalised from start, transition and end counts.
-    Stored zero transition counts are dropped from a copy; a negative or
-    non-finite count, or start counts summing to 0, raise :class:`DataError`."""
+    Stored zero transition counts are dropped from a copy; an order below 1,
+    repeated states, counts not sized to the states, a negative or non-finite
+    count, or start counts summing to 0, raise :class:`DataError`."""
 
     def __init__(
         self,
@@ -99,6 +100,13 @@ class MOGenModel:
     ):
         self.order = order
         self.states = tuple(states)
+        n = len(self.states)
+        if not (isinstance(order, int) and order >= 1):
+            raise DataError("order must be >= 1")
+        if len(set(self.states)) < n:
+            raise DataError("states must be distinct")
+        if np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or trans_counts.shape != (n, n):
+            raise DataError(f"counts must match the {n} states")
         self.start_counts = start_counts
         self.trans_counts = trans_counts = trans_counts.tocsr(copy=True)
         trans_counts.eliminate_zeros()  # a stored zero is no observed transition

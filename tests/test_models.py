@@ -363,7 +363,59 @@ class TestLogLikelihoodAndOrderSelection:
             select_order(generators.toy_dataset(), 0)
 
 
+def _toy_args() -> list:
+    """Constructor arguments of the toy dataset's order-2 fit."""
+    m = fit_mogen(generators.toy_dataset(), 2)
+    return [m.order, list(m.states), m.start_counts, m.trans_counts, m.end_counts, m.n_paths]
+
+
+def _resized(matrix: sp.csr_matrix, shape: tuple) -> sp.csr_matrix:
+    out = matrix.copy()
+    out.resize(shape)
+    return out
+
+
+def _replace(args: list, pos: int, value) -> list:
+    return [value if i == pos else a for i, a in enumerate(args)]
+
+
 class TestConstructor:
+    def test_counts_rebuild_the_fitted_model(self):
+        model = fit_mogen(generators.order2_families(seed=4, n_paths=200), 2)
+        again = MOGenModel(model.order, model.states, model.start_counts, model.trans_counts,
+                           model.end_counts, model.n_paths)
+        assert again.states == model.states
+        assert np.array_equal(again.start_p, model.start_p)
+        assert np.array_equal(again.end_p, model.end_p)
+        assert (again.trans_p != model.trans_p).nnz == 0
+        assert again.log_likelihood() == model.log_likelihood()
+        assert again.dof() == model.dof()
+        assert np.array_equal(again.expected_visits(), model.expected_visits())
+
+    @pytest.mark.parametrize("mangle", [
+        lambda a: _replace(a, 0, 0),
+        lambda a: _replace(a, 0, "2"),
+        lambda a: _replace(a, 1, [*a[1][:-1], a[1][0]]),
+        lambda a: _replace(a, 2, a[2][:-1]),
+        lambda a: _replace(a, 4, a[4][:-1]),
+        lambda a: _replace(a, 2, a[2][:, None]),
+        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]) - 1, len(a[1]) - 1))),
+        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]) + 1, len(a[1]) + 1))),
+        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]), len(a[1]) + 1))),
+        lambda a: _replace(a, 3, a[3] * -1.0),
+        lambda a: _replace(a, 2, np.array([-1.0, *a[2][1:]])),
+        lambda a: _replace(a, 4, np.array([np.nan, *a[4][1:]])),
+        lambda a: _replace(a, 5, -1.0),
+    ], ids=["order_zero", "order_string", "repeated_state", "short_start_counts",
+            "short_end_counts", "column_start_counts", "small_trans", "trans_beyond_states",
+            "non_square_trans", "negative_transition_count", "negative_start_count",
+            "nan_end_count", "negative_n_paths"])
+    def test_malformed_counts_are_data_error(self, mangle):
+        args = _toy_args()
+        MOGenModel(*args)
+        with pytest.raises(DataError):
+            MOGenModel(*mangle(args))
+
     @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
     def test_constructor_rejects_bad_counts(self, bad):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
