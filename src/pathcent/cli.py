@@ -110,9 +110,9 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 @cli.command("centrality")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--model", required=True, type=click.Choice(["network", "path", "mogen"]))
-@click.option("--k", default=2, show_default=True, type=int)
+@click.option("--k", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--auto-order", is_flag=True, help="select K by AIC up to --k-max")
-@click.option("--k-max", default=5, show_default=True, type=int)
+@click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--measure", "measures", multiple=True,
               type=click.Choice(cent.MEASURES), help="default: all measures")
 @click.option("--edges", "edge_report", is_flag=True,
@@ -182,8 +182,9 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--models", default="N,M1,M2,M3,M4,M5,P", show_default=True)
 @click.option("--measure", "measures", multiple=True, type=click.Choice(cent.MEASURES))
-@click.option("--train-fraction", default=0.3, show_default=True, type=float)
-@click.option("--replicates", default=5, show_default=True, type=int)
+@click.option("--train-fraction", default=0.3, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True))
+@click.option("--replicates", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--k-truth", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output-dir", required=True, type=click.Path())
@@ -228,10 +229,10 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates,
 @click.option("--shift", default="3m", show_default=True)
 @click.option("--k", default="auto", show_default=True,
               help="maximum order, or 'auto' for per-window AIC selection")
-@click.option("--k-max", default=3, show_default=True, type=int)
+@click.option("--k-max", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--top", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--theta-end", default=0.5, show_default=True, type=float)
-@click.option("--consecutive", default=4, show_default=True, type=int)
+@click.option("--consecutive", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--theta-role", default=0.05, show_default=True, type=float)
 @click.option("--output-dir", required=True, type=click.Path())
 def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
@@ -241,8 +242,8 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     step = parse_duration(shift)
     if length < step:  # a path starting between two windows would be in neither
         raise click.UsageError("--window must be at least --shift")
-    if k != "auto" and not re.fullmatch(r"-?\d+", k):
-        raise click.UsageError(f"--k expects an integer or 'auto', got {k!r}")
+    if k != "auto" and not (re.fullmatch(r"-?\d+", k) and int(k) >= 1):
+        raise click.UsageError(f"--k expects an integer >= 1 or 'auto', got {k!r}")
     order = None if k == "auto" else int(k)
     parsed = []
     for spec_text in platforms:

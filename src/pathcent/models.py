@@ -15,11 +15,12 @@ Three representations of the same path dataset:
   Each solve logs one DEBUG record. That end check runs the package's one
   breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
 
-A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts each
-transition once, by its node window, and gives each state its row, or from its
-constructor over such counts; models have no file format. ``model.states[i]``
-is the only state-to-row key, and every later layer holds per-state values as
-arrays over those rows.
+A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts states and
+transitions with numpy on the dataset's integer encoding (computed once per
+dataset, so every order fitted on it shares it) and gives each state its row
+in ``(len, labels)`` order, or from its constructor over such counts; models
+have no file format. ``model.states[i]`` is the only state-to-row key, and
+every later layer holds per-state values as arrays over those rows.
 """
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ def encode_path(nodes: Sequence[str], k: int) -> list:
 
     Returns ``[START, (v1,), (v1,v2), ..., sliding K-tuples ..., END]``;
     tuples grow to length ``k`` and then slide. Consecutive states of the walk
-    are the transitions :func:`fit_mogen` counts by their windows.
+    are the transitions :func:`fit_mogen` counts, so the walk is a reference
+    for its fit.
     """
     if k < 1:
         raise DataError("order must be >= 1")
@@ -191,29 +193,37 @@ def fit_path(ds: PathDataset) -> PathModel:
 def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     """Fit a multi-order model of maximum order ``k`` by transition counting.
 
-    The transition into node i is the window ``g = nodes[max(0, i - k) : i + 1]``,
-    from state ``g[:-1]`` to ``g[-k:]``; a path starts in ``nodes[:1]`` and ends
-    in ``nodes[-k:]``. Only observed states and transitions are materialized.
+    The state of node i is ``nodes[max(0, i - k + 1) : i + 1]``; a path starts
+    in the state of its first node, ends in that of its last, and moves into the
+    state of each later node from the one before. On ``ds.encoded``, level j
+    ranks the length-j sequence ending at each node by one ``np.unique`` of
+    (prefix rank * V + node id); as ids follow label order, one ``np.unique`` of
+    (length offset + rank) puts the observed states in ``(len, labels)`` order.
     """
     if k < 1:
         raise DataError("order must be >= 1")
-    start_c: Counter = Counter()
-    end_c: Counter = Counter()
-    windows: Counter = Counter()
-    for p in ds.paths:
-        nodes, w = p.nodes, p.multiplicity
-        start_c[nodes[:1]] += w
-        end_c[nodes[-k:]] += w
-        for i in range(1, len(nodes)):
-            windows[nodes[max(0, i - k) : i + 1]] += w
-    states = sorted(set(start_c).union(g[-k:] for g in windows), key=lambda s: (len(s), s))
-    index = {s: i for i, s in enumerate(states)}
+    ids, lengths, weights = ds.encoded
+    first = np.cumsum(lengths) - lengths  # each path's first node
+    path = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(ids)) - first[path]
+    n_ids = offset = len(ds.vocabulary)
+    rank, key = ids, ids.copy()
+    for j in range(1, k):
+        at = np.flatnonzero(pos >= j)
+        codes, rank_at = np.unique(rank[at - 1] * n_ids + ids[at], return_inverse=True)
+        rank = np.zeros_like(ids)
+        rank[at], key[at] = rank_at, offset + rank_at
+        offset += len(codes)
+    _, seen, state = np.unique(key, return_index=True, return_inverse=True)
+    lo = pos - np.minimum(pos, k - 1)  # the state of node i is nodes[lo[i] : pos[i] + 1]
+    seqs = [p.nodes for p in ds.paths]
+    states = [seqs[p][a : b + 1]
+              for p, a, b in zip(path[seen].tolist(), lo[seen].tolist(), pos[seen].tolist())]
     n = len(states)
-    start, end = np.zeros(n), np.zeros(n)
-    start[[index[s] for s in start_c]] = list(start_c.values())
-    end[[index[s] for s in end_c]] = list(end_c.values())
-    rows, cols = [index[g[:-1]] for g in windows], [index[g[-k:]] for g in windows]
-    trans = sp.csr_matrix((list(map(float, windows.values())), (rows, cols)), shape=(n, n))
+    start = np.bincount(state[first], weights, n)
+    end = np.bincount(state[first + lengths - 1], weights, n)
+    step = np.flatnonzero(pos)  # every node but a path's first
+    trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
     return MOGenModel(k, states, start, trans, end, float(ds.total))
 
 

@@ -12,8 +12,11 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DataError
 
@@ -74,6 +77,7 @@ class PathDataset:
             key=lambda p: (p.nodes, p.start_time is not None, p.start_time or 0),
         ))
         self._vocabulary = frozenset(v for p in self._paths for v in p.nodes)
+        self._total = sum(p.multiplicity for p in self._paths)
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -86,7 +90,17 @@ class PathDataset:
     @property
     def total(self) -> int:
         """Number of path instances, multiplicities included."""
-        return sum(p.multiplicity for p in self._paths)
+        return self._total
+
+    @cached_property
+    def encoded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node ids (in sorted-label order) concatenated over ``paths``, each path's
+        length, and each path's multiplicity as a float; computed once, on first use."""
+        ids = {v: i for i, v in enumerate(sorted(self._vocabulary))}
+        nodes = np.fromiter((ids[v] for p in self._paths for v in p.nodes), np.int64)
+        lengths = np.fromiter(map(len, self._paths), np.int64, len(self._paths))
+        weights = np.fromiter((p.multiplicity for p in self._paths), float, len(self._paths))
+        return nodes, lengths, weights
 
     @property
     def unique(self) -> int:

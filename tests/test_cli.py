@@ -462,6 +462,26 @@ class TestSmellsCommand:
         assert code == 1
 
 
+class TestOptionBounds:
+    @pytest.mark.parametrize("command, options", [
+        ("centrality", ["--model", "network", "--k", "0"]),
+        ("centrality", ["--model", "mogen", "--auto-order", "--k-max", "0"]),
+        ("smells", ["--k", "0"]),
+        ("smells", ["--k", "-2"]),
+        ("smells", ["--k-max", "0"]),
+        ("smells", ["--consecutive", "0"]),
+        ("experiment", ["--replicates", "0"]),
+        ("experiment", ["--train-fraction", "0"]),
+        ("experiment", ["--train-fraction", "1"]),
+    ])
+    def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
+        assert main([command, *where, *options, "--output-dir", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+
+
 class TestDeterminism:
     def _run_twice(self, args, out_a, out_b):
         assert main(args + ["--output-dir", str(out_a)]) == 0

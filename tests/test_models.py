@@ -1,5 +1,6 @@
 """Model fitting: encoding, transition counting, block structure, AIC order
 selection, and the constructor's count checks."""
+import functools
 import logging
 from collections import Counter
 
@@ -132,6 +133,48 @@ class TestFitMatchesWalkOracle:
     def test_generator_corpora(self, corpus, k):
         ds = corpus()
         assert_same_fit(fit_mogen(ds, k), _fit_mogen_oracle(ds, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 7))
+    def test_large_vocabulary(self, data, k):
+        # labels v0..v299 sort as strings (v10 < v9), not as numbers; a drawn
+        # vocabulary size makes both repeated and all-distinct states likely;
+        # counts up to 10**12 sum exactly in float64, not in float32
+        size = data.draw(st.integers(1, 300))
+        label = st.integers(0, size - 1).map("v{}".format)
+        paths = data.draw(st.lists(
+            st.tuples(st.lists(label, min_size=1, max_size=30), st.integers(1, 10**12),
+                      st.none() | st.integers(0, 3)),
+            min_size=1, max_size=40,
+        ))
+        ds = PathDataset([Path(tuple(nodes), m, t) for nodes, m, t in paths])
+        assert_same_fit(fit_mogen(ds, k), _fit_mogen_oracle(ds, k))
+
+
+class TestEncoding:
+    def test_ids_follow_label_order(self):
+        ds = PathDataset([Path(("v9", "v10", "v9"), 2), Path(("b",), 5)])
+        nodes, lengths, weights = ds.encoded
+        assert nodes.tolist() == [0, 2, 1, 2]  # b < v10 < v9
+        assert lengths.tolist() == [1, 3]
+        assert weights.tolist() == [5.0, 2.0]
+
+    def test_encoded_once_per_dataset(self, monkeypatch):
+        calls = []
+
+        def counted(ds):
+            calls.append(ds)
+            return encoded(ds)
+
+        encoded = PathDataset.encoded.func
+        prop = functools.cached_property(counted)
+        prop.__set_name__(PathDataset, "encoded")
+        monkeypatch.setattr(PathDataset, "encoded", prop)
+        ds = generators.order2_families(seed=2, n_paths=300)
+        first = fit_mogen(ds, 2)
+        assert select_order(ds, 3) >= 1
+        assert_same_fit(fit_mogen(ds, 2), first)
+        assert calls == [ds]
 
 
 class TestFitMOGen:
