@@ -167,9 +167,8 @@ def mogen_state_scores(model: MOGenModel, measure: str) -> np.ndarray:
     """
     sf = model.expected_visits()
     r = model.end_p
-    s0 = model.start_p
     if measure == "betweenness":
-        vals = (sf - s0) * (1.0 - r) * model.n_paths
+        vals = (sf - model.start_p) * (1.0 - r) * model.n_paths
     elif measure == "path_end":
         vals = sf * r
     elif measure == "path_continuation":
@@ -185,17 +184,18 @@ def mogen_state_scores(model: MOGenModel, measure: str) -> np.ndarray:
     return vals
 
 
-def _mogen_fo_closeness(model: MOGenModel, last: np.ndarray) -> np.ndarray:
+def _mogen_fo_closeness(model: MOGenModel) -> np.ndarray:
     """First-order harmonic closeness over the multi-order topology: one
-    search per node id of ``last`` (per state, the id of its last node),
-    starting from every state that ends in it."""
+    search per node of ``model.node_index``, starting from every state whose
+    last node it is; the states that end in a node form its group."""
+    nodes, last, _ = model.node_index
     n = model.n_states
-    start = sp.csr_matrix((np.ones(n, dtype=bool), (last, np.arange(n))), shape=(last.max() + 1, n))
+    start = sp.csr_matrix((np.ones(n, dtype=bool), (last, np.arange(n))), shape=(len(nodes), n))
     return _harmonic_closeness(model.trans_p, start, last)
 
 
-def _project_first_order(model: MOGenModel, measure: str, state_vals: np.ndarray,
-                         last: np.ndarray) -> np.ndarray:
+def _project_first_order(model: MOGenModel, measure: str, state_vals: np.ndarray) -> np.ndarray:
+    last = model.node_index[1]
     if measure in ("betweenness", "path_end", "visitation"):
         return np.bincount(last, state_vals)
     sf = model.expected_visits()
@@ -226,13 +226,12 @@ def compute(model, measure: str) -> CentralityVector:
         scores = sequence_scores(model.dataset, (measure,))[measure]
         return CentralityVector({s[0]: v for s, v in scores.items()})
     if isinstance(model, MOGenModel):
-        nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
         if measure == "closeness":
-            state_vals, vals = None, _mogen_fo_closeness(model, last)
+            state_vals, vals = None, _mogen_fo_closeness(model)
         else:
             state_vals = mogen_state_scores(model, measure)
-            vals = _project_first_order(model, measure, state_vals, last)
-        return CentralityVector(dict(zip(nodes.tolist(), vals.tolist())), state_vals)
+            vals = _project_first_order(model, measure, state_vals)
+        return CentralityVector(dict(zip(model.node_index[0], vals.tolist())), state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 
@@ -255,7 +254,7 @@ def edge_centralities(
         raise DataError("edge centralities require a model of order >= 2")
     sf = model.expected_visits()
     shares = sf / sf.sum()
-    rows = np.flatnonzero((shares >= min_visitation) & [len(s) == 2 for s in model.states])
+    rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))
     columns = {m: mogen_state_scores(model, m)[rows] for m in measures if m != "closeness"}
     if "closeness" in measures and len(rows):
         start = sp.identity(model.n_states, dtype=bool, format="csr")[rows]

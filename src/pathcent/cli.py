@@ -27,12 +27,11 @@ _DURATION_UNITS = {"s": 1, "d": 86400, "m": 30 * 86400, "y": 365 * 86400}
 
 
 def parse_duration(text: str) -> int:
-    """'800', '800s', '90d', '3m' (30-day months), '1y' (365-day years)."""
+    """'800', '800s', '90d', '3m' (30-day months), '1y' (365-day years); never 0."""
     match = re.fullmatch(r"(\d+)([sdmy]?)", text.strip())
-    if not match:
-        raise click.UsageError(f"bad duration {text!r}")
-    value, unit = match.groups()
-    return int(value) * _DURATION_UNITS[unit or "s"]
+    if not match or int(match[1]) == 0:
+        raise click.UsageError(f"bad duration {text!r}: expected a positive count of s, d, m or y")
+    return int(match[1]) * _DURATION_UNITS[match[2] or "s"]
 
 
 def _sha256(path: str) -> str:
@@ -80,6 +79,7 @@ def ingest(input_path, fmt, delta, delimiter, output_dir):
     """Normalize raw input into the canonical path format plus stats JSON."""
     if fmt == "temporal-edges" and delta is None:
         raise click.UsageError("--delta is required with --format temporal-edges")
+    window = parse_duration(delta) if fmt == "temporal-edges" else None
     config = {
         "command": "ingest", "format": fmt, "delta": delta,
         "delimiter": delimiter,
@@ -89,7 +89,7 @@ def ingest(input_path, fmt, delta, delimiter, output_dir):
             ds = pathdata.parse_paths(fh, delimiter)
         elif fmt == "temporal-edges":
             edges = pathdata.read_temporal_edges(fh, delimiter)
-            ds = pathdata.extract_paths(edges, parse_duration(delta))
+            ds = pathdata.extract_paths(edges, window)
         else:
             ds = pathdata.paths_from_actions(pathdata.read_actions(fh, delimiter))
     out = FsPath(output_dir)
@@ -141,8 +141,7 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
             click.echo(f"selected order K={k}")
         fitted = fit_mogen(ds, k)
         config["k"] = k
-        order = sorted(range(fitted.n_states), key=fitted.states.__getitem__)
-        keys = ["|".join(fitted.states[i]) for i in order]
+        keys = ["|".join(s) for s in fitted.states]  # in row order; the JSON sorts them
 
     results: dict = {}
     for measure in measures:
@@ -153,17 +152,15 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
             continue
         results[measure] = {"first_order": dict(sorted(vec.scores.items()))}
         if vec.state_scores is not None:
-            results[measure]["states"] = dict(zip(keys, vec.state_scores[order].tolist()))
+            results[measure]["states"] = dict(zip(keys, vec.state_scores.tolist()))
     if not results:
         raise DataError("no requested measure is supported by this model")
     computed = list(results)
 
     if edge_report:
         report = cent.edge_centralities(fitted, measures=computed, min_visitation=min_visitation)
-        results["edges"] = {
-            "|".join(s): {"visitation_share": report.shares[s], **report.values[s]}
-            for s in sorted(report.values)
-        }
+        results["edges"] = {"|".join(s): {"visitation_share": report.shares[s], **values}
+                            for s, values in report.values.items()}
 
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)

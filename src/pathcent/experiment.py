@@ -138,7 +138,7 @@ def _predictions(model, measure: str) -> dict:
         values = vec.state_scores
         if values is None:  # closeness reports no per-state values from compute
             values = centrality.mogen_state_scores(model, measure)
-        scores.update((s, val) for s, val in zip(model.states, values.tolist()) if len(s) >= 2)
+        scores.update((s, v) for s, v, n in zip(model.states, values.tolist(), model.node_index[2]) if n >= 2)
     return scores
 
 

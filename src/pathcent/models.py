@@ -19,8 +19,8 @@ A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts states and
 transitions with numpy on the dataset's integer encoding (computed once per
 dataset, so every order fitted on it shares it) and gives each state its row
 in ``(len, labels)`` order, or from its constructor over such counts; models
-have no file format. ``model.states[i]`` is the only state-to-row key, and
-every later layer holds per-state values as arrays over those rows.
+have no file format. ``model.states[i]`` is the only state-to-row key; later
+layers hold per-state arrays over the rows and read ``model.node_index``.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +99,6 @@ class MOGenModel:
         start_counts: np.ndarray,
         trans_counts: sp.csr_matrix,
         end_counts: np.ndarray,
-        n_paths: float,
     ):
         self.order = order
         self.states = tuple(states)
@@ -113,15 +113,14 @@ class MOGenModel:
         self.trans_counts = trans_counts = trans_counts.tocsr(copy=True)
         trans_counts.eliminate_zeros()  # a stored zero is no observed transition
         self.end_counts = end_counts
-        self.n_paths = n_paths
-        counts = np.concatenate([start_counts, trans_counts.data, end_counts, [n_paths]])
+        counts = np.concatenate([start_counts, trans_counts.data, end_counts])
         if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
             raise DataError("counts must be finite and non-negative")
-        n_starts = start_counts.sum()
-        if not n_starts > 0:
+        self.n_paths = start_counts.sum()  # every path starts exactly once
+        if not self.n_paths > 0:
             raise DataError("start counts must sum to more than 0")
 
-        self.start_p = start_counts / n_starts
+        self.start_p = start_counts / self.n_paths
         row_tot = np.asarray(trans_counts.sum(axis=1)).ravel() + end_counts
         if np.any(row_tot <= 0):
             raise NumericError("state with no outgoing transitions")
@@ -143,6 +142,13 @@ class MOGenModel:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def node_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Sorted last-node labels; per row, its last node's id and its state length."""
+        ends = [s[-1] for s in self.states]
+        ids = {v: i for i, v in enumerate(sorted(set(ends)))}
+        return list(ids), np.array([ids[v] for v in ends]), np.array([len(s) for s in self.states])
 
     def expected_visits(self) -> np.ndarray:
         """S . F -- expected number of visits to each state on a random path."""
@@ -224,7 +230,7 @@ def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     end = np.bincount(state[first + lengths - 1], weights, n)
     step = np.flatnonzero(pos)  # every node but a path's first
     trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
-    return MOGenModel(k, states, start, trans, end, float(ds.total))
+    return MOGenModel(k, states, start, trans, end)
 
 
 def fundamental_matrix(model: MOGenModel) -> np.ndarray:

@@ -198,9 +198,7 @@ def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDat
         if len(fields) > 3:
             raise DataError(f"line {lineno}: too many fields")
         paths.append(Path(nodes, mult, start_time))
-    if not paths:
-        raise DataError("empty dataset")
-    return PathDataset(paths)
+    return PathDataset(paths)  # which raises "empty dataset" when no line holds a path
 
 
 def write_paths(ds: PathDataset, out: TextIO, delimiter: str = ",") -> None:

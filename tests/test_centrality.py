@@ -17,7 +17,7 @@ from pathcent import (
     fit_network,
     fit_path,
 )
-from pathcent import centrality, models
+from pathcent import centrality, experiment, models
 from pathcent.centrality import (
     MEASURES,
     compute,
@@ -418,3 +418,16 @@ class TestEdgeCentralities:
         for measure in MEASURES:
             full = mogen_state_scores(model, measure)
             assert [v[measure] for v in report.values.values()] == full[rows].tolist()
+
+
+class TestNodeIndexOnce:
+    def test_derived_once_per_model(self, monkeypatch):
+        prop = models.MOGenModel.__dict__["node_index"]
+        derived = []
+        monkeypatch.setattr(prop, "func", lambda m, derive=prop.func: derived.append(m) or derive(m))
+        model = fit_mogen(generators.order2_families(seed=2, n_paths=200), 3)
+        for measure in MEASURES:
+            compute(model, measure)
+            experiment._predictions(model, measure)
+        edge_centralities(model, min_visitation=0.0)
+        assert derived == [model]

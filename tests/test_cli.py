@@ -63,6 +63,13 @@ class TestParseDuration:
         with pytest.raises(click.UsageError):
             parse_duration("3 weeks")
 
+    @pytest.mark.parametrize("text", ["0", "0s", "00d", "0y"])
+    def test_zero_duration_is_usage_error(self, text):
+        import click
+
+        with pytest.raises(click.UsageError, match="positive"):
+            parse_duration(text)
+
 
 class TestIngest:
     def test_paths_format(self, paths_file, tmp_path):
@@ -151,7 +158,8 @@ def _write_json_oracle(path, meta, results):
 
 
 def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitation, out):
-    """The writer that kept every value in a row list beside the JSON dicts."""
+    """The writer that kept every value in a row list beside the JSON dicts,
+    with the per-state rows of each measure in the model's row order."""
     ds = load_dataset(input_path)
     config = {
         "command": "centrality", "model": model, "k": k, "auto_order": False, "k_max": 5,
@@ -163,8 +171,7 @@ def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitati
         fitted = fit_path(ds)
     else:
         fitted = fit_mogen(ds, k)
-        order = sorted(range(fitted.n_states), key=fitted.states.__getitem__)
-        keys = ["|".join(fitted.states[i]) for i in order]
+        keys = ["|".join(s) for s in fitted.states]
     rows, json_results, skipped = [], {}, []
     for measure in measures:
         try:
@@ -176,7 +183,7 @@ def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitati
             rows.append((measure, model, node, vec.scores[node]))
         json_results[measure] = {"first_order": {n: vec.scores[n] for n in sorted(vec.scores)}}
         if vec.state_scores is not None:
-            vals = vec.state_scores[order].tolist()
+            vals = vec.state_scores.tolist()
             rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
             json_results[measure]["states"] = dict(zip(keys, vals))
     if edge_report:
@@ -255,6 +262,21 @@ class TestWritersMatchOracles:
 
 
 class TestCentralityCommand:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_state_rows_follow_model_rows(self, order2_file, tmp_path, k):
+        args = ["centrality", "--input", order2_file, "--model", "mogen", "--k", str(k)]
+        assert main(args + ["--output-dir", str(tmp_path)]) == 0
+        model = fit_mogen(load_dataset(order2_file), k)
+        nodes = model.node_index[0]
+        written = {m: [] for m in MEASURES}
+        for line in (tmp_path / "centrality.csv").read_text().splitlines()[2:]:
+            measure, _, state, _ = line.split(",")
+            written[measure].append(state)
+        for measure, states in written.items():
+            assert states[:len(nodes)] == nodes  # first-order rows, sorted
+            per_state = [] if measure == "closeness" else ["|".join(s) for s in model.states]
+            assert states[len(nodes):] == per_state
+
     def test_mogen_report(self, paths_file, tmp_path):
         out = tmp_path / "cent"
         code = main([
@@ -473,10 +495,14 @@ class TestOptionBounds:
         ("experiment", ["--replicates", "0"]),
         ("experiment", ["--train-fraction", "0"]),
         ("experiment", ["--train-fraction", "1"]),
+        ("smells", ["--shift", "0"]),
+        ("smells", ["--window", "0", "--shift", "0"]),
+        ("ingest", ["--format", "temporal-edges", "--delta", "0"]),
+        ("ingest", ["--format", "temporal-edges", "--delta", "3 weeks"]),
     ])
     def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
         src = tmp_path / "bad.paths"
-        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded, also as edges
         where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
         assert main([command, *where, *options, "--output-dir", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()

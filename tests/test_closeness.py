@@ -117,10 +117,10 @@ def identity(n):
 
 
 def first_order_start(model):
-    nodes, last = np.unique([s[-1] for s in model.states], return_inverse=True)
+    nodes, last, _ = model.node_index
     n = model.n_states
     start = sp.csr_matrix((np.ones(n, dtype=bool), (last, np.arange(n))), shape=(len(nodes), n))
-    return nodes.tolist(), start, last
+    return nodes, start, last
 
 
 CORPORA = {

@@ -92,7 +92,7 @@ def _fit_mogen_oracle(ds, k):
     rows = [index[a] for a, _ in trans_c]
     cols = [index[b] for _, b in trans_c]
     trans = sp.csr_matrix((list(map(float, trans_c.values())), (rows, cols)), shape=(n, n))
-    return MOGenModel(k, states, start, trans, end, float(ds.total))
+    return MOGenModel(k, states, start, trans, end)
 
 
 def assert_same_fit(got, want):
@@ -245,7 +245,7 @@ class TestFundamentalMatrix:
 def _closed_cycle_direct() -> MOGenModel:
     """a <-> b with no end counts: no path is ever absorbed."""
     trans = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2), 1.0)
+    return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2))
 
 
 def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
@@ -258,7 +258,7 @@ def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
     trans = sp.csr_matrix((rng.random(len(rows)) + 0.1, (rows, cols)), shape=(n, n))
     start = np.zeros(n)
     start[0] = 1.0
-    return MOGenModel(1, [(f"s{i}",) for i in range(n)], start, trans, np.zeros(n), 1.0)
+    return MOGenModel(1, [(f"s{i}",) for i in range(n)], start, trans, np.zeros(n))
 
 
 def _slow_chain() -> MOGenModel:
@@ -345,7 +345,7 @@ class TestChainSolver:
         # a ends half the time; b <-> c, entered from a, never end
         trans = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
         model = MOGenModel(1, [("a",), ("b",), ("c",)], np.array([1.0, 0.0, 0.0]), trans,
-                           np.array([1.0, 0.0, 0.0]), 1.0)
+                           np.array([1.0, 0.0, 0.0]))
         with pytest.raises(NumericError, match="never reaches the end"):
             fundamental_matrix(model)
 
@@ -409,7 +409,7 @@ class TestLogLikelihoodAndOrderSelection:
 def _toy_args() -> list:
     """Constructor arguments of the toy dataset's order-2 fit."""
     m = fit_mogen(generators.toy_dataset(), 2)
-    return [m.order, list(m.states), m.start_counts, m.trans_counts, m.end_counts, m.n_paths]
+    return [m.order, list(m.states), m.start_counts, m.trans_counts, m.end_counts]
 
 
 def _resized(matrix: sp.csr_matrix, shape: tuple) -> sp.csr_matrix:
@@ -424,9 +424,11 @@ def _replace(args: list, pos: int, value) -> list:
 
 class TestConstructor:
     def test_counts_rebuild_the_fitted_model(self):
-        model = fit_mogen(generators.order2_families(seed=4, n_paths=200), 2)
+        ds = generators.order2_families(seed=4, n_paths=200)
+        model = fit_mogen(ds, 2)
+        assert model.n_paths == ds.total  # every path starts exactly once
         again = MOGenModel(model.order, model.states, model.start_counts, model.trans_counts,
-                           model.end_counts, model.n_paths)
+                           model.end_counts)
         assert again.states == model.states
         assert np.array_equal(again.start_p, model.start_p)
         assert np.array_equal(again.end_p, model.end_p)
@@ -448,11 +450,10 @@ class TestConstructor:
         lambda a: _replace(a, 3, a[3] * -1.0),
         lambda a: _replace(a, 2, np.array([-1.0, *a[2][1:]])),
         lambda a: _replace(a, 4, np.array([np.nan, *a[4][1:]])),
-        lambda a: _replace(a, 5, -1.0),
     ], ids=["order_zero", "order_string", "repeated_state", "short_start_counts",
             "short_end_counts", "column_start_counts", "small_trans", "trans_beyond_states",
             "non_square_trans", "negative_transition_count", "negative_start_count",
-            "nan_end_count", "negative_n_paths"])
+            "nan_end_count"])
     def test_malformed_counts_are_data_error(self, mangle):
         args = _toy_args()
         MOGenModel(*args)
@@ -463,19 +464,19 @@ class TestConstructor:
     def test_constructor_rejects_bad_counts(self, bad):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        MOGenModel(1, [("a",), ("b",)], start, trans, end, 1.0)
+        MOGenModel(1, [("a",), ("b",)], start, trans, end)
         with pytest.raises(DataError, match="finite and non-negative"):
-            MOGenModel(1, [("a",), ("b",)], np.array([1.0, bad]), trans, end, 1.0)
+            MOGenModel(1, [("a",), ("b",)], np.array([1.0, bad]), trans, end)
         with pytest.raises(DataError, match="finite and non-negative"):
-            MOGenModel(1, [("a",), ("b",)], start, trans * bad, end, 1.0)
+            MOGenModel(1, [("a",), ("b",)], start, trans * bad, end)
 
     def test_stored_zero_counts_are_no_transitions(self):
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         plain = sp.csr_matrix(([2.0], ([0], [1])), shape=(2, 2))
         zeros = sp.csr_matrix(([2.0, 0.0], ([0, 1], [1, 0])), shape=(2, 2))
         assert zeros.nnz == 2
-        a = MOGenModel(1, [("a",), ("b",)], start, plain, end, 1.0)
-        b = MOGenModel(1, [("a",), ("b",)], start, zeros, end, 1.0)
+        a = MOGenModel(1, [("a",), ("b",)], start, plain, end)
+        b = MOGenModel(1, [("a",), ("b",)], start, zeros, end)
         assert b.log_likelihood() == a.log_likelihood() == 0.0
         assert b.dof() == a.dof() == 0
         assert b.trans_p.nnz == a.trans_p.nnz == 1
@@ -484,7 +485,49 @@ class TestConstructor:
     def test_zero_start_counts_are_data_error(self):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
         with pytest.raises(DataError, match="start counts must sum to more than 0"):
-            MOGenModel(1, [("a",), ("b",)], np.zeros(2), trans, np.array([0.0, 1.0]), 1.0)
+            MOGenModel(1, [("a",), ("b",)], np.zeros(2), trans, np.array([0.0, 1.0]))
+
+
+#: Labels whose sort order differs from their length or first letter.
+INDEX_LABELS = ["a", "b", "B", "v9", "v10", "Zoë", "é"]
+
+
+@st.composite
+def labelled_corpora(draw):
+    """Paths of 1-7 nodes over ``INDEX_LABELS``, multiplicities 1-3."""
+    paths = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(INDEX_LABELS), min_size=1, max_size=7),
+                  st.integers(1, 3)),
+        min_size=1, max_size=10,
+    ))
+    return PathDataset([Path(tuple(nodes), m) for nodes, m in paths])
+
+
+def _shuffled(model: MOGenModel, seed: int) -> MOGenModel:
+    """The model rebuilt by its constructor with its rows in a random order."""
+    perm = np.random.default_rng(seed).permutation(model.n_states)
+    return MOGenModel(model.order, [model.states[i] for i in perm], model.start_counts[perm],
+                      model.trans_counts[perm][:, perm], model.end_counts[perm])
+
+
+class TestNodeIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_corpora(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_rows_give_their_last_node_and_length(self, ds, k, seed):
+        fitted = fit_mogen(ds, k)
+        assert fitted.node_index[0] == sorted(ds.vocabulary)
+        for model in (fitted, _shuffled(fitted, seed)):
+            nodes, last, lengths = model.node_index
+            assert nodes == sorted(set(nodes))
+            assert [nodes[i] for i in last.tolist()] == [s[-1] for s in model.states]
+            assert lengths.tolist() == [len(s) for s in model.states]
+
+    def test_constructor_states_in_any_order(self):
+        trans = sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 1])), shape=(3, 3))
+        model = MOGenModel(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]), trans,
+                           np.array([1.0, 1.0, 0.0]))
+        nodes, last, lengths = model.node_index
+        assert (nodes, last.tolist(), lengths.tolist()) == (["a", "c"], [0, 1, 0], [2, 1, 1])
 
 
 class TestFitPath:
