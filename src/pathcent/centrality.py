@@ -18,23 +18,21 @@ One sparse breadth-first search (:func:`pathcent.models._first_reached`)
 serves closeness on network and multi-order models, Brandes betweenness on
 the network model, and the models' absorbing check.
 
-Path-model values (and the experiment's ground truth) come from one scan of
-the observed paths that counts every sub-path occurrence up to a maximum
-length; the closeness distance between two sequences is the fewest
-transitions from an occurrence of one to a later occurrence of the other on
-the same path, read off the last-seen position of each sequence.
+Path-model values (and the experiment's ground truth) are counted on the
+dataset's integer encoding over every sub-path occurrence up to a maximum
+length. Closeness sums, exactly per sequence, 1/d over the fewest transitions
+d from an occurrence of it to a later occurrence of another on the same path.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import MOGenModel, NetworkModel, PathModel, _first_reached
+from .models import MOGenModel, NetworkModel, PathModel, _first_reached, _keyed_sequences, _sequence_levels
 from .pathdata import PathDataset
 
 MEASURES = (
@@ -49,6 +47,8 @@ MEASURES = (
 PATH_MEASURES = frozenset(
     {"path_end", "path_continuation", "path_reach", "visitation"}
 )
+#: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
+_PAIR_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,57 +62,70 @@ class CentralityVector:
 
 def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
     """Path-data centralities of every node sequence up to ``max_len``:
-    ``{measure: {sequence: value}}`` for each of ``measures``, from one scan
-    of the paths.
-
-    With ``max_len=1`` these are the path-model node centralities; larger
-    values score higher-order sequences by their sub-path occurrences.
-    Closeness of s sums 1/d over every other sequence t, where d is the
-    fewest transitions from an occurrence of s to a later occurrence of t on
-    one path (between occurrence end positions).
-    """
+    ``{measure: {sequence: value}}`` for each of ``measures``, counted by
+    ``np.bincount`` over the occurrences of :func:`~pathcent.models._sequence_levels`.
+    With ``max_len=1`` these are the path-model node centralities. Closeness of
+    s sums 1/d over every other sequence t, where d is the fewest transitions
+    from an occurrence of s to a later occurrence of t on one path (between
+    occurrence end positions)."""
     for m in measures:
         if m not in MEASURES:
             raise DataError(f"unknown measure {m!r}")
-    weights: dict = defaultdict(int)
-    for p in ds.paths:
-        weights[p.nodes] += p.multiplicity
-    occ, end_occ, interior, reach_sum = (defaultdict(int) for _ in range(4))
-    dist: dict = {}  # s -> {t: fewest transitions from s to a later t}
-    closeness = "closeness" in measures
-    for nodes, w in weights.items():
-        l = len(nodes)
-        last: dict = {}  # sequence -> end position of its latest occurrence
-        for j in range(l):
-            ends = [nodes[j - m + 1 : j + 1] for m in range(1, min(max_len, j + 1) + 1)]
-            if closeness:
-                # the latest earlier occurrence of s is the nearest one
-                for s, a in last.items():
-                    row, d = dist[s], j - a
-                    for t in ends:
-                        if d < row.get(t, math.inf):
-                            row[t] = d
-                for t in ends:
-                    dist.setdefault(t, {})
-                    last[t] = j
-            for m, s in enumerate(ends, 1):
-                occ[s] += w
-                reach_sum[s] += w * (l - 1 - j)
-                if j == l - 1:
-                    end_occ[s] += w
-                if j - m + 1 >= 1 and j <= l - 2:
-                    interior[s] += w
-    n, total = ds.total, sum(occ.values())
+    _, _, lengths, weights = ds.encoded
+    _, path, pos, levels = _sequence_levels(ds, max_len)
+    # one occurrence per (end node, length), level-major and by node within a level
+    at = np.concatenate([a for a, _ in levels])
+    size = np.repeat(np.arange(1, len(levels) + 1), [len(a) for a, _ in levels])
+    sid, seqs = _keyed_sequences(ds, np.concatenate([key for _, key in levels]), path[at], pos[at], size)
+    n, j, last, w = len(seqs), pos[at], lengths[path[at]] - 1, weights[path[at]]
+    occ = np.bincount(sid, w, n)
+    end_occ = np.bincount(sid, w * (j == last), n)
     value = {
-        "betweenness": lambda s: float(interior[s]),
-        # fsum is exact, so the sum does not depend on dict order
-        "closeness": lambda s: math.fsum(1.0 / d for t, d in dist[s].items() if t != s),
-        "path_end": lambda s: end_occ[s] / n,
-        "path_continuation": lambda s: 1.0 - end_occ[s] / occ[s],
-        "path_reach": lambda s: reach_sum[s] / occ[s],
-        "visitation": lambda s: occ[s] / total,
+        "betweenness": lambda: np.bincount(sid, w * ((j >= size) & (j < last)), n),
+        "closeness": lambda: _sequence_closeness(sid, at, at + last - j, n),
+        "path_end": lambda: end_occ / ds.total,
+        "path_continuation": lambda: 1.0 - end_occ / occ,
+        "path_reach": lambda: np.bincount(sid, w * (last - j), n) / occ,
+        "visitation": lambda: occ / occ.sum(),
     }
-    return {m: {s: value[m](s) for s in occ} for m in measures}
+    return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
+
+
+def _sequence_closeness(sid, at, stop, n: int) -> np.ndarray:
+    """Closeness of the ``n`` sequences; an occurrence of ``sid`` ends at node ``at``
+    of a path ending at ``stop``. As in a scan keeping each sequence's latest end,
+    an occurrence of s at a pairs with those ending after a, up to the next of s,
+    at distance node - a. Pairs come in batches of whole sequences, ``_PAIR_CELLS``
+    or one sequence's (one per occurrence at most); one sort of their (s, t) codes
+    keeps the fewest transitions per pair, and ``math.fsum`` sums exactly per s."""
+    by_node = np.argsort(at, kind="stable")
+    tsid, tnode = sid[by_node], at[by_node]
+    tstart = np.searchsorted(tnode, np.arange(tnode[-1] + 2))  # targets by end node
+    by_seq = np.argsort(sid, kind="stable")  # by sequence, then by node
+    s, a, stop = sid[by_seq], at[by_seq], stop[by_seq]
+    again = (s[1:] == s[:-1]) & (a[1:] <= stop[:-1])  # s occurs again on the path
+    stop[:-1][again] = a[1:][again]
+    lo, count = tstart[a + 1], tstart[stop + 1] - tstart[a + 1]
+    pre = np.concatenate([[0], np.cumsum(count)])  # pairs before each occurrence
+    starts = np.searchsorted(s, np.arange(n + 1))  # each sequence's first occurrence
+    out, x, cum = np.zeros(n), 0, pre[starts]
+    while x < n:
+        y = max(x + 1, int(np.searchsorted(cum, cum[x] + _PAIR_CELLS, "right")) - 1)
+        b, e = starts[x], starts[y]
+        src = np.repeat(np.arange(b, e), count[b:e])
+        t = np.repeat(lo[b:e] - pre[b:e], count[b:e]) + np.arange(pre[b], pre[e])
+        other = tsid[t] != s[src]
+        src, t = src[other], t[other]
+        code = s[src] * n + tsid[t]
+        order = np.argsort(code)
+        code, d = code[order], (tnode[t] - a[src])[order]
+        heads = np.flatnonzero(np.diff(code, prepend=-1))
+        code, inv = code[heads] // n, (1.0 / np.minimum.reduceat(d, heads)).tolist()
+        heads = np.flatnonzero(np.diff(code, prepend=-1))
+        bounds = np.append(heads, len(code)).tolist()
+        out[code[heads]] = [math.fsum(inv[i:j]) for i, j in zip(bounds, bounds[1:])]
+        x = y
+    return out
 
 
 # ---------------------------------------------------------------------------

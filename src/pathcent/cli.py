@@ -77,8 +77,8 @@ def cli():
 @click.option("--output-dir", required=True, type=click.Path())
 def ingest(input_path, fmt, delta, delimiter, output_dir):
     """Normalize raw input into the canonical path format plus stats JSON."""
-    if fmt == "temporal-edges" and delta is None:
-        raise click.UsageError("--delta is required with --format temporal-edges")
+    if (fmt == "temporal-edges") != (delta is not None):
+        raise click.UsageError("--delta is required with, and applies only to, --format temporal-edges")
     window = parse_duration(delta) if fmt == "temporal-edges" else None
     config = {
         "command": "ingest", "format": fmt, "delta": delta,
@@ -259,10 +259,9 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
         ds = load_dataset(path)
         if not ds.has_timestamps:
             raise DataError(f"platform {name}: paths are missing timestamps")
-        windows = pathdata.rolling_windows(ds, length, step)
-        series_list.append(
-            smells.windowed_centralities(windows, order, k_max=k_max, platform=name)
-        )
+        series_list.append(smells.windowed_centralities(
+            pathdata.rolling_windows(ds, length, step), order, k_max=k_max, platform=name))
+        del ds  # the next platform loads once this corpus, its windows and encoding are freed
     scores = smells.deviation_scores(series_list)
     ranked = smells.rank_members(scores, top)
     by_member = {d.member: d for d in scores}

@@ -17,7 +17,7 @@ import numpy as np
 from . import centrality
 from .errors import DataError
 from .models import MOGenModel, fit_mogen, fit_network
-from .pathdata import Path, PathDataset
+from .pathdata import PathDataset
 
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
 MAX_SPLIT_ATTEMPTS = 100
@@ -50,10 +50,10 @@ class AUCResult:
 def split(ds: PathDataset, fraction: float, seed):
     """Assign each path instance independently to train with ``fraction``.
 
-    Multiplicities are unrolled so a repeated path can straddle the split;
-    each side holds one ``Path`` per path with its count of instances (the
-    input's own object when all of them fall on that side). Degenerate draws
-    (either side empty) retry with the next sub-seed, ``MAX_SPLIT_ATTEMPTS`` times.
+    Multiplicities are unrolled so a repeated path can straddle the split; each
+    side is a row subset of ``ds`` that keeps a path's object when all of its
+    instances fall on that side. Degenerate draws (either side empty) retry
+    with the next sub-seed, ``MAX_SPLIT_ATTEMPTS`` times.
     """
     counts = np.array([p.multiplicity for p in ds.paths])
     owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance
@@ -65,8 +65,7 @@ def split(ds: PathDataset, fraction: float, seed):
         mask = rng.random(len(owner)) < fraction
         if mask.any() and not mask.all():
             train = np.bincount(owner[mask], minlength=len(counts))
-            return tuple(PathDataset(p if c == p.multiplicity else Path(p.nodes, c, p.start_time)
-                                     for p, c in zip(ds.paths, side.tolist()) if c)
+            return tuple(ds._subset(np.flatnonzero(side), side[side > 0])
                          for side in (train, counts - train))
     raise DataError("could not produce a non-degenerate split")
 

@@ -15,12 +15,12 @@ Three representations of the same path dataset:
   Each solve logs one DEBUG record. That end check runs the package's one
   breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
 
-A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts states and
-transitions with numpy on the dataset's integer encoding (computed once per
-dataset, so every order fitted on it shares it) and gives each state its row
-in ``(len, labels)`` order, or from its constructor over such counts; models
-have no file format. ``model.states[i]`` is the only state-to-row key; later
-layers hold per-state arrays over the rows and read ``model.node_index``.
+A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
+the integer encoding that a corpus computes once and its windows and split
+sides share, and gives each state its row in ``(len, labels)`` order, or from
+its constructor over such counts; models have no file format.
+``model.states[i]`` is the only state-to-row key; later layers hold per-state
+arrays over the rows and read ``model.node_index``.
 """
 from __future__ import annotations
 
@@ -199,38 +199,54 @@ def fit_path(ds: PathDataset) -> PathModel:
 def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     """Fit a multi-order model of maximum order ``k`` by transition counting.
 
-    The state of node i is ``nodes[max(0, i - k + 1) : i + 1]``; a path starts
-    in the state of its first node, ends in that of its last, and moves into the
-    state of each later node from the one before. On ``ds.encoded``, level j
-    ranks the length-j sequence ending at each node by one ``np.unique`` of
-    (prefix rank * V + node id); as ids follow label order, one ``np.unique`` of
-    (length offset + rank) puts the observed states in ``(len, labels)`` order.
+    The state of node i is ``nodes[max(0, i - k + 1) : i + 1]``, keyed by
+    :func:`_sequence_levels`, so states take rows in ``(len, labels)`` order. A
+    path starts in the state of its first node, ends in that of its last, and
+    moves into the state of each later node from the one before.
     """
-    if k < 1:
-        raise DataError("order must be >= 1")
-    ids, lengths, weights = ds.encoded
-    first = np.cumsum(lengths) - lengths  # each path's first node
-    path = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(len(ids)) - first[path]
-    n_ids = offset = len(ds.vocabulary)
-    rank, key = ids, ids.copy()
-    for j in range(1, k):
-        at = np.flatnonzero(pos >= j)
-        codes, rank_at = np.unique(rank[at - 1] * n_ids + ids[at], return_inverse=True)
-        rank = np.zeros_like(ids)
-        rank[at], key[at] = rank_at, offset + rank_at
-        offset += len(codes)
-    _, seen, state = np.unique(key, return_index=True, return_inverse=True)
-    lo = pos - np.minimum(pos, k - 1)  # the state of node i is nodes[lo[i] : pos[i] + 1]
-    seqs = [p.nodes for p in ds.paths]
-    states = [seqs[p][a : b + 1]
-              for p, a, b in zip(path[seen].tolist(), lo[seen].tolist(), pos[seen].tolist())]
+    _, _, lengths, weights = ds.encoded
+    first, path, pos, levels = _sequence_levels(ds, k)
+    key = np.empty_like(pos)
+    for at, level_key in levels:
+        key[at] = level_key
+    state, states = _keyed_sequences(ds, key, path, pos, np.minimum(pos + 1, k))
     n = len(states)
     start = np.bincount(state[first], weights, n)
     end = np.bincount(state[first + lengths - 1], weights, n)
     step = np.flatnonzero(pos)  # every node but a path's first
     trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
     return MOGenModel(k, states, start, trans, end)
+
+
+def _sequence_levels(ds: PathDataset, k: int):
+    """Each path's first node, each node's path and position, and per length
+    m = 1..k the nodes of ``ds.encoded`` where a length-m sequence ends with its
+    key, in (length, labels) order: level m ranks (level m-1 rank of the node
+    before * number of labels + node id) by one ``np.unique``, so no code overflows."""
+    if k < 1:
+        raise DataError("order must be >= 1")
+    labels, ids, lengths, _ = ds.encoded
+    first = np.cumsum(lengths) - lengths
+    path = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(ids)) - first[path]
+    at, rank, offset = np.arange(len(ids)), ids.copy(), len(labels)
+    levels = [(at, ids)]
+    for m in range(2, k + 1):
+        at = at[pos[at] >= m - 1]
+        codes, rank_at = np.unique(rank[at - 1] * len(labels) + ids[at], return_inverse=True)
+        rank[at] = rank_at  # read only where level m + 1 looks back
+        levels.append((at, offset + rank_at))
+        offset += len(codes)
+    return first, path, pos, levels
+
+
+def _keyed_sequences(ds: PathDataset, key, path, pos, size):
+    """Each entry's index into the distinct ``key``s, and per distinct key the
+    ``size`` nodes of ``ds.paths[path]`` ending at position ``pos``."""
+    _, seen, index = np.unique(key, return_index=True, return_inverse=True)
+    seqs = [p.nodes for p in ds.paths]
+    ends = zip(path[seen].tolist(), pos[seen].tolist(), size[seen].tolist())
+    return index, [seqs[i][j - m + 1 : j + 1] for i, j, m in ends]
 
 
 def fundamental_matrix(model: MOGenModel) -> np.ndarray:

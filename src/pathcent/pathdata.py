@@ -1,15 +1,15 @@
 """Path datasets: parsing, temporal path extraction, rolling windows, statistics.
 
 A path is an ordered node sequence with a multiplicity and an optional start
-timestamp. Datasets are immutable after construction and merge identical
-(sequence, start_time) entries by summing multiplicities. A path is validated
-once, when it is built; datasets keep the ``Path`` objects they are given.
+timestamp. Datasets are immutable and merge identical (sequence, start_time)
+entries by summing multiplicities; a path is validated once, when it is built.
+Windows and split sides are row subsets that keep a dataset's paths and encoding.
 """
 from __future__ import annotations
 
 import logging
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,11 +58,10 @@ class Path:
 
 
 class PathDataset:
-    """An immutable multiset of paths over a shared vocabulary.
+    """An immutable multiset of paths over a shared vocabulary, sorted by key.
 
-    An input :class:`Path` whose ``(nodes, start_time)`` key occurs once is
-    kept as it is, so a window or a split side validates nothing again; a
-    key that merges gets one new ``Path`` with the summed multiplicity.
+    An input :class:`Path` whose ``(nodes, start_time)`` key occurs once is kept
+    as it is; a key that merges gets one new ``Path`` with the summed multiplicity.
     """
 
     def __init__(self, paths: Iterable[Path]):
@@ -93,14 +92,32 @@ class PathDataset:
         return self._total
 
     @cached_property
-    def encoded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node ids (in sorted-label order) concatenated over ``paths``, each path's
-        length, and each path's multiplicity as a float; computed once, on first use."""
-        ids = {v: i for i, v in enumerate(sorted(self._vocabulary))}
+    def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted labels (a derived dataset's are its parent's), node ids into them
+        over ``paths``, each path's length and its multiplicity as a float; on first use."""
+        labels = sorted(self._vocabulary)
+        ids = {v: i for i, v in enumerate(labels)}
         nodes = np.fromiter((ids[v] for p in self._paths for v in p.nodes), np.int64)
         lengths = np.fromiter(map(len, self._paths), np.int64, len(self._paths))
         weights = np.fromiter((p.multiplicity for p in self._paths), float, len(self._paths))
-        return nodes, lengths, weights
+        return labels, nodes, lengths, weights
+
+    def _subset(self, rows: np.ndarray, counts: np.ndarray | None = None) -> PathDataset:
+        """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
+        their own: nothing is merged, sorted or validated again, a path is rebuilt
+        only if its count changes, and the encoding is gathered with its ids."""
+        labels, nodes, lengths, weights = self.encoded
+        paths = [self._paths[i] for i in rows.tolist()]
+        if counts is not None:
+            paths = [p if c == p.multiplicity else Path(p.nodes, c, p.start_time)
+                     for p, c in zip(paths, counts.tolist())]
+        out = PathDataset.__new__(PathDataset)
+        out._paths, out._total = tuple(paths), sum(p.multiplicity for p in paths)
+        kept = np.repeat(np.bincount(rows, minlength=len(lengths)) > 0, lengths)
+        out.encoded = (labels, nodes[kept], lengths[rows],
+                       weights[rows] if counts is None else counts.astype(float))
+        out._vocabulary = frozenset(labels[i] for i in np.unique(out.encoded[1]).tolist())
+        return out
 
     @property
     def unique(self) -> int:
@@ -272,22 +289,20 @@ def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlic
     shift granularity; windows advance by ``shift`` up to the maximum
     start_time. A path belongs to a window iff start <= t < start + length,
     so with ``length < shift`` a path may fall between two windows. Empty
-    windows are kept, with ``dataset`` set to None.
-
-    The paths are sorted once by start time, and each window is the index
-    range of that order found by bisection; its dataset keeps the corpus's
-    ``Path`` objects.
+    windows are kept, with ``dataset`` set to None. Each window is the row
+    subset of ``ds`` in a ``searchsorted`` range of one stable start-time order.
     """
     if length <= 0 or shift <= 0:
         raise DataError("window length and shift must be > 0")
     if not ds.has_timestamps:
         raise DataError("rolling windows require timestamps on every path")
-    by_time = sorted(ds.paths, key=lambda p: p.start_time)
-    times = [p.start_time for p in by_time]
+    times = np.array([p.start_time for p in ds.paths])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
     out = []
-    for start in range(times[0] // shift * shift, times[-1] + 1, shift):
-        members = by_time[bisect_left(times, start) : bisect_left(times, start + length)]
-        out.append(WindowSlice(start, PathDataset(members) if members else None))
+    for start in range(int(times[0]) // shift * shift, int(times[-1]) + 1, shift):
+        lo, hi = np.searchsorted(times, [start, start + length])
+        out.append(WindowSlice(start, ds._subset(np.sort(order[lo:hi])) if hi > lo else None))
     return out
 
 

@@ -136,6 +136,10 @@ class TestSequenceScores:
             with pytest.raises(DataError, match="'pagerank'"):
                 sequence_scores(generators.toy_dataset(), measures)
 
+    def test_max_len_below_one(self):
+        with pytest.raises(DataError, match="must be >= 1"):
+            sequence_scores(generators.toy_dataset(), MEASURES, max_len=0)
+
     def test_one_scan_returns_every_requested_measure(self):
         ds = generators.random_small_dataset(3)
         scores = sequence_scores(ds, MEASURES, max_len=3)
@@ -214,10 +218,51 @@ def _sequence_scores_oracle(ds, measure, max_len):
     return {s: occ[s] / total for s in occ}
 
 
-# small vocabularies, so sequences repeat within a path
+def _sequence_scores_scan(ds, measures, max_len):
+    """The one-scan tuple walk ``sequence_scores`` replaced: per path, the end
+    position of the latest occurrence of every sequence seen so far, and a
+    dict of fewest distances per source sequence."""
+    weights = defaultdict(int)
+    for p in ds.paths:
+        weights[p.nodes] += p.multiplicity
+    occ, end_occ, interior, reach_sum = (defaultdict(int) for _ in range(4))
+    dist = {}  # s -> {t: fewest transitions from s to a later t}
+    for nodes, w in weights.items():
+        l = len(nodes)
+        last = {}  # sequence -> end position of its latest occurrence
+        for j in range(l):
+            ends = [nodes[j - m + 1 : j + 1] for m in range(1, min(max_len, j + 1) + 1)]
+            for s, a in last.items():  # the latest earlier occurrence of s is the nearest one
+                row, d = dist[s], j - a
+                for t in ends:
+                    if d < row.get(t, math.inf):
+                        row[t] = d
+            for t in ends:
+                dist.setdefault(t, {})
+                last[t] = j
+            for m, s in enumerate(ends, 1):
+                occ[s] += w
+                reach_sum[s] += w * (l - 1 - j)
+                if j == l - 1:
+                    end_occ[s] += w
+                if j - m + 1 >= 1 and j <= l - 2:
+                    interior[s] += w
+    n, total = ds.total, sum(occ.values())
+    value = {
+        "betweenness": lambda s: float(interior[s]),
+        "closeness": lambda s: math.fsum(1.0 / d for t, d in dist[s].items() if t != s),
+        "path_end": lambda s: end_occ[s] / n,
+        "path_continuation": lambda s: 1.0 - end_occ[s] / occ[s],
+        "path_reach": lambda s: reach_sum[s] / occ[s],
+        "visitation": lambda s: occ[s] / total,
+    }
+    return {m: {s: value[m](s) for s in occ} for m in measures}
+
+
+# small vocabularies and long paths, so sequences repeat often within a path
 _corpora = st.lists(
     st.tuples(
-        st.lists(st.sampled_from("abc"), min_size=1, max_size=9).map(tuple),
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=30).map(tuple),
         st.integers(1, 4),
     ),
     min_size=1,
@@ -229,7 +274,7 @@ class TestSequenceScoresOracle:
     @settings(max_examples=300, deadline=None)
     @given(
         paths=_corpora,
-        max_len=st.integers(1, 5),
+        max_len=st.integers(1, 6),
         measures=st.sets(st.sampled_from(MEASURES), min_size=1).map(sorted),
     )
     def test_matches_pair_scan(self, paths, max_len, measures):
@@ -239,10 +284,32 @@ class TestSequenceScoresOracle:
         for m in measures:
             want = _sequence_scores_oracle(ds, m, max_len)
             assert got[m].keys() == want.keys()
-            if m == "closeness":
+            if m == "closeness":  # the pair scan sums in its own order, without fsum
                 assert all(math.isclose(got[m][s], want[s], rel_tol=1e-12) for s in want)
             else:
                 assert got[m] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(paths=_corpora, max_len=st.integers(1, 6),
+           times=st.lists(st.none() | st.integers(0, 2), min_size=8, max_size=8))
+    def test_equals_latest_occurrence_scan(self, paths, max_len, times):
+        # start times split a node sequence over several rows
+        ds = PathDataset(Path(nodes, w, t) for (nodes, w), t in zip(paths, times))
+        assert sequence_scores(ds, MEASURES, max_len) == _sequence_scores_scan(ds, MEASURES, max_len)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_batches_do_not_change_results(self, monkeypatch, cells):
+        corpora = [generators.random_small_dataset(3),
+                   generators.first_order_walks(4, n_paths=60, n_nodes=3, stop_p=0.05, max_len=30)]
+        want = [sequence_scores(ds, MEASURES, 4) for ds in corpora]
+        monkeypatch.setattr(centrality, "_PAIR_CELLS", cells)
+        assert [sequence_scores(ds, MEASURES, 4) for ds in corpora] == want
+
+    def test_derived_datasets_score_like_fresh_ones(self):
+        ds = generators.order2_families(seed=5, n_paths=300)
+        for side in experiment.split(ds, 0.4, seed=2):
+            fresh = PathDataset(side.paths)
+            assert sequence_scores(side, MEASURES, 3) == sequence_scores(fresh, MEASURES, 3)
 
 
 class TestNetworkModel:

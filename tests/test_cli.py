@@ -499,6 +499,8 @@ class TestOptionBounds:
         ("smells", ["--window", "0", "--shift", "0"]),
         ("ingest", ["--format", "temporal-edges", "--delta", "0"]),
         ("ingest", ["--format", "temporal-edges", "--delta", "3 weeks"]),
+        ("ingest", ["--format", "paths", "--delta", "10s"]),
+        ("ingest", ["--format", "actions", "--delta", "10s"]),
     ])
     def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
         src = tmp_path / "bad.paths"
@@ -506,6 +508,41 @@ class TestOptionBounds:
         where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
         assert main([command, *where, *options, "--output-dir", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()
+
+
+class TestDatasetsBuiltOnce:
+    """Windows and split sides are row subsets of the loaded corpus, so a
+    ``PathDataset`` is constructed only where a corpus is read."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        init = pathcent.PathDataset.__init__
+
+        def spy(ds, paths):
+            built.append(ds)
+            init(ds, paths)
+
+        monkeypatch.setattr(pathcent.PathDataset, "__init__", spy)
+        return built
+
+    def test_smells_builds_one_dataset_per_platform(self, smell_files, tmp_path, built):
+        args = ["smells", "--platform", f"p1={smell_files[0]}", "--platform", f"p2={smell_files[1]}",
+                "--window", "200", "--shift", "100", "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert len(built) == 2
+
+    def test_experiment_builds_the_loaded_dataset_only(self, order2_file, tmp_path, built):
+        args = ["experiment", "--input", order2_file, "--models", "N,M2,P", "--replicates", "3",
+                "--k-truth", "2", "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert len(built) == 1
+
+    def test_evaluate_builds_no_dataset(self, built):
+        ds = generators.order2_families(seed=0, n_paths=200)
+        del built[:]
+        exp.evaluate(ds, exp.SplitSpec(0.3, replicates=2), models=("M1", "P"), k_truth=2)
+        assert built == []
 
 
 class TestDeterminism:

@@ -154,7 +154,8 @@ class TestFitMatchesWalkOracle:
 class TestEncoding:
     def test_ids_follow_label_order(self):
         ds = PathDataset([Path(("v9", "v10", "v9"), 2), Path(("b",), 5)])
-        nodes, lengths, weights = ds.encoded
+        labels, nodes, lengths, weights = ds.encoded
+        assert labels == ["b", "v10", "v9"]
         assert nodes.tolist() == [0, 2, 1, 2]  # b < v10 < v9
         assert lengths.tolist() == [1, 3]
         assert weights.tolist() == [5.0, 2.0]

@@ -2,7 +2,10 @@
 import io
 import re
 import statistics
+from bisect import bisect_left
 from collections import defaultdict
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +18,11 @@ from pathcent import (
     PathDataset,
     TemporalEdge,
     extract_paths,
+    fit_mogen,
     parse_paths,
     paths_from_actions,
     rolling_windows,
+    split,
     stats,
 )
 from pathcent.pathdata import read_actions, read_temporal_edges, write_paths
@@ -318,6 +323,79 @@ def _rolling_windows_oracle(ds, length, shift):
         out.append((start, PathDataset(members) if members else None))
         start += shift
     return out
+
+
+def _rolling_windows_bisect(ds, length, shift):
+    """The windowing ``rolling_windows`` replaced: paths sorted by start time,
+    each window a bisected range of them, merged again by ``PathDataset``."""
+    by_time = sorted(ds.paths, key=lambda p: p.start_time)
+    times = [p.start_time for p in by_time]
+    out = []
+    for start in range(times[0] // shift * shift, times[-1] + 1, shift):
+        members = by_time[bisect_left(times, start) : bisect_left(times, start + length)]
+        out.append((start, PathDataset(members) if members else None))
+    return out
+
+
+def _assert_same_dataset(got, want):
+    """Same paths, vocabulary, total and fits of orders 1-3 as a fresh dataset."""
+    assert got.paths == want.paths
+    assert got.vocabulary == want.vocabulary
+    assert got.total == want.total
+    for k in (1, 2, 3):
+        a, b = fit_mogen(got, k), fit_mogen(want, k)
+        assert a.states == b.states
+        assert np.array_equal(a.start_counts, b.start_counts)
+        assert np.array_equal(a.end_counts, b.end_counts)
+        assert np.array_equal(a.trans_counts.toarray(), b.trans_counts.toarray())
+
+
+# timestamped paths whose (nodes, start_time) keys repeat, so the corpus merges them
+_timestamped = st.lists(
+    st.builds(Path, st.lists(st.sampled_from("abcd"), min_size=1, max_size=6).map(tuple),
+              st.integers(1, 4), st.integers(-20, 20)),
+    min_size=1, max_size=30,
+)
+
+
+class TestDerivedDatasets:
+    @settings(max_examples=150, deadline=None)
+    @given(_timestamped, st.integers(1, 25), st.integers(1, 25))
+    def test_windows_equal_fresh_datasets(self, paths, length, shift):
+        ds = PathDataset(paths + paths[:3])
+        got = rolling_windows(ds, length, shift)
+        want = _rolling_windows_bisect(ds, length, shift)
+        assert [(w.start, w.empty) for w in got] == [(start, d is None) for start, d in want]
+        for w, (_, d) in zip(got, want):
+            if d is not None:
+                _assert_same_dataset(w.dataset, d)
+                assert all(p is q for p, q in zip(w.dataset.paths, d.paths))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_timestamped, st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_split_sides_equal_fresh_datasets(self, paths, fraction, seed):
+        ds = PathDataset(paths + paths[:3])
+        if ds.total < 2:
+            return
+        try:
+            sides = split(ds, fraction, seed)
+        except DataError:
+            return  # no non-degenerate draw
+        assert sum(side.total for side in sides) == ds.total
+        for side in sides:
+            _assert_same_dataset(side, PathDataset(side.paths))
+
+    def test_encoding_is_gathered_from_the_parent(self):
+        ds = PathDataset([Path(("b", "c"), 2, 0), Path(("a",), 1, 5), Path(("c", "a", "c"), 3, 9)])
+        labels, nodes, lengths, weights = ds.encoded
+        window = rolling_windows(ds, 8, 4)[1].dataset  # starts 5 and 9, not 0
+        assert window.paths == (ds.paths[0], ds.paths[2])
+        assert window.encoded[0] is labels  # ids stay the corpus's
+        assert window.encoded[1].tolist() == [0, 2, 0, 2]
+        assert window.encoded[2].tolist() == [1, 3]
+        assert window.encoded[3].tolist() == [1.0, 3.0]
+        assert window.vocabulary == {"a", "c"} and window.total == 4
+        assert fit_mogen(window, 2).states == fit_mogen(PathDataset(window.paths), 2).states
 
 
 class TestRollingWindows:
