@@ -33,20 +33,8 @@ import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
 from .models import MOGenModel, NetworkModel, PathModel, _first_reached, _keyed_sequences, _sequence_levels
-from .pathdata import PathDataset
+from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
-MEASURES = (
-    "betweenness",
-    "closeness",
-    "path_end",
-    "path_continuation",
-    "path_reach",
-    "visitation",
-)
-#: Measures that require path start/end information.
-PATH_MEASURES = frozenset(
-    {"path_end", "path_continuation", "path_reach", "visitation"}
-)
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
 _PAIR_CELLS = 1 << 14
 

@@ -4,6 +4,9 @@ Outputs are file-based and reproducible: every output embeds the run
 configuration and a content hash of its inputs, and reruns with identical
 config, inputs, and seed produce byte-identical files.
 
+Each command imports the layers it runs in its own body, so ``--help``, usage
+errors and ``ingest`` load neither numpy nor scipy.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -17,11 +20,8 @@ from pathlib import Path as FsPath
 
 import click
 
-from . import centrality as cent
-from . import experiment as exp
-from . import pathdata, smells
+from . import pathdata
 from .errors import DataError, NumericError, UnsupportedMeasureError
-from .models import fit_mogen, fit_network, fit_path, select_order
 
 _DURATION_UNITS = {"s": 1, "d": 86400, "m": 30 * 86400, "y": 365 * 86400}
 
@@ -79,6 +79,8 @@ def ingest(input_path, fmt, delta, delimiter, output_dir):
     """Normalize raw input into the canonical path format plus stats JSON."""
     if (fmt == "temporal-edges") != (delta is not None):
         raise click.UsageError("--delta is required with, and applies only to, --format temporal-edges")
+    if not delimiter:
+        raise click.UsageError("--delimiter must not be empty")
     window = parse_duration(delta) if fmt == "temporal-edges" else None
     config = {
         "command": "ingest", "format": fmt, "delta": delta,
@@ -114,7 +116,7 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 @click.option("--auto-order", is_flag=True, help="select K by AIC up to --k-max")
 @click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--measure", "measures", multiple=True,
-              type=click.Choice(cent.MEASURES), help="default: all measures")
+              type=click.Choice(pathdata.MEASURES), help="default: all measures")
 @click.option("--edges", "edge_report", is_flag=True,
               help="also report order-2 state centralities (mogen, K>=2)")
 @click.option("--min-visitation", default=0.02, show_default=True, type=float)
@@ -124,7 +126,10 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
     """Compute centrality reports for one model family."""
     if edge_report and model != "mogen":
         raise click.UsageError("--edges requires --model mogen")
-    measures = tuple(dict.fromkeys(measures or cent.MEASURES))
+    from . import centrality as cent
+    from .models import fit_mogen, fit_network, fit_path, select_order
+
+    measures = tuple(dict.fromkeys(measures or pathdata.MEASURES))
     ds = load_dataset(input_path)
     config = {
         "command": "centrality", "model": model, "k": k,
@@ -178,7 +183,7 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 @cli.command("experiment")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--models", default="N,M1,M2,M3,M4,M5,P", show_default=True)
-@click.option("--measure", "measures", multiple=True, type=click.Choice(cent.MEASURES))
+@click.option("--measure", "measures", multiple=True, type=click.Choice(pathdata.MEASURES))
 @click.option("--train-fraction", default=0.3, show_default=True,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--replicates", default=5, show_default=True, type=click.IntRange(min=1))
@@ -188,7 +193,9 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 def experiment_cmd(input_path, models, measures, train_fraction, replicates,
                    k_truth, seed, output_dir):
     """Top-decile AUC prediction experiment across model families."""
-    measures = tuple(dict.fromkeys(measures or cent.MEASURES))
+    from . import experiment as exp
+
+    measures = tuple(dict.fromkeys(measures or pathdata.MEASURES))
     model_labels = list(dict.fromkeys(m.strip() for m in models.split(",") if m.strip()))
     for label in model_labels:
         exp.parse_model_label(label)
@@ -242,20 +249,26 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     if k != "auto" and not (re.fullmatch(r"-?\d+", k) and int(k) >= 1):
         raise click.UsageError(f"--k expects an integer >= 1 or 'auto', got {k!r}")
     order = None if k == "auto" else int(k)
-    parsed = []
+    parsed: dict[str, str] = {}
     for spec_text in platforms:
-        if "=" not in spec_text:
-            raise click.UsageError("--platform expects NAME=PATHFILE")
-        name, _, path = spec_text.partition("=")
-        parsed.append((name, path))
+        name, eq, path = spec_text.partition("=")
+        if not (eq and name):
+            raise click.UsageError(f"--platform expects NAME=PATHFILE, got {spec_text!r}")
+        if name in parsed:  # deviation scores key platforms by name
+            raise click.UsageError(f"--platform {name} is given more than once")
+        if not FsPath(path).is_file():
+            raise click.UsageError(f"--platform {name}: {path!r} is not a file")
+        parsed[name] = path
     config = {
-        "command": "smells", "platforms": [f"{n}={p}" for n, p in parsed],
+        "command": "smells", "platforms": [f"{n}={p}" for n, p in parsed.items()],
         "window": window, "shift": shift, "k": k, "k_max": k_max, "top": top,
         "theta_end": theta_end, "consecutive": consecutive,
         "theta_role": theta_role,
     }
+    from . import smells
+
     series_list = []
-    for name, path in parsed:
+    for name, path in parsed.items():
         ds = load_dataset(path)
         if not ds.has_timestamps:
             raise DataError(f"platform {name}: paths are missing timestamps")
@@ -268,7 +281,7 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
 
     out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, [p for _, p in parsed])
+    meta = _meta(config, list(parsed.values()))
     report = {
         "ranked_members": ranked,
         "scores": {

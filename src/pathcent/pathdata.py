@@ -4,6 +4,7 @@ A path is an ordered node sequence with a multiplicity and an optional start
 timestamp. Datasets are immutable and merge identical (sequence, start_time)
 entries by summing multiplicities; a path is validated once, when it is built.
 Windows and split sides are row subsets that keep a dataset's paths and encoding.
+Only the encoding and the windows import numpy, so ingest runs without it.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TextIO
-
-import numpy as np
 
 from .errors import DataError
 
@@ -31,6 +30,11 @@ RESERVED = frozenset({START, END})
 #: Separators of state keys (``|``), labels (``,``) and fields (``;``) in
 #: outputs, and a leading ``#``, which marks a header line in a path file.
 BAD_LABEL = re.compile(r"[|,;]|^#", re.MULTILINE)
+
+#: The centrality measures (:mod:`pathcent.centrality`), here so that the CLI needs no numpy.
+MEASURES = ("betweenness", "closeness", "path_end", "path_continuation", "path_reach", "visitation")
+#: Measures that require path start/end information.
+PATH_MEASURES = frozenset(MEASURES) - {"betweenness", "closeness"}
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,8 @@ class PathDataset:
     def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         """The sorted labels (a derived dataset's are its parent's), node ids into them
         over ``paths``, each path's length and its multiplicity as a float; on first use."""
+        import numpy as np
+
         labels = sorted(self._vocabulary)
         ids = {v: i for i, v in enumerate(labels)}
         nodes = np.fromiter((ids[v] for p in self._paths for v in p.nodes), np.int64)
@@ -106,6 +112,8 @@ class PathDataset:
         """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
         their own: nothing is merged, sorted or validated again, a path is rebuilt
         only if its count changes, and the encoding is gathered with its ids."""
+        import numpy as np
+
         labels, nodes, lengths, weights = self.encoded
         paths = [self._paths[i] for i in rows.tolist()]
         if counts is not None:
@@ -184,8 +192,10 @@ def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDat
     Identical lines are merged with summed multiplicities. Lines starting
     with ``#`` are headers and skipped; blank lines are skipped with a
     warning; malformed count or timestamp fields raise :class:`DataError`
-    with the line number in the source.
+    with the line number in the source, as does an empty ``delimiter``.
     """
+    if not delimiter:
+        raise DataError("empty delimiter")
     paths = []
     for lineno, raw in enumerate(source, start=1):
         if raw.startswith("#"):
@@ -296,6 +306,8 @@ def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlic
         raise DataError("window length and shift must be > 0")
     if not ds.has_timestamps:
         raise DataError("rolling windows require timestamps on every path")
+    import numpy as np
+
     times = np.array([p.start_time for p in ds.paths])
     order = np.argsort(times, kind="stable")
     times = times[order]
@@ -349,7 +361,10 @@ def read_actions(source: TextIO | Iterable[str], delimiter: str = ",") -> list[A
 def _read_triples(source: TextIO | Iterable[str], delimiter: str, columns: str,
                   empty_message: str) -> Iterator[tuple[str, str, int]]:
     """Yield ``(a, b, time)`` per ``columns`` line. Blank lines and a header on
-    line 1 are skipped; a bad line, or no line at all, raises :class:`DataError`."""
+    line 1 are skipped; a bad line, no line at all, or an empty ``delimiter``
+    raises :class:`DataError`."""
+    if not delimiter:
+        raise DataError("empty delimiter")
     empty = True
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()

@@ -1,9 +1,11 @@
 """CLI pipeline: commands, exit codes, embedded metadata, determinism."""
+import importlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -501,12 +503,33 @@ class TestOptionBounds:
         ("ingest", ["--format", "temporal-edges", "--delta", "3 weeks"]),
         ("ingest", ["--format", "paths", "--delta", "10s"]),
         ("ingest", ["--format", "actions", "--delta", "10s"]),
+        ("ingest", ["--format", "paths", "--delimiter", ""]),
+        ("ingest", ["--format", "temporal-edges", "--delta", "10s", "--delimiter", ""]),
+        ("ingest", ["--format", "actions", "--delimiter", ""]),
     ])
     def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
         src = tmp_path / "bad.paths"
         src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded, also as edges
         where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
         assert main([command, *where, *options, "--output-dir", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("specs, named", [
+        (["={src}"], "'={src}'"),
+        (["jira={src}", "jira={src}"], "--platform jira "),
+        (["mail={src}", "jira={src}", "jira={other}"], "--platform jira "),
+        (["jira={tmp}/missing.paths"], "--platform jira: "),
+        (["jira={tmp}"], "--platform jira: "),
+        (["jira="], "--platform jira: "),
+    ], ids=["empty-name", "repeated-name", "repeated-later", "missing-file", "directory", "no-file"])
+    def test_bad_platform_is_usage_error_before_loading(self, tmp_path, capsys, specs, named):
+        src, other = tmp_path / "bad.paths", tmp_path / "other.paths"
+        for path in (src, other):
+            path.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        fill = {"src": src, "other": other, "tmp": tmp_path}
+        platforms = [arg for spec in specs for arg in ("--platform", spec.format(**fill))]
+        assert main(["smells", *platforms, "--output-dir", str(tmp_path / "x")]) == 1
+        assert named.format(**fill) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
@@ -583,6 +606,25 @@ def _run_python(args, hash_seed="0"):
                           text=True, check=True)
 
 
+#: Runs each argument list of argv[1] through main() in one interpreter and
+#: prints, after the import and after each run, [exit code, numpy/scipy loaded].
+_ARRAY_LIBRARIES_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+from pathcent.cli import main
+
+seen = [[0, loaded()]]
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([main(args)])
+    seen[-1].append(loaded())
+print(json.dumps(seen))
+"""
+
+
 class TestFreshInterpreter:
     def test_smells_byte_identical_across_hash_seeds(self, smell_files, tmp_path):
         outputs = []
@@ -607,6 +649,66 @@ class TestFreshInterpreter:
             "-c", f"import sys, pathcent.cli; print([m for m in {modules!r} if m in sys.modules])",
         ])
         assert result.stdout.strip() == "[]"
+
+    def test_only_the_commands_that_need_them_load_numpy_and_scipy(self, tmp_path):
+        inputs = {"paths": "a,b,c;3;0\nb,c;1;5\n", "temporal-edges": "a,b,0\nb,c,5\n",
+                  "actions": "t1,ann,0\nt1,bob,10\n"}
+        steps = [["--help"], ["ingest", "--input", "x", "--format", "paths", "--output-dir", "y"],
+                 ["centrality", "--input", str(tmp_path), "--model", "path", "--edges", "--output-dir", "y"]]
+        for fmt, text in inputs.items():
+            (tmp_path / fmt).write_text(text)
+            delta = ["--delta", "10s"] if fmt == "temporal-edges" else []
+            steps.append(["ingest", "--input", str(tmp_path / fmt), "--format", fmt, *delta,
+                          "--output-dir", str(tmp_path / f"ingest-{fmt}")])
+        steps.append(["centrality", "--input", str(tmp_path / "ingest-paths" / "dataset.paths"),
+                      "--model", "mogen", "--output-dir", str(tmp_path / "mogen")])
+        seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
+        # the import, --help, two usage errors, three ingests; then the mogen control
+        assert seen == [[0, []], [0, []], [1, []], [1, []], [0, []], [0, []], [0, []],
+                        [0, ["numpy", "scipy"]]]
+
+
+class TestLazyExports:
+    """``pathcent`` resolves its exports on first access; the names and objects
+    are those it bound eagerly before."""
+
+    ALL = [
+        "AUCResult", "ActionRecord", "CentralityVector", "DataError", "DatasetStats",
+        "DeviationScore", "END", "EdgeCentralityReport", "MEASURES", "MOGenModel", "NetworkModel",
+        "NumericError", "Path", "PathDataset", "PathModel", "PlatformSeries", "START",
+        "SmellEvidence", "SplitSpec", "TemporalEdge", "UnsupportedMeasureError", "WindowSlice",
+        "auc_score", "centrality", "compute", "deviation_scores", "edge_centralities",
+        "encode_path", "errors", "evaluate", "evidence", "experiment", "extract_paths",
+        "fit_mogen", "fit_network", "fit_path", "fundamental_matrix", "ground_truth", "models",
+        "parse_paths", "pathdata", "paths_from_actions", "project_up", "rank_members",
+        "rolling_windows", "select_order", "smells", "split", "stats", "windowed_centralities",
+    ]
+    #: Exports without a ``__module__`` of their own.
+    CONSTANTS = {"END": "pathdata", "START": "pathdata", "MEASURES": "pathdata"}
+
+    def test_all_is_unchanged(self):
+        assert pathcent.__all__ == self.ALL
+
+    def test_each_export_is_its_defining_modules_object(self):
+        for name in self.ALL:
+            obj = getattr(pathcent, name)
+            if isinstance(obj, types.ModuleType):
+                assert obj is importlib.import_module(f"pathcent.{name}")
+            else:
+                where = f"pathcent.{self.CONSTANTS[name]}" if name in self.CONSTANTS else obj.__module__
+                assert getattr(importlib.import_module(where), name) is obj, name
+        assert cent.MEASURES is pathcent.MEASURES and cent.PATH_MEASURES is pathcent.pathdata.PATH_MEASURES
+
+    def test_star_import_and_dir_list_every_name(self):
+        probe = ("import json, pathcent; listed = dir(pathcent); from pathcent import *; "
+                 "print(json.dumps([sorted(set(pathcent.__all__) - set(listed)), "
+                 "[n for n in pathcent.__all__ if n not in globals()]]))")
+        assert json.loads(_run_python(["-c", probe]).stdout) == [[], []]
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pathcent.no_such_name
+        assert not hasattr(pathcent, "no_such_name")
 
 
 # --- exit codes: random small inputs and arguments through main() -----------

@@ -138,6 +138,11 @@ class TestParsePaths:
         with pytest.raises(DataError):
             parse_paths(io.StringIO(""))
 
+    def test_empty_delimiter_is_data_error(self):
+        for read in (parse_paths, read_actions, read_temporal_edges):
+            with pytest.raises(DataError, match="^empty delimiter$"):
+                read(io.StringIO("a,b,1\n"), delimiter="")
+
     def test_roundtrip(self):
         ds = parse_paths(io.StringIO("a,b;2;5\nc,d\n"))
         buf = io.StringIO()
