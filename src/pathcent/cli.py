@@ -1,11 +1,13 @@
 """Command-line pipeline: ingest, centrality, experiment, smells.
 
 Outputs are file-based and reproducible: every output embeds the run
-configuration and a content hash of its inputs, and reruns with identical
-config, inputs, and seed produce byte-identical files.
+configuration (the parsed options, minus the input and output paths) and a
+content hash of its inputs, and reruns with identical config, inputs, and seed
+produce byte-identical files.
 
-Each command imports the layers it runs in its own body, so ``--help``, usage
-errors and ``ingest`` load neither numpy nor scipy.
+Each option is declared once, with its check, so a bad value is a usage error
+before any input is read. Each command imports the layers it runs in its own
+body, so ``--help``, usage errors and ``ingest`` load neither numpy nor scipy.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -34,6 +36,44 @@ def parse_duration(text: str) -> int:
     return int(match[1]) * _DURATION_UNITS[match[2] or "s"]
 
 
+def _order(ctx, param, value: str):
+    """``--k``: an integer >= 1, or 'auto' to select the order by AIC up to ``--k-max``."""
+    if value != "auto" and not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise click.BadParameter(f"expected an integer >= 1 or 'auto', got {value!r}")
+    return value if value == "auto" else int(value)
+
+
+def _output_dir(ctx, param, value: str) -> FsPath:
+    """Reject a path that is, or lies under, an existing non-directory; create nothing."""
+    path = FsPath(value)
+    if any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
+        raise click.BadParameter(f"{value!r} is, or lies under, a file that is not a directory")
+    return path
+
+
+def _model_labels(ctx, param, value: str) -> list[str]:
+    """``--models``: the distinct comma-separated labels, at least one, each checked."""
+    labels = list(dict.fromkeys(m.strip() for m in value.split(",") if m.strip()))
+    if not labels:
+        raise click.BadParameter(f"expected at least one model label, got {value!r}")
+    try:
+        for label in labels:
+            pathdata.parse_model_label(label)
+    except DataError as err:
+        raise click.BadParameter(str(err)) from None
+    return labels
+
+
+_INPUT = click.option("--input", "input_path", required=True,
+                      type=click.Path(exists=True, dir_okay=False))
+_OUTPUT_DIR = click.option("--output-dir", "out", metavar="DIR", required=True,
+                           callback=_output_dir, help="created if missing; not a file or under one")
+_MEASURES = click.option(
+    "--measure", "measures", multiple=True, type=click.Choice(pathdata.MEASURES),
+    callback=lambda ctx, param, value: tuple(dict.fromkeys(value or pathdata.MEASURES)),
+    help="repeatable; default: all measures")
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -42,11 +82,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _meta(config: dict, inputs: list[str]) -> dict:
-    return {
-        "config": config,
-        "input_sha256": {p: _sha256(p) for p in sorted(inputs)},
-    }
+def _meta(inputs: list[str], **resolved) -> dict:
+    """The run config, i.e. the command and its parsed options minus the input and
+    output paths, updated by the ``resolved`` values (the selected order); and the
+    SHA-256 of each input."""
+    ctx = click.get_current_context()
+    params = {k: v for k, v in ctx.params.items() if k not in ("input_path", "out")}
+    return {"config": {"command": ctx.command.name, **params, **resolved},
+            "input_sha256": {p: _sha256(p) for p in sorted(inputs)}}
 
 
 def _write_json(path: FsPath, meta: dict, results) -> None:
@@ -69,34 +112,28 @@ def cli():
 
 
 @cli.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", required=True,
-              type=click.Choice(["paths", "temporal-edges", "actions"]))
+@_INPUT
+@click.option("--format", required=True, type=click.Choice(["paths", "temporal-edges", "actions"]))
 @click.option("--delta", default=None, help="chaining window for temporal-edges")
 @click.option("--delimiter", default=",", show_default=True)
-@click.option("--output-dir", required=True, type=click.Path())
-def ingest(input_path, fmt, delta, delimiter, output_dir):
+@_OUTPUT_DIR
+def ingest(input_path, format, delta, delimiter, out):
     """Normalize raw input into the canonical path format plus stats JSON."""
-    if (fmt == "temporal-edges") != (delta is not None):
+    if (format == "temporal-edges") != (delta is not None):
         raise click.UsageError("--delta is required with, and applies only to, --format temporal-edges")
     if not delimiter:
         raise click.UsageError("--delimiter must not be empty")
-    window = parse_duration(delta) if fmt == "temporal-edges" else None
-    config = {
-        "command": "ingest", "format": fmt, "delta": delta,
-        "delimiter": delimiter,
-    }
+    window = parse_duration(delta) if format == "temporal-edges" else None
     with open(input_path, encoding="utf-8") as fh:
-        if fmt == "paths":
+        if format == "paths":
             ds = pathdata.parse_paths(fh, delimiter)
-        elif fmt == "temporal-edges":
+        elif format == "temporal-edges":
             edges = pathdata.read_temporal_edges(fh, delimiter)
             ds = pathdata.extract_paths(edges, window)
         else:
             ds = pathdata.paths_from_actions(pathdata.read_actions(fh, delimiter))
-    out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, [input_path])
+    meta = _meta([input_path])
     with open(out / "dataset.paths", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         pathdata.write_paths(ds, fh)
@@ -110,42 +147,32 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 
 
 @cli.command("centrality")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@_INPUT
 @click.option("--model", required=True, type=click.Choice(["network", "path", "mogen"]))
-@click.option("--k", default=2, show_default=True, type=click.IntRange(min=1))
-@click.option("--auto-order", is_flag=True, help="select K by AIC up to --k-max")
+@click.option("--k", default="2", show_default=True, callback=_order, metavar="N|auto",
+              help="maximum order K, or 'auto' to select K by AIC up to --k-max")
 @click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--measure", "measures", multiple=True,
-              type=click.Choice(pathdata.MEASURES), help="default: all measures")
-@click.option("--edges", "edge_report", is_flag=True,
-              help="also report order-2 state centralities (mogen, K>=2)")
+@_MEASURES
+@click.option("--edges", is_flag=True, help="also report order-2 state centralities (mogen, K>=2)")
 @click.option("--min-visitation", default=0.02, show_default=True, type=float)
-@click.option("--output-dir", required=True, type=click.Path())
-def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
-                   edge_report, min_visitation, output_dir):
+@_OUTPUT_DIR
+def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation, out):
     """Compute centrality reports for one model family."""
-    if edge_report and model != "mogen":
+    if edges and model != "mogen":
         raise click.UsageError("--edges requires --model mogen")
     from . import centrality as cent
     from .models import fit_mogen, fit_network, fit_path, select_order
 
-    measures = tuple(dict.fromkeys(measures or pathdata.MEASURES))
     ds = load_dataset(input_path)
-    config = {
-        "command": "centrality", "model": model, "k": k,
-        "auto_order": auto_order, "k_max": k_max, "measures": list(measures),
-        "edges": edge_report, "min_visitation": min_visitation,
-    }
     if model == "network":
         fitted = fit_network(ds)
     elif model == "path":
         fitted = fit_path(ds)
     else:
-        if auto_order:
+        if k == "auto":
             k = select_order(ds, k_max)
             click.echo(f"selected order K={k}")
         fitted = fit_mogen(ds, k)
-        config["k"] = k
         keys = ["|".join(s) for s in fitted.states]  # in row order; the JSON sorts them
 
     results: dict = {}
@@ -162,14 +189,13 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
         raise DataError("no requested measure is supported by this model")
     computed = list(results)
 
-    if edge_report:
+    if edges:
         report = cent.edge_centralities(fitted, measures=computed, min_visitation=min_visitation)
         results["edges"] = {"|".join(s): {"visitation_share": report.shares[s], **values}
                             for s, values in report.values.items()}
 
-    out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, [input_path])
+    meta = _meta([input_path], k=k)
     with open(out / "centrality.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write("measure,model,state,score\n")
@@ -181,49 +207,33 @@ def centrality_cmd(input_path, model, k, auto_order, k_max, measures,
 
 
 @cli.command("experiment")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--models", default="N,M1,M2,M3,M4,M5,P", show_default=True)
-@click.option("--measure", "measures", multiple=True, type=click.Choice(pathdata.MEASURES))
+@_INPUT
+@click.option("--models", default="N,M1,M2,M3,M4,M5,P", show_default=True, callback=_model_labels,
+              help="comma-separated: N (network), P (path), M<k> (multi-order, k >= 1)")
+@_MEASURES
 @click.option("--train-fraction", default=0.3, show_default=True,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--replicates", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--k-truth", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--output-dir", required=True, type=click.Path())
-def experiment_cmd(input_path, models, measures, train_fraction, replicates,
-                   k_truth, seed, output_dir):
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+@_OUTPUT_DIR
+def experiment_cmd(input_path, models, measures, train_fraction, replicates, k_truth,
+                   seed, out):
     """Top-decile AUC prediction experiment across model families."""
     from . import experiment as exp
 
-    measures = tuple(dict.fromkeys(measures or pathdata.MEASURES))
-    model_labels = list(dict.fromkeys(m.strip() for m in models.split(",") if m.strip()))
-    for label in model_labels:
-        exp.parse_model_label(label)
-    ds = load_dataset(input_path)
-    config = {
-        "command": "experiment", "models": model_labels,
-        "measures": list(measures), "train_fraction": train_fraction,
-        "replicates": replicates, "k_truth": k_truth, "seed": seed,
-    }
     spec = exp.SplitSpec(train_fraction, seed, replicates)
-    results = exp.evaluate(ds, spec, model_labels, measures, k_truth)
+    results = exp.evaluate(load_dataset(input_path), spec, models, measures, k_truth)
 
-    out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, [input_path])
+    meta = _meta([input_path])
     with open(out / "auc.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write(",".join(["dataset", *(f"{r.measure}:{r.model}" for r in results)]) + "\n")
         fh.write(",".join([FsPath(input_path).name, *(f"{r.mean:.3f}" for r in results)]) + "\n")
-    _write_json(
-        out / "auc.json",
-        meta,
-        [
-            {"model": r.model, "measure": r.measure, "mean": r.mean,
-             "replicates": list(r.aucs)}
-            for r in results
-        ],
-    )
+    _write_json(out / "auc.json", meta, [
+        {"model": r.model, "measure": r.measure, "mean": r.mean, "replicates": list(r.aucs)}
+        for r in results])
 
 
 @cli.command("smells")
@@ -231,24 +241,21 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates,
               help="NAME=PATHFILE, repeatable")
 @click.option("--window", default="1y", show_default=True)
 @click.option("--shift", default="3m", show_default=True)
-@click.option("--k", default="auto", show_default=True,
+@click.option("--k", default="auto", show_default=True, callback=_order, metavar="N|auto",
               help="maximum order, or 'auto' for per-window AIC selection")
 @click.option("--k-max", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--top", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--theta-end", default=0.5, show_default=True, type=float)
 @click.option("--consecutive", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--theta-role", default=0.05, show_default=True, type=float)
-@click.option("--output-dir", required=True, type=click.Path())
-def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
-               theta_role, output_dir):
+@_OUTPUT_DIR
+def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive, theta_role, out):
     """Windowed centralities, deviation scores, ranking, and evidence flags."""
     length = parse_duration(window)
     step = parse_duration(shift)
     if length < step:  # a path starting between two windows would be in neither
         raise click.UsageError("--window must be at least --shift")
-    if k != "auto" and not (re.fullmatch(r"-?\d+", k) and int(k) >= 1):
-        raise click.UsageError(f"--k expects an integer >= 1 or 'auto', got {k!r}")
-    order = None if k == "auto" else int(k)
+    order = None if k == "auto" else k
     parsed: dict[str, str] = {}
     for spec_text in platforms:
         name, eq, path = spec_text.partition("=")
@@ -259,12 +266,6 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
         if not FsPath(path).is_file():
             raise click.UsageError(f"--platform {name}: {path!r} is not a file")
         parsed[name] = path
-    config = {
-        "command": "smells", "platforms": [f"{n}={p}" for n, p in parsed.items()],
-        "window": window, "shift": shift, "k": k, "k_max": k_max, "top": top,
-        "theta_end": theta_end, "consecutive": consecutive,
-        "theta_role": theta_role,
-    }
     from . import smells
 
     series_list = []
@@ -279,9 +280,8 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive,
     ranked = smells.rank_members(scores, top)
     by_member = {d.member: d for d in scores}
 
-    out = FsPath(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, list(parsed.values()))
+    meta = _meta(list(parsed.values()))
     report = {
         "ranked_members": ranked,
         "scores": {

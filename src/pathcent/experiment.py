@@ -9,7 +9,6 @@ averaged over replicates.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import centrality
 from .errors import DataError
 from .models import MOGenModel, fit_mogen, fit_network
-from .pathdata import PathDataset
+from .pathdata import PathDataset, parse_model_label
 
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
 MAX_SPLIT_ATTEMPTS = 100
@@ -34,6 +33,8 @@ class SplitSpec:
             raise DataError("train_fraction must be in (0, 1)")
         if self.replicates < 1:
             raise DataError("replicates must be >= 1")
+        if self.seed < 0:  # numpy seeds only with non-negative integers
+            raise DataError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,6 @@ def auc_score(labels, scores) -> float:
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def parse_model_label(label: str):
-    """'N' -> network, 'P' -> path, 'M<k>' -> multi-order with max order k."""
-    if label == "N":
-        return ("network", None)
-    if label == "P":
-        return ("path", None)
-    match = re.fullmatch(r"M(\d+)", label)
-    if match:
-        k = int(match.group(1))
-        if k < 1:
-            raise DataError(f"bad model label {label!r}")
-        return ("mogen", k)
-    raise DataError(f"unknown model label {label!r}")
 
 
 def _predictions(model, measure: str) -> dict:

@@ -222,7 +222,8 @@ def _sequence_levels(ds: PathDataset, k: int):
     """Each path's first node, each node's path and position, and per length
     m = 1..k the nodes of ``ds.encoded`` where a length-m sequence ends with its
     key, in (length, labels) order: level m ranks (level m-1 rank of the node
-    before * number of labels + node id) by one ``np.unique``, so no code overflows."""
+    before * number of labels + node id) by one ``np.unique``, so no code overflows.
+    No level is longer than the longest path, so a larger ``k`` adds none."""
     if k < 1:
         raise DataError("order must be >= 1")
     labels, ids, lengths, _ = ds.encoded
@@ -231,7 +232,7 @@ def _sequence_levels(ds: PathDataset, k: int):
     pos = np.arange(len(ids)) - first[path]
     at, rank, offset = np.arange(len(ids)), ids.copy(), len(labels)
     levels = [(at, ids)]
-    for m in range(2, k + 1):
+    for m in range(2, min(k, int(lengths.max())) + 1):
         at = at[pos[at] >= m - 1]
         codes, rank_at = np.unique(rank[at - 1] * len(labels) + ids[at], return_inverse=True)
         rank[at] = rank_at  # read only where level m + 1 looks back
@@ -343,12 +344,13 @@ def select_order(ds: PathDataset, k_max: int) -> int:
     """Pick the maximum order minimizing AIC over nested multi-order fits.
 
     AIC = 2 * dof - 2 * logL; dof counts observed nonzero transition
-    probabilities minus one constraint per row. Ties go to the smaller order.
+    probabilities minus one constraint per row. Ties go to the smaller order, so
+    orders above the longest path, whose fits equal its fit, are not tried.
     """
     if k_max < 1:
         raise DataError("k_max must be >= 1")
     best_k, best_aic = 1, math.inf
-    for k in range(1, k_max + 1):
+    for k in range(1, min(k_max, ds.max_length) + 1):
         m = fit_mogen(ds, k)
         aic = 2.0 * m.dof() - 2.0 * m.log_likelihood()
         if aic < best_aic - 1e-9:

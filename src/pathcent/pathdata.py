@@ -37,6 +37,22 @@ MEASURES = ("betweenness", "closeness", "path_end", "path_continuation", "path_r
 PATH_MEASURES = frozenset(MEASURES) - {"betweenness", "closeness"}
 
 
+def parse_model_label(label: str):
+    """'N' -> network, 'P' -> path, 'M<k>' -> multi-order with max order k
+    (:mod:`pathcent.experiment`), here so that the CLI checks labels without numpy."""
+    if label == "N":
+        return ("network", None)
+    if label == "P":
+        return ("path", None)
+    match = re.fullmatch(r"M(\d+)", label)
+    if match:
+        k = int(match.group(1))
+        if k < 1:
+            raise DataError(f"bad model label {label!r}")
+        return ("mogen", k)
+    raise DataError(f"unknown model label {label!r}")
+
+
 @dataclass(frozen=True)
 class Path:
     """An ordered node sequence observed ``multiplicity`` times."""

@@ -1,4 +1,5 @@
 """CLI pipeline: commands, exit codes, embedded metadata, determinism."""
+import hashlib
 import importlib
 import json
 import os
@@ -16,7 +17,7 @@ import pathcent
 from pathcent import centrality as cent
 from pathcent import experiment as exp
 from pathcent.centrality import MEASURES
-from pathcent.cli import _csv_header, _fmt, _meta, _write_json, load_dataset, main, parse_duration
+from pathcent.cli import _csv_header, _fmt, _write_json, load_dataset, main, parse_duration
 from pathcent.errors import UnsupportedMeasureError
 from pathcent.models import fit_mogen, fit_network, fit_path
 from pathcent.pathdata import write_paths
@@ -159,12 +160,18 @@ def _write_json_oracle(path, meta, results):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _meta_oracle(config, input_path):
+    """The metadata of a run on one input, from its config written out by hand."""
+    return {"config": config,
+            "input_sha256": {input_path: hashlib.sha256(Path(input_path).read_bytes()).hexdigest()}}
+
+
 def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitation, out):
     """The writer that kept every value in a row list beside the JSON dicts,
     with the per-state rows of each measure in the model's row order."""
     ds = load_dataset(input_path)
     config = {
-        "command": "centrality", "model": model, "k": k, "auto_order": False, "k_max": 5,
+        "command": "centrality", "model": model, "k": k, "k_max": 5,
         "measures": list(measures), "edges": edge_report, "min_visitation": min_visitation,
     }
     if model == "network":
@@ -196,7 +203,7 @@ def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitati
             for s in sorted(report.values)
         }
     out.mkdir(parents=True)
-    meta = _meta(config, [input_path])
+    meta = _meta_oracle(config, input_path)
     with open(out / "centrality.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write("measure,model,state,score\n")
@@ -215,7 +222,7 @@ def _experiment_oracle(input_path, model_labels, measures, spec, k_truth, out):
     results = exp.evaluate(load_dataset(input_path), spec, model_labels, measures, k_truth)
     by_key = {(r.model, r.measure): r for r in results}
     out.mkdir(parents=True)
-    meta = _meta(config, [input_path])
+    meta = _meta_oracle(config, input_path)
     with open(out / "auc.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         pairs = [(label, m) for m in measures for label in model_labels if (label, m) in by_key]
@@ -358,14 +365,13 @@ class TestCentralityCommand:
         assert len((tmp_path / "a" / "centrality.csv").read_text().splitlines()) == entries + 2
 
     def test_auto_order(self, order2_file, tmp_path):
-        out = tmp_path / "cent"
-        code = main([
-            "centrality", "--input", order2_file, "--model", "mogen",
-            "--auto-order", "--k-max", "3", "--output-dir", str(out),
-        ])
-        assert code == 0
-        doc = json.loads((out / "centrality.json").read_text())
-        assert doc["config"]["k"] >= 2
+        args = ["centrality", "--input", order2_file, "--model", "mogen", "--k-max", "3"]
+        assert main(args + ["--k", "auto", "--output-dir", str(tmp_path / "auto")]) == 0
+        doc = json.loads((tmp_path / "auto" / "centrality.json").read_text())
+        k = doc["config"]["k"]  # the selected order is recorded
+        assert k >= 2
+        assert main(args + ["--k", str(k), "--output-dir", str(tmp_path / "fixed")]) == 0
+        assert _files(tmp_path / "auto") == _files(tmp_path / "fixed")
 
 
 class TestExperimentCommand:
@@ -396,12 +402,14 @@ class TestExperimentCommand:
         assert (tmp_path / "a" / "auc.csv").read_text().splitlines()[1] == (
             "dataset,betweenness:M2,betweenness:N")
 
-    def test_bad_model_label(self, order2_file, tmp_path):
+    def test_bad_model_label(self, order2_file, tmp_path, capsys):
         code = main([
             "experiment", "--input", order2_file, "--models", "N,Q3",
             "--output-dir", str(tmp_path / "x"),
         ])
-        assert code == 2
+        assert code == 1
+        assert "unknown model label 'Q3'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_nothing_to_score_is_data_error(self, order2_file, tmp_path, capsys):
         code = main([
@@ -489,7 +497,7 @@ class TestSmellsCommand:
 class TestOptionBounds:
     @pytest.mark.parametrize("command, options", [
         ("centrality", ["--model", "network", "--k", "0"]),
-        ("centrality", ["--model", "mogen", "--auto-order", "--k-max", "0"]),
+        ("centrality", ["--model", "mogen", "--k", "auto", "--k-max", "0"]),
         ("smells", ["--k", "0"]),
         ("smells", ["--k", "-2"]),
         ("smells", ["--k-max", "0"]),
@@ -506,6 +514,11 @@ class TestOptionBounds:
         ("ingest", ["--format", "paths", "--delimiter", ""]),
         ("ingest", ["--format", "temporal-edges", "--delta", "10s", "--delimiter", ""]),
         ("ingest", ["--format", "actions", "--delimiter", ""]),
+        ("centrality", ["--model", "mogen", "--k", "max"]),
+        ("experiment", ["--seed", "-1"]),
+        ("experiment", ["--models", "M0"]),
+        ("experiment", ["--models", "N,M2,X"]),
+        ("experiment", ["--models", " , "]),
     ])
     def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
         src = tmp_path / "bad.paths"
@@ -531,6 +544,19 @@ class TestOptionBounds:
         assert main(["smells", *platforms, "--output-dir", str(tmp_path / "x")]) == 1
         assert named.format(**fill) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "centrality", "experiment", "smells"])
+    @pytest.mark.parametrize("where", ["input-directory", "output-file", "output-under-file"])
+    def test_bad_path_is_usage_error_before_loading(self, tmp_path, capsys, command, where):
+        src = tmp_path / "bad.paths"
+        src.write_text("a,b;NaN;0\n")  # a data error (exit 2) once loaded
+        given = tmp_path if where == "input-directory" else src
+        out = {"output-file": src, "output-under-file": src / "x"}.get(where, tmp_path / "x")
+        options = {"ingest": ["--format", "paths"], "centrality": ["--model", "network"]}
+        args = (["--platform", f"p={given}"] if command == "smells" else ["--input", str(given)])
+        assert main([command, *args, *options.get(command, []), "--output-dir", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert src.read_text() == "a,b;NaN;0\n" and sorted(tmp_path.iterdir()) == [src]
 
 
 class TestDatasetsBuiltOnce:
@@ -653,8 +679,14 @@ class TestFreshInterpreter:
     def test_only_the_commands_that_need_them_load_numpy_and_scipy(self, tmp_path):
         inputs = {"paths": "a,b,c;3;0\nb,c;1;5\n", "temporal-edges": "a,b,0\nb,c,5\n",
                   "actions": "t1,ann,0\nt1,bob,10\n"}
-        steps = [["--help"], ["ingest", "--input", "x", "--format", "paths", "--output-dir", "y"],
-                 ["centrality", "--input", str(tmp_path), "--model", "path", "--edges", "--output-dir", "y"]]
+        src = tmp_path / "paths"
+        out = str(tmp_path / "usage")  # no step that is a usage error creates it
+        steps = [["--help"], ["ingest", "--input", "x", "--format", "paths", "--output-dir", out],
+                 ["centrality", "--input", str(src), "--model", "path", "--edges", "--output-dir", out],
+                 ["centrality", "--input", str(tmp_path), "--model", "mogen", "--output-dir", out],
+                 ["centrality", "--input", str(src), "--model", "mogen", "--output-dir", str(src / "y")],
+                 ["experiment", "--input", str(src), "--seed", "-1", "--output-dir", out],
+                 ["experiment", "--input", str(src), "--models", "M0", "--output-dir", out]]
         for fmt, text in inputs.items():
             (tmp_path / fmt).write_text(text)
             delta = ["--delta", "10s"] if fmt == "temporal-edges" else []
@@ -663,9 +695,10 @@ class TestFreshInterpreter:
         steps.append(["centrality", "--input", str(tmp_path / "ingest-paths" / "dataset.paths"),
                       "--model", "mogen", "--output-dir", str(tmp_path / "mogen")])
         seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
-        # the import, --help, two usage errors, three ingests; then the mogen control
-        assert seen == [[0, []], [0, []], [1, []], [1, []], [0, []], [0, []], [0, []],
+        # the import, --help, six usage errors, three ingests; then the mogen control
+        assert seen == [[0, []], [0, []], *[[1, []]] * 6, [0, []], [0, []], [0, []],
                         [0, ["numpy", "scipy"]]]
+        assert not os.path.exists(out)
 
 
 class TestLazyExports:
@@ -749,13 +782,13 @@ _COMMANDS = st.one_of(
         {"format": ["paths", "temporal-edges", "actions"]},
         delta=["5", "1d", "0", "x"], delimiter=[",", ":"])),
     st.tuples(st.just("centrality"), _options(
-        {"model": ["network", "path", "mogen"]}, k=["1", "2", "3", "0", "-1"],
-        **{"auto-order": [True], "k-max": ["1", "3", "0"], "measure": list(MEASURES),
+        {"model": ["network", "path", "mogen"]}, k=["1", "2", "3", "0", "-1", "auto"],
+        **{"k-max": ["1", "3", "0"], "measure": list(MEASURES),
            "edges": [True], "min-visitation": ["0", "0.5", "2"]})),
     st.tuples(st.just("experiment"), _options(
         models=["N", "P", "M1", "M2", "N,M1,P", "M0"], measure=list(MEASURES),
         **{"train-fraction": ["0.3", "0.5", "0", "1"], "replicates": ["1", "2", "0"],
-           "k-truth": ["1", "2", "3", "0"]}, seed=["0", "1"])),
+           "k-truth": ["1", "2", "3", "0"]}, seed=["0", "1", "-1"])),
     st.tuples(st.just("smells"), _options(
         window=["100", "50", "0"], shift=["50", "100", "0"], k=["auto", "1", "2", "0"],
         top=["1", "3", "0"], consecutive=["1", "0"],
@@ -763,15 +796,22 @@ _COMMANDS = st.one_of(
 )
 
 
+#: (input, output directory) in the run's directory: mostly the corpus and a new
+#: directory; else a directory as input, or the corpus or a path under it as output.
+_PATHS = st.sampled_from([("in.txt", "out")] * 3 + [(".", "out"), ("in.txt", "in.txt"),
+                                                    ("in.txt", "in.txt/out")])
+
+
 class TestExitCodes:
     @settings(max_examples=200, deadline=None)
-    @given(corpus=_CORPUS, command=_COMMANDS)
-    def test_every_run_exits_with_a_documented_code(self, corpus, command):
+    @given(corpus=_CORPUS, command=_COMMANDS, paths=_PATHS)
+    def test_every_run_exits_with_a_documented_code(self, corpus, command, paths):
         name, options = command
+        given_input, output = paths
         with tempfile.TemporaryDirectory() as tmp:
-            src = os.path.join(tmp, "in.txt")
-            with open(src, "w", encoding="utf-8") as fh:
+            src = os.path.join(tmp, given_input)
+            with open(os.path.join(tmp, "in.txt"), "w", encoding="utf-8") as fh:
                 fh.write(corpus)
             where = ["--platform", f"p={src}"] if name == "smells" else ["--input", src]
-            args = [name, *where, *options, "--output-dir", os.path.join(tmp, "out")]
+            args = [name, *where, *options, "--output-dir", os.path.join(tmp, output)]
             assert main(args) in (0, 1, 2, 3)

@@ -301,3 +301,5 @@ class TestEvaluate:
             SplitSpec(0.0)
         with pytest.raises(DataError):
             SplitSpec(0.5, replicates=0)
+        with pytest.raises(DataError, match="seed"):
+            SplitSpec(0.5, seed=-1)

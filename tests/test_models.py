@@ -2,6 +2,7 @@
 selection, and the constructor's count checks."""
 import functools
 import logging
+import time
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from pathcent import (
     select_order,
 )
 from pathcent import models
+from pathcent.centrality import MEASURES, sequence_scores
 from pathcent.pathdata import END, START
 
 import generators
@@ -405,6 +407,36 @@ class TestLogLikelihoodAndOrderSelection:
     def test_invalid_k_max(self):
         with pytest.raises(DataError):
             select_order(generators.toy_dataset(), 0)
+
+
+def _within_a_second(f, *args):
+    began = time.perf_counter()
+    out = f(*args)
+    assert time.perf_counter() - began < 1.0, f.__name__
+    return out
+
+
+class TestOrdersAboveTheLongestPath:
+    """No state or sequence is longer than the longest path, so a larger order
+    gives the longest path's results, at no more cost."""
+
+    HUGE = 10**6
+
+    @pytest.fixture()
+    def ds(self):
+        return generators.order2_families(seed=0, n_paths=200)
+
+    def test_fit_mogen(self, ds):
+        model = _within_a_second(fit_mogen, ds, self.HUGE)
+        assert model.order == self.HUGE
+        assert_same_fit(model, fit_mogen(ds, ds.max_length))
+
+    def test_select_order(self, ds):
+        assert _within_a_second(select_order, ds, self.HUGE) == select_order(ds, ds.max_length)
+
+    def test_sequence_scores(self, ds):
+        got = _within_a_second(sequence_scores, ds, MEASURES, self.HUGE)
+        assert got == sequence_scores(ds, MEASURES, ds.max_length)
 
 
 def _toy_args() -> list:
