@@ -59,6 +59,12 @@ def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
     for m in measures:
         if m not in MEASURES:
             raise DataError(f"unknown measure {m!r}")
+    seqs, value = _sequence_values(ds, max_len)
+    return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
+
+
+def _sequence_values(ds: PathDataset, max_len: int):
+    """:func:`sequence_scores`' sequences and, per measure, a function of their values."""
     _, _, lengths, weights = ds.encoded
     _, path, pos, levels = _sequence_levels(ds, max_len)
     # one occurrence per (end node, length), level-major and by node within a level
@@ -68,7 +74,7 @@ def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
     n, j, last, w = len(seqs), pos[at], lengths[path[at]] - 1, weights[path[at]]
     occ = np.bincount(sid, w, n)
     end_occ = np.bincount(sid, w * (j == last), n)
-    value = {
+    return seqs, {
         "betweenness": lambda: np.bincount(sid, w * ((j >= size) & (j < last)), n),
         "closeness": lambda: _sequence_closeness(sid, at, at + last - j, n),
         "path_end": lambda: end_occ / ds.total,
@@ -76,7 +82,6 @@ def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
         "path_reach": lambda: np.bincount(sid, w * (last - j), n) / occ,
         "visitation": lambda: occ / occ.sum(),
     }
-    return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
 
 
 def _sequence_closeness(sid, at, stop, n: int) -> np.ndarray:
@@ -224,8 +229,8 @@ def compute(model, measure: str) -> CentralityVector:
             vals = _harmonic_closeness(adj, sp.identity(len(nodes), dtype=bool, format="csr"))
         return CentralityVector(dict(zip(nodes, vals.tolist())))
     if isinstance(model, PathModel):
-        scores = sequence_scores(model.dataset, (measure,))[measure]
-        return CentralityVector({s[0]: v for s, v in scores.items()})
+        seqs, value = model._nodes  # counted once for every measure
+        return CentralityVector({s[0]: v for s, v in zip(seqs, value[measure]().tolist())})
     if isinstance(model, MOGenModel):
         if measure == "closeness":
             state_vals, vals = None, _mogen_fo_closeness(model)

@@ -16,8 +16,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path as FsPath
 
 import click
@@ -92,10 +94,61 @@ def _meta(inputs: list[str], **resolved) -> dict:
             "input_sha256": {p: _sha256(p) for p in sorted(inputs)}}
 
 
+#: Rows of a per-state column formatted and joined at a time; 2**10 to 2**16 rows
+#: wrote a 57k-state model alike, and fewer rows hold fewer strings at once.
+_CHUNK = 1 << 12
+#: Per-state values, written as the JSON object of their pairs: ``keys``
+#: sorted and ``values`` a float64 array aligned with them.
+_Column = dataclasses.make_dataclass("_Column", ["keys", "values"], frozen=True)
+
+
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # = json.dumps(x), faster
+
+
+def _chunks(keys: list, values, fmt):
+    """``keys`` and ``fmt`` of their float64 ``values``, ``_CHUNK`` of each at a time;
+    ``fmt`` runs once per distinct bit pattern in a chunk, so -0.0 stays apart."""
+    import numpy as np
+
+    for at in range(0, len(keys), _CHUNK):
+        bits, inverse = np.unique(values[at:at + _CHUNK].view(np.uint64), return_inverse=True)
+        texts = list(map(fmt, bits.view(np.float64).tolist()))
+        yield keys[at:at + _CHUNK], map(texts.__getitem__, inverse.tolist())
+
+
+def _write_value(fh, obj, newline: str) -> None:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at the indent of
+    ``newline``: a dict key by key, a :class:`_Column` in chunks of ``_CHUNK`` pairs."""
+    inner = newline + "  "
+    if isinstance(obj, _Column):
+        for i, (keys, texts) in enumerate(_chunks(obj.keys, obj.values, _json_float)):
+            rows = map(": ".join, zip(map(_encode, keys), texts))
+            fh.write(("," if i else "{") + inner + ("," + inner).join(rows))
+        fh.write(newline + "}" if obj.keys else "{}")
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            key = key if isinstance(key, str) else json.dumps(key)  # as json.dumps converts keys
+            fh.write(("," if i else "{") + inner + _encode(key) + ": ")
+            _write_value(fh, value, inner)
+        fh.write(newline + "}")
+    else:  # the text holds no newline but its indent: strings escape theirs
+        fh.write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+
+
 def _write_json(path: FsPath, meta: dict, results) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**meta, "results": results}, fh, sort_keys=True, indent=2)
+        _write_value(fh, {**meta, "results": results}, "\n")
         fh.write("\n")
+
+
+def _lines(path: str):
+    """The lines of ``path`` as UTF-8 text; a byte sequence that is not UTF-8 is a data error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _csv_header(out, meta: dict) -> None:
@@ -124,14 +177,13 @@ def ingest(input_path, format, delta, delimiter, out):
     if not delimiter:
         raise click.UsageError("--delimiter must not be empty")
     window = parse_duration(delta) if format == "temporal-edges" else None
-    with open(input_path, encoding="utf-8") as fh:
-        if format == "paths":
-            ds = pathdata.parse_paths(fh, delimiter)
-        elif format == "temporal-edges":
-            edges = pathdata.read_temporal_edges(fh, delimiter)
-            ds = pathdata.extract_paths(edges, window)
-        else:
-            ds = pathdata.paths_from_actions(pathdata.read_actions(fh, delimiter))
+    lines = _lines(input_path)
+    if format == "paths":
+        ds = pathdata.parse_paths(lines, delimiter)
+    elif format == "temporal-edges":
+        ds = pathdata.extract_paths(pathdata.read_temporal_edges(lines, delimiter), window)
+    else:
+        ds = pathdata.paths_from_actions(pathdata.read_actions(lines, delimiter))
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta([input_path])
     with open(out / "dataset.paths", "w", encoding="utf-8") as fh:
@@ -142,8 +194,7 @@ def ingest(input_path, format, delta, delimiter, out):
 
 
 def load_dataset(path: str) -> pathdata.PathDataset:
-    with open(path, encoding="utf-8") as fh:
-        return pathdata.parse_paths(fh)
+    return pathdata.parse_paths(_lines(path))
 
 
 @cli.command("centrality")
@@ -173,18 +224,22 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
             k = select_order(ds, k_max)
             click.echo(f"selected order K={k}")
         fitted = fit_mogen(ds, k)
-        keys = ["|".join(s) for s in fitted.states]  # in row order; the JSON sorts them
+        keys = ["|".join(s) for s in fitted.states]  # in row order, as the CSV writes them
+        order = sorted(range(len(keys)), key=keys.__getitem__)  # shared by every JSON column
+        sorted_keys = [keys[i] for i in order]
 
     results: dict = {}
+    state_rows: dict = {}  # measure -> per-state values in row order
     for measure in measures:
         try:
             vec = cent.compute(fitted, measure)
         except UnsupportedMeasureError as err:
             click.echo(f"warning: {err}", err=True)
             continue
-        results[measure] = {"first_order": dict(sorted(vec.scores.items()))}
+        results[measure] = {"first_order": vec.scores}
         if vec.state_scores is not None:
-            results[measure]["states"] = dict(zip(keys, vec.state_scores.tolist()))
+            state_rows[measure] = vec.state_scores
+            results[measure]["states"] = _Column(sorted_keys, vec.state_scores[order])
     if not results:
         raise DataError("no requested measure is supported by this model")
     computed = list(results)
@@ -200,9 +255,11 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
         _csv_header(fh, meta)
         fh.write("measure,model,state,score\n")
         for measure in computed:
-            for scores in results[measure].values():  # first_order, then states
-                fh.writelines(f"{measure},{model},{state},{_fmt(score)}\n"
-                              for state, score in scores.items())
+            head = f"{measure},{model},"
+            fh.writelines(f"{head}{node},{_fmt(score)}\n"
+                          for node, score in sorted(results[measure]["first_order"].items()))
+            for chunk in _chunks(keys, state_rows[measure], _fmt) if measure in state_rows else ():
+                fh.write(head + ("\n" + head).join(map(",".join, zip(*chunk))) + "\n")
     _write_json(out / "centrality.json", meta, results)
 
 

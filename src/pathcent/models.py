@@ -84,6 +84,11 @@ class PathModel:
 
     dataset: PathDataset
 
+    @cached_property
+    def _nodes(self):  # node sequences and per-measure value functions: one occurrence pass
+        from .centrality import _sequence_values
+        return _sequence_values(self.dataset, 1)
+
 
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and

@@ -2,22 +2,27 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import types
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathcent
 from pathcent import centrality as cent
+from pathcent import cli
 from pathcent import experiment as exp
 from pathcent.centrality import MEASURES
-from pathcent.cli import _csv_header, _fmt, _write_json, load_dataset, main, parse_duration
+from pathcent.cli import (_chunks, _Column, _csv_header, _fmt, _write_json, load_dataset, main,
+                          parse_duration)
 from pathcent.errors import UnsupportedMeasureError
 from pathcent.models import fit_mogen, fit_network, fit_path
 from pathcent.pathdata import write_paths
@@ -268,6 +273,104 @@ class TestWritersMatchOracles:
         spec = exp.SplitSpec(0.3, 5, 2)
         _experiment_oracle(order2_file, ["P", "N", "M2", "M1"], MEASURES, spec, 2, tmp_path / "old")
         assert _files(tmp_path / "new") == _files(tmp_path / "old")
+
+
+#: Floats whose JSON or CSV text is easy to get wrong, then any float.
+_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1, math.nan, math.inf, -math.inf]),
+                    st.floats())
+#: Keys with non-ASCII and control characters, quotes and backslashes, then any text.
+_KEYS = st.one_of(st.text(alphabet='ab"\\\x00\x1f\x7f\n\té→Ω😀|'), st.text())
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _KEYS)
+_DOCS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()), inner, max_size=3)),
+    max_leaves=20)
+
+
+def _dumped(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the bytes of ``json.dumps(..., sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(meta=st.dictionaries(_KEYS, _DOCS, max_size=3), results=_DOCS)
+    def test_matches_dumps(self, tmp_path_factory, meta, results):
+        path = tmp_path_factory.getbasetemp() / "doc.json"
+        _write_json(path, meta, results)
+        assert path.read_bytes() == _dumped({**meta, "results": results})
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.dictionaries(_KEYS, _FLOATS, max_size=12), chunk=st.sampled_from([1, 2, 5, 4096]),
+           first=st.dictionaries(_KEYS, _FLOATS, max_size=3))
+    def test_column_matches_the_dict_of_its_pairs(self, tmp_path_factory, pairs, chunk, first):
+        keys = sorted(pairs)
+        column = _Column(keys, np.array([pairs[k] for k in keys], dtype=float))
+        path = tmp_path_factory.getbasetemp() / "column.json"
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            _write_json(path, {}, {"m": {"first_order": first, "states": column}, "z": column})
+        assert path.read_bytes() == _dumped({"results": {"m": {"first_order": first, "states": pairs},
+                                                          "z": pairs}})
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_FLOATS, max_size=20).map(lambda xs: [*xs, 0.0, -0.0, 0.0]),
+           chunk=st.sampled_from([1, 2, 5, 4096]))
+    def test_csv_values_match_format_9g(self, values, chunk):
+        keys = [f"s{i}" for i in range(len(values))]
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            pairs = [pair for chunk in _chunks(keys, np.array(values), _fmt) for pair in zip(*chunk)]
+        assert pairs == [(k, f"{x:.9g}") for k, x in zip(keys, values)]
+        assert [_fmt(x) for x in values] == [f"{x:.9g}" for x in values]
+
+
+class TestPathModelOnePass:
+    def test_centrality_counts_occurrences_once(self, order2_file, tmp_path, monkeypatch):
+        passes = []
+        levels = cent._sequence_levels
+        monkeypatch.setattr(cent, "_sequence_levels", lambda *args: passes.append(args) or levels(*args))
+        computed = []
+        compute = cent.compute
+        monkeypatch.setattr(cent, "compute", lambda *args: computed.append(args[1]) or compute(*args))
+        args = ["centrality", "--input", order2_file, "--model", "path", "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert computed == list(MEASURES)
+        assert len(passes) == 1
+
+    def test_every_measure_equals_its_sequence_scores(self, order2_file):
+        ds = load_dataset(order2_file)
+        model = fit_path(ds)
+        for measure in reversed(MEASURES):
+            expected = cent.sequence_scores(ds, (measure,))[measure]
+            assert cent.compute(model, measure).scores == {s[0]: v for s, v in expected.items()}
+
+
+class TestNotUtf8:
+    """A byte sequence that is not UTF-8 is a data error (exit 2) wherever a file is read."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("ingest", ["--format", "paths"]),
+        ("ingest", ["--format", "temporal-edges", "--delta", "10"]),
+        ("ingest", ["--format", "actions"]),
+        ("centrality", ["--model", "path"]),
+        ("experiment", []),
+        ("smells", []),
+    ])
+    def test_is_a_data_error(self, tmp_path, capsys, command, options):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"a,b,0\nb,\xff,5\n")
+        where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
+        assert main([command, *where, *options, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "not UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_load_dataset_raises_data_error(self, tmp_path):
+        src = tmp_path / "bad.paths"
+        src.write_bytes(b"a,b;1;0\n\xffc,d;2;5\n")
+        with pytest.raises(pathcent.DataError, match="not UTF-8"):
+            load_dataset(str(src))
 
 
 class TestCentralityCommand:
