@@ -45,6 +45,13 @@ def _order(ctx, param, value: str):
     return value if value == "auto" else int(value)
 
 
+def _not_nan(ctx, param, value: float) -> float:
+    """A float option's NaN, which ``click.FloatRange`` lets through, is a usage error."""
+    if math.isnan(value):
+        raise click.BadParameter(f"{value!r} is not a number")
+    return value
+
+
 def _output_dir(ctx, param, value: str) -> FsPath:
     """Reject a path that is, or lies under, an existing non-directory; create nothing."""
     path = FsPath(value)
@@ -159,6 +166,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _unkeyed(result) -> dict:
+    """The fields of a per-member result (a dataclass), less the ``member`` that keys it."""
+    return {k: v for k, v in dataclasses.asdict(result).items() if k != "member"}
+
+
 @click.group()
 def cli():
     """Path models, centralities, prediction experiments, and smell detection."""
@@ -205,7 +217,8 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 @click.option("--k-max", default=5, show_default=True, type=click.IntRange(min=1))
 @_MEASURES
 @click.option("--edges", is_flag=True, help="also report order-2 state centralities (mogen, K>=2)")
-@click.option("--min-visitation", default=0.02, show_default=True, type=float)
+@click.option("--min-visitation", default=0.02, show_default=True,
+              type=click.FloatRange(0, 1), callback=_not_nan)
 @_OUTPUT_DIR
 def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation, out):
     """Compute centrality reports for one model family."""
@@ -269,7 +282,7 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
               help="comma-separated: N (network), P (path), M<k> (multi-order, k >= 1)")
 @_MEASURES
 @click.option("--train-fraction", default=0.3, show_default=True,
-              type=click.FloatRange(0, 1, min_open=True, max_open=True))
+              type=click.FloatRange(0, 1, min_open=True, max_open=True), callback=_not_nan)
 @click.option("--replicates", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--k-truth", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
@@ -302,9 +315,9 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates, k_t
               help="maximum order, or 'auto' for per-window AIC selection")
 @click.option("--k-max", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--top", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--theta-end", default=0.5, show_default=True, type=float)
+@click.option("--theta-end", default=0.5, show_default=True, type=click.FloatRange(0, 1), callback=_not_nan)
 @click.option("--consecutive", default=4, show_default=True, type=click.IntRange(min=1))
-@click.option("--theta-role", default=0.05, show_default=True, type=float)
+@click.option("--theta-role", default=0.05, show_default=True, type=click.FloatRange(0, 1), callback=_not_nan)
 @_OUTPUT_DIR
 def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive, theta_role, out):
     """Windowed centralities, deviation scores, ranking, and evidence flags."""
@@ -316,8 +329,8 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive, 
     parsed: dict[str, str] = {}
     for spec_text in platforms:
         name, eq, path = spec_text.partition("=")
-        if not (eq and name):
-            raise click.UsageError(f"--platform expects NAME=PATHFILE, got {spec_text!r}")
+        if not (eq and name) or "," in name:  # series.csv has a platform column
+            raise click.UsageError(f"--platform expects NAME=PATHFILE, NAME without ',', got {spec_text!r}")
         if name in parsed:  # deviation scores key platforms by name
             raise click.UsageError(f"--platform {name} is given more than once")
         if not FsPath(path).is_file():
@@ -335,56 +348,35 @@ def smells_cmd(platforms, window, shift, k, k_max, top, theta_end, consecutive, 
         del ds  # the next platform loads once this corpus, its windows and encoding are freed
     scores = smells.deviation_scores(series_list)
     ranked = smells.rank_members(scores, top)
-    by_member = {d.member: d for d in scores}
 
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(list(parsed.values()))
-    report = {
-        "ranked_members": ranked,
-        "scores": {
-            m: {
-                "total": by_member[m].total,
-                "per_platform": by_member[m].per_platform,
-                "skipped_terms": by_member[m].skipped_terms,
-            }
-            for m in ranked
-        },
-        "evidence": {},
-        "note": "hypothesis validation (interviews) is out of scope",
-    }
-    for member in ranked:
-        report["evidence"][member] = []
-        for series in series_list:
-            if member not in series.members:
-                continue
-            ev = smells.evidence(
-                series, member, theta_end=theta_end,
-                min_consecutive=consecutive, theta_role=theta_role,
-            )
-            report["evidence"][member].append({
-                "platform": series.platform,
-                "end_dominance": ev.end_dominance,
-                "end_dominance_windows": [list(r) for r in ev.end_dominance_windows],
-                "code_red_windows": list(ev.code_red_windows),
-            })
-    _write_json(out / "smells.json", meta, report)
-    team_means = [{m: series.team_means(m).tolist() for m in sorted(series.values)}
-                  for series in series_list]
-    for member in ranked:
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", member)
-        with open(out / f"series_{safe}.csv", "w", encoding="utf-8") as fh:
-            _csv_header(fh, meta)
-            fh.write("platform,window_start,measure,value,team_mean\n")
-            for series, means in zip(series_list, team_means):
+    evidence: dict[str, list] = {}
+    with open(out / "series.csv", "w", encoding="utf-8") as fh:  # and each member's evidence
+        _csv_header(fh, meta)
+        fh.write("member,platform,window_start,measure,value,team_mean\n")
+        for member in ranked:
+            evidence[member] = []
+            for series in series_list:
                 if member not in series.members:
                     continue
+                ev = smells.evidence(series, member, theta_end=theta_end,
+                                     min_consecutive=consecutive, theta_role=theta_role)
+                evidence[member].append({"platform": series.platform, **_unkeyed(ev)})
                 j = series.members.index(member)
                 active = series.active[:, j].tolist()
-                for measure, mean in means.items():
-                    rows = zip(series.window_starts, active, series.values[measure][:, j].tolist(), mean)
+                for measure in sorted(series.values):
+                    means = series.team_means(measure).tolist()
+                    rows = zip(series.window_starts, active, series.values[measure][:, j].tolist(), means)
                     for w, on, val, mu in rows:
                         if on:
-                            fh.write(f"{series.platform},{w},{measure},{_fmt(val)},{_fmt(mu)}\n")
+                            fh.write(f"{member},{series.platform},{w},{measure},{_fmt(val)},{_fmt(mu)}\n")
+    _write_json(out / "smells.json", meta, {
+        "ranked_members": ranked,
+        "scores": {d.member: _unkeyed(d) for d in scores if d.member in ranked},
+        "evidence": evidence,
+        "note": "hypothesis validation (interviews) is out of scope",
+    })
     click.echo("ranked: " + ", ".join(ranked))
 
 

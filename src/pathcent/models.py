@@ -116,6 +116,7 @@ class MOGenModel:
             raise DataError(f"counts must match the {n} states")
         self.start_counts = start_counts
         self.trans_counts = trans_counts = trans_counts.tocsr(copy=True)
+        trans_counts.sum_duplicates()  # one entry per transition, sorted: trans_p shares the layout
         trans_counts.eliminate_zeros()  # a stored zero is no observed transition
         self.end_counts = end_counts
         counts = np.concatenate([start_counts, trans_counts.data, end_counts])
@@ -129,8 +130,8 @@ class MOGenModel:
         row_tot = np.asarray(trans_counts.sum(axis=1)).ravel() + end_counts
         if np.any(row_tot <= 0):
             raise NumericError("state with no outgoing transitions")
-        inv = sp.diags(1.0 / row_tot)
-        self.trans_p = (inv @ trans_counts).tocsr()
+        self.trans_p = trans_counts.astype(np.float64)  # a float64 copy of the sorted layout,
+        self.trans_p.data *= np.repeat(1.0 / row_tot, np.diff(trans_counts.indptr))  # each row / its total
         self.end_p = end_counts / row_tot
         self._validate()
         self._sf: np.ndarray | None = None
@@ -170,10 +171,7 @@ class MOGenModel:
     def log_likelihood(self) -> float:
         """Log-likelihood of the training paths under the fitted probabilities."""
         ll = float(np.sum(self.start_counts * np.log(self.start_p, where=self.start_counts > 0, out=np.zeros_like(self.start_p))))
-        coo = self.trans_counts.tocoo()
-        if coo.nnz:  # scipy indexes no entries as a sparse matrix
-            probs = np.asarray(self.trans_p[coo.row, coo.col]).ravel()
-            ll += float(np.sum(coo.data * np.log(probs)))
+        ll += float(np.sum(self.trans_counts.data * np.log(self.trans_p.data)))
         mask = self.end_counts > 0
         ll += float(np.sum(self.end_counts[mask] * np.log(self.end_p[mask])))
         return ll

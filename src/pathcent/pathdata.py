@@ -259,17 +259,11 @@ def paths_from_actions(records: Sequence[ActionRecord]) -> PathDataset:
     The path's start_time is the first action's timestamp.
     """
     groups: dict[str, list[ActionRecord]] = defaultdict(list)
-    for rec in records:
+    for rec in sorted(records, key=lambda r: r.time):  # stable, so it orders each key's actions
         groups[rec.key].append(rec)
-    paths = []
-    for key, recs in groups.items():
-        ordered = sorted(recs, key=lambda r: r.time)  # sorted() is stable
-        paths.append(
-            Path(tuple(r.actor for r in ordered), 1, ordered[0].time)
-        )
-    if not paths:
+    if not groups:
         raise DataError("no action records")
-    return PathDataset(paths)
+    return PathDataset(Path(tuple(r.actor for r in recs), 1, recs[0].time) for recs in groups.values())
 
 
 def extract_paths(edges: Sequence[TemporalEdge], delta: int) -> PathDataset:

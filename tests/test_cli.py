@@ -20,12 +20,13 @@ import pathcent
 from pathcent import centrality as cent
 from pathcent import cli
 from pathcent import experiment as exp
+from pathcent import smells
 from pathcent.centrality import MEASURES
 from pathcent.cli import (_chunks, _Column, _csv_header, _fmt, _write_json, load_dataset, main,
                           parse_duration)
 from pathcent.errors import UnsupportedMeasureError
 from pathcent.models import fit_mogen, fit_network, fit_path
-from pathcent.pathdata import write_paths
+from pathcent.pathdata import rolling_windows, write_paths
 
 import generators
 
@@ -165,10 +166,10 @@ def _write_json_oracle(path, meta, results):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _meta_oracle(config, input_path):
-    """The metadata of a run on one input, from its config written out by hand."""
-    return {"config": config,
-            "input_sha256": {input_path: hashlib.sha256(Path(input_path).read_bytes()).hexdigest()}}
+def _meta_oracle(config, *input_paths):
+    """The metadata of a run on its inputs, from its config written out by hand."""
+    return {"config": config, "input_sha256": {
+        p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in sorted(input_paths)}}
 
 
 def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitation, out):
@@ -240,6 +241,73 @@ def _experiment_oracle(input_path, model_labels, measures, spec, k_truth, out):
     ])
 
 
+def _smells_oracle(platforms, window, shift, k, theta_end, theta_role, out):
+    """The writer that copied each result field by hand into ``smells.json`` and wrote
+    one ``series_<member>.csv`` per ranked member. Returns the lines of each member's
+    file, keyed by member, instead of writing them: members whose unsafe characters
+    were replaced by the same ones wrote to one file name."""
+    config = {
+        "command": "smells", "platforms": list(platforms), "window": window, "shift": shift,
+        "k": k, "k_max": 3, "top": 5, "theta_end": theta_end, "consecutive": 4,
+        "theta_role": theta_role,
+    }
+    parsed = dict(spec.split("=", 1) for spec in platforms)
+    series_list = [
+        smells.windowed_centralities(
+            rolling_windows(load_dataset(path), parse_duration(window), parse_duration(shift)),
+            None if k == "auto" else k, k_max=3, platform=name)
+        for name, path in parsed.items()
+    ]
+    scores = smells.deviation_scores(series_list)
+    ranked = smells.rank_members(scores, 5)
+    by_member = {d.member: d for d in scores}
+    report = {
+        "ranked_members": ranked,
+        "scores": {
+            m: {
+                "total": by_member[m].total,
+                "per_platform": by_member[m].per_platform,
+                "skipped_terms": by_member[m].skipped_terms,
+            }
+            for m in ranked
+        },
+        "evidence": {},
+        "note": "hypothesis validation (interviews) is out of scope",
+    }
+    for member in ranked:
+        report["evidence"][member] = []
+        for series in series_list:
+            if member not in series.members:
+                continue
+            ev = smells.evidence(series, member, theta_end=theta_end, min_consecutive=4,
+                                 theta_role=theta_role)
+            report["evidence"][member].append({
+                "platform": series.platform,
+                "end_dominance": ev.end_dominance,
+                "end_dominance_windows": [list(r) for r in ev.end_dominance_windows],
+                "code_red_windows": list(ev.code_red_windows),
+            })
+    out.mkdir(parents=True)
+    meta = _meta_oracle(config, *parsed.values())
+    _write_json_oracle(out / "smells.json", meta, report)
+    team_means = [{m: series.team_means(m).tolist() for m in sorted(series.values)}
+                  for series in series_list]
+    lines = {}
+    for member in ranked:
+        lines[member] = ["# " + json.dumps(meta, sort_keys=True), "platform,window_start,measure,value,team_mean"]
+        for series, means in zip(series_list, team_means):
+            if member not in series.members:
+                continue
+            j = series.members.index(member)
+            active = series.active[:, j].tolist()
+            for measure, mean in means.items():
+                rows = zip(series.window_starts, active, series.values[measure][:, j].tolist(), mean)
+                for w, on, val, mu in rows:
+                    if on:
+                        lines[member].append(f"{series.platform},{w},{measure},{_fmt(val)},{_fmt(mu)}")
+    return lines
+
+
 def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -273,6 +341,30 @@ class TestWritersMatchOracles:
         spec = exp.SplitSpec(0.3, 5, 2)
         _experiment_oracle(order2_file, ["P", "N", "M2", "M1"], MEASURES, spec, 2, tmp_path / "old")
         assert _files(tmp_path / "new") == _files(tmp_path / "old")
+
+    @pytest.mark.parametrize("names", [False, True], ids=["smell-corpus", "unsafe-names"])
+    def test_smells(self, smell_files, tmp_path, names):
+        if names:  # the old writer named all three members' files series_a_b.csv
+            src = tmp_path / "names.paths"
+            src.write_text("a b,a_b;2;0\na_b,a/b;1;50\na/b,c,a b;3;120\nc,a b;1;170\n")
+            platforms, thetas = [f"names={src}"], ["--theta-end", "1", "--theta-role", "0"]
+        else:
+            platforms, thetas = [f"p1={smell_files[0]}", f"p2={smell_files[1]}"], []
+        args = [arg for spec in platforms for arg in ("--platform", spec)]
+        new = tmp_path / "new"
+        assert main(["smells", *args, "--window", "100", "--shift", "100", "--k", "2", *thetas,
+                     "--output-dir", str(new)]) == 0
+        theta_end, theta_role = (1.0, 0.0) if names else (0.5, 0.05)
+        per_member = _smells_oracle(platforms, "100", "100", 2, theta_end, theta_role, tmp_path / "old")
+        assert (new / "smells.json").read_bytes() == (tmp_path / "old" / "smells.json").read_bytes()
+        lines = (new / "series.csv").read_text(encoding="utf-8").splitlines()
+        comment, header = next(iter(per_member.values()))[:2]
+        assert lines[:2] == [comment, "member," + header]
+        assert lines[2:] == [f"{m},{row}" for m, rows in per_member.items() for row in rows[2:]]
+        assert sorted(p.name for p in new.iterdir()) == ["series.csv", "smells.json"]
+        if names:
+            assert {"a b", "a_b", "a/b"} <= {line.split(",")[0] for line in lines[2:]}
+
 
 
 #: Floats whose JSON or CSV text is easy to get wrong, then any float.
@@ -547,7 +639,8 @@ class TestSmellsCommand:
         assert doc["results"]["ranked_members"][0] == "zed"
         flags = doc["results"]["evidence"]["zed"]
         assert any(entry["end_dominance"] for entry in flags)
-        assert (out / "series_zed.csv").exists()
+        rows = (out / "series.csv").read_text().splitlines()[2:]
+        assert any(row.startswith("zed,") for row in rows)
 
     def test_bad_platform_spec(self, tmp_path):
         code = main([
@@ -622,6 +715,14 @@ class TestOptionBounds:
         ("experiment", ["--models", "M0"]),
         ("experiment", ["--models", "N,M2,X"]),
         ("experiment", ["--models", " , "]),
+        ("experiment", ["--train-fraction", "nan"]),
+        ("centrality", ["--model", "mogen", "--edges", "--min-visitation", "nan"]),
+        ("centrality", ["--model", "mogen", "--edges", "--min-visitation", "1.5"]),
+        ("centrality", ["--model", "network", "--min-visitation", "-0.1"]),
+        ("smells", ["--theta-end", "nan"]),
+        ("smells", ["--theta-end", "1.01"]),
+        ("smells", ["--theta-role", "NaN"]),
+        ("smells", ["--theta-role", "-1"]),
     ])
     def test_value_out_of_range_is_usage_error_before_loading(self, tmp_path, command, options):
         src = tmp_path / "bad.paths"
@@ -630,6 +731,22 @@ class TestOptionBounds:
         assert main([command, *where, *options, "--output-dir", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("experiment", "--train-fraction", "nan", "'--train-fraction': nan is not a number"),
+        ("experiment", "--train-fraction", "1", "1.0 is not in the range 0<x<1"),
+        ("centrality", "--min-visitation", "nan", "'--min-visitation': nan is not a number"),
+        ("centrality", "--min-visitation", "1.5", "1.5 is not in the range 0<=x<=1"),
+        ("smells", "--theta-end", "-0.5", "-0.5 is not in the range 0<=x<=1"),
+        ("smells", "--theta-role", "NaN", "'--theta-role': nan is not a number"),
+    ])
+    def test_float_option_message_names_its_interval(self, tmp_path, capsys, command, option, value, message):
+        src = tmp_path / "in.paths"
+        src.write_text("a,b;1;0\n")
+        where = ["--platform", f"p={src}"] if command == "smells" else ["--input", str(src)]
+        model = ["--model", "mogen"] if command == "centrality" else []
+        assert main([command, *where, *model, option, value, "--output-dir", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("specs, named", [
         (["={src}"], "'={src}'"),
         (["jira={src}", "jira={src}"], "--platform jira "),
@@ -637,7 +754,9 @@ class TestOptionBounds:
         (["jira={tmp}/missing.paths"], "--platform jira: "),
         (["jira={tmp}"], "--platform jira: "),
         (["jira="], "--platform jira: "),
-    ], ids=["empty-name", "repeated-name", "repeated-later", "missing-file", "directory", "no-file"])
+        (["ji,ra={src}"], "'ji,ra={src}'"),
+    ], ids=["empty-name", "repeated-name", "repeated-later", "missing-file", "directory", "no-file",
+            "comma-in-name"])
     def test_bad_platform_is_usage_error_before_loading(self, tmp_path, capsys, specs, named):
         src, other = tmp_path / "bad.paths", tmp_path / "other.paths"
         for path in (src, other):

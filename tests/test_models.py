@@ -26,7 +26,7 @@ from pathcent import (
     select_order,
 )
 from pathcent import models
-from pathcent.centrality import MEASURES, sequence_scores
+from pathcent.centrality import MEASURES, compute, sequence_scores
 from pathcent.pathdata import END, START
 
 import generators
@@ -561,6 +561,104 @@ class TestNodeIndex:
                            np.array([1.0, 1.0, 0.0]))
         nodes, last, lengths = model.node_index
         assert (nodes, last.tolist(), lengths.tolist()) == (["a", "c"], [0, 1, 0], [2, 1, 1])
+
+
+def _log_likelihood_oracle(model: MOGenModel, trans_counts: sp.csr_matrix) -> float:
+    """The log-likelihood that looked up each of ``trans_counts``' entries, in their
+    stored order, in ``trans_p`` by (row, column)."""
+    start = model.start_counts * np.log(model.start_p, where=model.start_counts > 0,
+                                        out=np.zeros_like(model.start_p))
+    ll = float(np.sum(start))
+    coo = trans_counts.tocoo()
+    if coo.nnz:  # scipy indexes no entries as a sparse matrix
+        probs = np.asarray(model.trans_p[coo.row, coo.col]).ravel()
+        ll += float(np.sum(coo.data * np.log(probs)))
+    mask = model.end_counts > 0
+    ll += float(np.sum(model.end_counts[mask] * np.log(model.end_p[mask])))
+    return ll
+
+
+def _reversed_rows(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` with each row's entries stored in descending column order."""
+    order = np.lexsort((-m.indices, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))))
+    return sp.csr_matrix((m.data[order], m.indices[order], m.indptr.copy()), shape=m.shape)
+
+
+def _rebuilt_unsorted(model: MOGenModel) -> tuple[MOGenModel, sp.csr_matrix]:
+    """The model rebuilt by its constructor from counts in reversed row order, and those counts."""
+    counts = _reversed_rows(model.trans_counts)
+    return MOGenModel(model.order, model.states, model.start_counts, counts, model.end_counts), counts
+
+
+def _matrix_arrays(model: MOGenModel) -> list[np.ndarray]:
+    return [a.copy() for m in (model.trans_counts, model.trans_p) for a in (m.data, m.indices, m.indptr)]
+
+
+class TestMatrixLayout:
+    """``trans_counts`` and ``trans_p`` share one sorted layout, and no call changes it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_corpora(), st.integers(1, 4))
+    def test_fitted_and_rebuilt_models_share_a_sorted_layout(self, ds, k):
+        fitted = fit_mogen(ds, k)
+        rebuilt, counts = _rebuilt_unsorted(fitted)
+        for model in (fitted, rebuilt):
+            assert model.trans_p.has_sorted_indices and model.trans_counts.has_sorted_indices
+            assert np.array_equal(model.trans_p.indices, model.trans_counts.indices)
+            assert np.array_equal(model.trans_p.indptr, model.trans_counts.indptr)
+        assert np.array_equal(rebuilt.trans_p.data, fitted.trans_p.data)
+        assert fitted.log_likelihood() == _log_likelihood_oracle(fitted, fitted.trans_counts)
+        assert rebuilt.log_likelihood() == pytest.approx(_log_likelihood_oracle(rebuilt, counts),
+                                                         rel=1e-12, abs=0)
+
+    def test_unsorted_counts_are_sorted_in_a_copy(self):
+        fitted = fit_mogen(generators.order2_families(seed=3, n_paths=300), 3)
+        rebuilt, counts = _rebuilt_unsorted(fitted)
+        given = [counts.data.copy(), counts.indices.copy()]
+        assert not counts.has_sorted_indices
+        assert rebuilt.trans_p.has_sorted_indices
+        assert np.array_equal(rebuilt.trans_p.indices, fitted.trans_counts.indices)
+        assert rebuilt.log_likelihood() == pytest.approx(_log_likelihood_oracle(rebuilt, counts),
+                                                         rel=1e-12, abs=0)
+        assert np.array_equal(counts.data, given[0]) and np.array_equal(counts.indices, given[1])
+
+    def test_duplicate_counts_are_summed(self):
+        start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        twice = sp.csr_matrix(([1.0, 1.0], [1, 1], [0, 2, 2]), shape=(2, 2))
+        model = MOGenModel(1, [("a",), ("b",)], start, twice, end)
+        assert model.trans_counts.nnz == model.trans_p.nnz == 1 and model.dof() == 0
+        assert model.trans_counts[0, 1] == 2.0 and model.trans_p[0, 1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_integer_counts_give_float64_probabilities(self, dtype):
+        fitted = fit_mogen(generators.order2_families(seed=4, n_paths=300), 2)
+        start, end = fitted.start_counts.astype(dtype), fitted.end_counts.astype(dtype)
+        model = MOGenModel(2, fitted.states, start, fitted.trans_counts.astype(dtype), end)
+        assert model.trans_counts.dtype == dtype and model.trans_p.dtype == np.float64
+        assert np.array_equal(model.trans_p.data, fitted.trans_p.data)
+        assert np.array_equal(model.trans_p.indices, fitted.trans_p.indices)
+        assert np.array_equal(model.end_p, fitted.end_p) and np.array_equal(model.start_p, fitted.start_p)
+        assert model.log_likelihood() == pytest.approx(fitted.log_likelihood(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: m.expected_visits(), lambda m: m.reach_totals(),
+        lambda m: compute(m, "closeness"),
+    ], ids=["expected_visits", "reach_totals", "closeness"])
+    def test_calls_leave_both_matrices_unchanged(self, call):
+        fitted = fit_mogen(generators.order2_families(seed=2, n_paths=300), 2)
+        for model in (fitted, _rebuilt_unsorted(fitted)[0]):
+            before = _matrix_arrays(model)
+            call(model)
+            after = _matrix_arrays(model)
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_search_leaves_its_matrix_unchanged(self):
+        model = fit_mogen(generators.order2_families(seed=2, n_paths=300), 2)
+        for adj in (model.trans_p, model.trans_p.T):
+            before = [adj.data.copy(), adj.indices.copy(), adj.indptr.copy()]
+            list(models._first_reached(adj, sp.identity(model.n_states, format="csr")))
+            after = [adj.data, adj.indices, adj.indptr]
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 class TestFitPath:

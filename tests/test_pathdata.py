@@ -189,6 +189,20 @@ class TestActions:
         ]
         assert paths_from_actions(records).total == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(ActionRecord, st.sampled_from(["T-1", "T-2", "T-3"]),
+                              st.sampled_from(["ann", "bob", "eve"]), st.integers(0, 4)),
+                    min_size=1, max_size=12))
+    def test_matches_a_sort_per_key(self, records):
+        groups = defaultdict(list)
+        for rec in records:
+            groups[rec.key].append(rec)
+        expected = []
+        for recs in groups.values():
+            ordered = sorted(recs, key=lambda r: r.time)
+            expected.append(Path(tuple(r.actor for r in ordered), 1, ordered[0].time))
+        assert paths_from_actions(records).paths == PathDataset(expected).paths
+
     def test_read_actions_header(self):
         recs = read_actions(io.StringIO("key,actor,time\nT-1,ann,3\n"))
         assert recs == [ActionRecord("T-1", "ann", 3)]
