@@ -124,14 +124,6 @@ def _sequence_closeness(sid, at, stop, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # network model
 
-def _network_adjacency(model: NetworkModel):
-    """Sorted nodes and the unweighted adjacency matrix over them."""
-    nodes = sorted(model.vocabulary)
-    index = {v: i for i, v in enumerate(nodes)}
-    ids = np.array([(index[a], index[b]) for a, b in model.edges], dtype=np.int64).reshape(-1, 2)
-    return nodes, sp.csr_matrix((np.ones(len(ids)), ids.T), shape=(len(nodes), len(nodes)))
-
-
 def _network_betweenness(adj) -> np.ndarray:
     """Brandes betweenness (unnormalised) from the BFS levels of every source:
     with σ_d the shortest-path counts of level d, the dependencies are
@@ -222,12 +214,11 @@ def compute(model, measure: str) -> CentralityVector:
             raise UnsupportedMeasureError(
                 f"{measure} cannot be computed for a network model"
             )
-        nodes, adj = _network_adjacency(model)
         if measure == "betweenness":
-            vals = _network_betweenness(adj)
+            vals = _network_betweenness(model.counts != 0)
         else:
-            vals = _harmonic_closeness(adj, sp.identity(len(nodes), dtype=bool, format="csr"))
-        return CentralityVector(dict(zip(nodes, vals.tolist())))
+            vals = _harmonic_closeness(model.counts, sp.identity(len(model.nodes), dtype=bool, format="csr"))
+        return CentralityVector(dict(zip(model.nodes, vals.tolist())))
     if isinstance(model, PathModel):
         seqs, value = model._nodes  # counted once for every measure
         return CentralityVector({s[0]: v for s, v in zip(seqs, value[measure]().tolist())})

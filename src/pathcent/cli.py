@@ -222,8 +222,8 @@ def load_dataset(path: str) -> pathdata.PathDataset:
 @_OUTPUT_DIR
 def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation, out):
     """Compute centrality reports for one model family."""
-    if edges and model != "mogen":
-        raise click.UsageError("--edges requires --model mogen")
+    if edges and (model != "mogen" or k == 1):
+        raise click.UsageError("--edges requires --model mogen and --k auto or at least 2")
     from . import centrality as cent
     from .models import fit_mogen, fit_network, fit_path, select_order
 

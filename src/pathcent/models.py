@@ -2,8 +2,8 @@
 
 Three representations of the same path dataset:
 
-* :class:`NetworkModel` -- first-order weighted adjacency, all observed
-  transitions in any order.
+* :class:`NetworkModel` -- first-order topology: :func:`fit_network` keeps the
+  order-1 fit's sorted node labels and transition counts.
 * :class:`PathModel` -- the path multiset itself (lossless).
 * :class:`MOGenModel` -- multi-order transition structure over states that
   remember up to K previous nodes, with an explicit start distribution and an
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -70,12 +69,13 @@ def encode_path(nodes: Sequence[str], k: int) -> list:
     return walk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on a sparse matrix raises
 class NetworkModel:
-    """First-order topology: transition counts over ordered node pairs."""
+    """First-order topology: sorted node labels and the counts of each observed
+    transition between them (sorted CSR, no stored zeros)."""
 
-    vocabulary: frozenset[str]
-    edges: dict  # (source, target) -> observed count
+    nodes: list[str]
+    counts: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class PathModel:
 
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
-    absorption column R, normalised from start, transition and end counts.
-    Stored zero transition counts are dropped from a copy; an order below 1,
-    repeated states, counts not sized to the states, a negative or non-finite
-    count, or start counts summing to 0, raise :class:`DataError`."""
+    absorption column R, normalised in float64 from start, transition and end
+    counts. Stored zero transition counts are dropped from a copy; an order
+    below 1, repeated states, counts not sized to the states, a negative or
+    non-finite count, or start counts summing to 0, raise :class:`DataError`."""
 
     def __init__(
         self,
@@ -122,15 +122,15 @@ class MOGenModel:
         counts = np.concatenate([start_counts, trans_counts.data, end_counts])
         if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
             raise DataError("counts must be finite and non-negative")
-        self.n_paths = start_counts.sum()  # every path starts exactly once
+        self.n_paths = start_counts.sum(dtype=np.float64)  # every path starts exactly once
         if not self.n_paths > 0:
             raise DataError("start counts must sum to more than 0")
 
         self.start_p = start_counts / self.n_paths
-        row_tot = np.asarray(trans_counts.sum(axis=1)).ravel() + end_counts
+        self.trans_p = trans_counts.astype(np.float64)  # a float64 copy of the sorted layout
+        row_tot = np.asarray(self.trans_p.sum(axis=1)).ravel() + end_counts  # float64 for any count dtype
         if np.any(row_tot <= 0):
             raise NumericError("state with no outgoing transitions")
-        self.trans_p = trans_counts.astype(np.float64)  # a float64 copy of the sorted layout,
         self.trans_p.data *= np.repeat(1.0 / row_tot, np.diff(trans_counts.indptr))  # each row / its total
         self.end_p = end_counts / row_tot
         self._validate()
@@ -187,12 +187,9 @@ class MOGenModel:
 
 
 def fit_network(ds: PathDataset) -> NetworkModel:
-    """Count all consecutive node pairs over all paths."""
-    edges: Counter = Counter()
-    for p in ds.paths:
-        for a, b in zip(p.nodes, p.nodes[1:]):
-            edges[(a, b)] += p.multiplicity
-    return NetworkModel(ds.vocabulary, dict(edges))
+    """The order-1 fit's transition counts: every consecutive node pair."""
+    m = fit_mogen(ds, 1)
+    return NetworkModel([s[0] for s in m.states], m.trans_counts)
 
 
 def fit_path(ds: PathDataset) -> PathModel:

@@ -6,6 +6,7 @@ implementation was written.
 """
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ import pytest
 from pathcent import centrality, experiment, smells
 from pathcent.centrality import MEASURES
 from pathcent.cli import main
-from pathcent.models import encode_path, fit_mogen, fit_network, fit_path, fundamental_matrix, select_order
+from pathcent.models import encode_path, fit_mogen, fit_path, fundamental_matrix, select_order
 from pathcent.pathdata import rolling_windows, write_paths
 
 import generators
 from test_centrality import brute_force
+from test_models import _fit_network_oracle
 
 
 class TestCriterion1LosslessOracle:
@@ -103,11 +105,16 @@ class TestCriterion4Encoding:
     def test_k1_matches_first_order_transitions(self):
         ds = generators.toy_dataset()
         m1 = fit_mogen(ds, 1)
-        net = fit_network(ds)
-        for (u, v), count in net.edges.items():
+        _, edges = _fit_network_oracle(ds)
+        leaving = Counter()  # per node: its transitions out plus the paths ending there
+        for (u, _), count in edges.items():
+            leaving[u] += count
+        for p in ds.paths:
+            leaving[p.nodes[-1]] += p.multiplicity
+        assert m1.trans_p.nnz == len(edges)
+        for (u, v), count in edges.items():
             i, j = m1.states.index((u,)), m1.states.index((v,))
-            total = m1.trans_counts[i].sum() + m1.end_counts[i]
-            assert m1.trans_p[i, j] == pytest.approx(count / total, abs=1e-12)
+            assert m1.trans_p[i, j] == pytest.approx(count / leaving[u], abs=1e-12)
 
 
 class TestCriterion5PredictionAdvantage:

@@ -548,6 +548,15 @@ class TestCentralityCommand:
         ])
         assert code == 1
 
+    def test_edges_with_auto_order_one_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "one.paths"
+        src.write_text("a,b;3\n")  # AIC ties every order, so K=1 is selected
+        code = main([
+            "centrality", "--input", str(src), "--model", "mogen", "--k", "auto",
+            "--edges", "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == 2 and "selected order K=1" in capsys.readouterr().out
+
     def test_repeated_measure_counts_once(self, paths_file, tmp_path):
         base = ["centrality", "--input", paths_file, "--model", "mogen", "--k", "2"]
         assert main(base + ["--measure", "betweenness", "--measure", "path_end",
@@ -719,6 +728,7 @@ class TestOptionBounds:
         ("centrality", ["--model", "mogen", "--edges", "--min-visitation", "nan"]),
         ("centrality", ["--model", "mogen", "--edges", "--min-visitation", "1.5"]),
         ("centrality", ["--model", "network", "--min-visitation", "-0.1"]),
+        ("centrality", ["--model", "mogen", "--k", "1", "--edges"]),
         ("smells", ["--theta-end", "nan"]),
         ("smells", ["--theta-end", "1.01"]),
         ("smells", ["--theta-role", "NaN"]),

@@ -21,6 +21,7 @@ from pathcent import models
 from pathcent.centrality import compute, mogen_state_scores
 
 import generators
+from test_models import _fit_network_oracle, assert_network_matches_oracle
 
 REL = 1e-12
 
@@ -76,17 +77,19 @@ def oracle_first_order_distances(model) -> dict:
     return out
 
 
-def oracle_graph(model):
+def oracle_graph(ds):
+    """The network of ``ds`` from the ``Counter`` fit, as a networkx digraph."""
+    nodes, edges = _fit_network_oracle(ds)
     g = nx.DiGraph()
-    g.add_nodes_from(model.vocabulary)
-    g.add_edges_from(model.edges)
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
     return g
 
 
-def oracle_network_distances(model) -> dict:
+def oracle_network_distances(ds) -> dict:
     return {
         (v, u): d
-        for v, lengths in nx.all_pairs_shortest_path_length(oracle_graph(model))
+        for v, lengths in nx.all_pairs_shortest_path_length(oracle_graph(ds))
         for u, d in lengths.items()
         if u != v
     }
@@ -143,16 +146,12 @@ def _orders():
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_network(name):
-    model = fit_network(CORPORA[name]())
-    expected = oracle_network_distances(model)
-    nodes = sorted(model.vocabulary)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = sp.csr_matrix(
-        (np.ones(len(model.edges)), ([index[a] for a, _ in model.edges],
-                                     [index[b] for _, b in model.edges])),
-        shape=(len(nodes), len(nodes)),
-    )
-    got = searched(adj, identity(len(nodes)))
+    ds = CORPORA[name]()
+    model = fit_network(ds)
+    assert_network_matches_oracle(model, ds)
+    expected = oracle_network_distances(ds)
+    nodes = model.nodes
+    got = searched(model.counts, identity(len(nodes)))
     assert {(nodes[r], nodes[c]): d for (r, c), d in got.items()} == expected
     scores = compute(model, "closeness").scores
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
@@ -193,15 +192,15 @@ def test_batches_do_not_change_results(monkeypatch, cells):
 # Brandes betweenness on the network model
 
 
-def oracle_betweenness(model) -> dict:
-    return nx.betweenness_centrality(oracle_graph(model), normalized=False)
+def oracle_betweenness(ds) -> dict:
+    return nx.betweenness_centrality(oracle_graph(ds), normalized=False)
 
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_network_betweenness(name):
-    model = fit_network(CORPORA[name]())
-    scores = compute(model, "betweenness").scores
-    assert scores == pytest.approx(oracle_betweenness(model), rel=REL, abs=0)
+    ds = CORPORA[name]()
+    scores = compute(fit_network(ds), "betweenness").scores
+    assert scores == pytest.approx(oracle_betweenness(ds), rel=REL, abs=0)
 
 
 @st.composite
@@ -224,4 +223,4 @@ def test_network_betweenness_on_random_digraphs(ds, cells):
     model = fit_network(ds)
     with mock.patch.object(models, "_BFS_CELLS", cells):
         scores = compute(model, "betweenness").scores
-    assert scores == pytest.approx(oracle_betweenness(model), rel=REL, abs=0)
+    assert scores == pytest.approx(oracle_betweenness(ds), rel=REL, abs=0)

@@ -27,9 +27,11 @@ from pathcent import (
 )
 from pathcent import models
 from pathcent.centrality import MEASURES, compute, sequence_scores
-from pathcent.pathdata import END, START
+from pathcent.experiment import split
+from pathcent.pathdata import END, START, rolling_windows
 
 import generators
+from test_pathdata import _timestamped
 
 
 class TestEncodePath:
@@ -64,12 +66,59 @@ class TestEncodePath:
             encode_path(["A"], 0)
 
 
+def _fit_network_oracle(ds):
+    """The network fit as a ``Counter`` over label pairs: the sorted labels of
+    ``ds.paths`` and ``{(source, target): count}`` of every consecutive pair."""
+    edges: Counter = Counter()
+    for p in ds.paths:
+        for a, b in zip(p.nodes, p.nodes[1:]):
+            edges[(a, b)] += p.multiplicity
+    return sorted({v for p in ds.paths for v in p.nodes}), dict(edges)
+
+
+def assert_network_matches_oracle(model, ds):
+    """``model.nodes`` and ``model.counts`` hold the oracle's labels and counts,
+    as a sorted CSR matrix without stored zeros."""
+    nodes, edges = _fit_network_oracle(ds)
+    assert model.nodes == nodes
+    counts = model.counts
+    assert counts.format == "csr" and counts.shape == (len(nodes), len(nodes))
+    assert counts.has_sorted_indices and np.all(counts.data != 0)
+    rows = np.repeat(np.arange(len(nodes)), np.diff(counts.indptr))
+    got = {(nodes[i], nodes[j]): c for i, j, c in zip(rows, counts.indices, counts.data.tolist())}
+    assert got == edges
+
+
 class TestFitNetwork:
     def test_edge_counts_include_multiplicity(self):
         ds = PathDataset([Path(("a", "b", "c"), 2), Path(("b", "c"), 1)])
         model = fit_network(ds)
-        assert model.edges == {("a", "b"): 2, ("b", "c"): 3}
-        assert model.vocabulary == {"a", "b", "c"}
+        assert model.nodes == ["a", "b", "c"]
+        assert model.counts.toarray().tolist() == [[0, 2, 0], [0, 0, 3], [0, 0, 0]]
+        assert_network_matches_oracle(model, ds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 25), st.integers(1, 25), st.floats(0.1, 0.9),
+           st.integers(0, 2**16))
+    def test_corpora_and_row_subsets_match_oracle(self, paths, length, shift, fraction, seed):
+        """Windows and split sides keep their corpus's labels in the encoding;
+        the network holds only the nodes of their own paths."""
+        ds = PathDataset(paths)
+        subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+        try:
+            subsets += split(ds, fraction, seed)
+        except DataError:
+            pass  # fewer than 2 path instances, or no non-degenerate draw
+        for sub in subsets:
+            model = fit_network(sub)
+            assert model.nodes == sorted(sub.vocabulary)
+            assert_network_matches_oracle(model, sub)
+
+    def test_hub_with_many_successors(self):
+        ds = PathDataset([Path(("hub", f"v{i}")) for i in range(20_000)])
+        model = fit_network(ds)
+        assert model.counts.getrow(model.nodes.index("hub")).nnz == 20_000
+        assert_network_matches_oracle(model, ds)
 
 
 def _fit_mogen_oracle(ds, k):
@@ -639,6 +688,35 @@ class TestMatrixLayout:
         assert np.array_equal(model.trans_p.indices, fitted.trans_p.indices)
         assert np.array_equal(model.end_p, fitted.end_p) and np.array_equal(model.start_p, fitted.start_p)
         assert model.log_likelihood() == pytest.approx(fitted.log_likelihood(), rel=1e-12, abs=0)
+
+    def test_count_dtypes_give_equal_probabilities(self):
+        fitted = fit_mogen(generators.order2_families(seed=4, n_paths=300), 2)
+        got = [MOGenModel(2, fitted.states, fitted.start_counts.astype(dtype),
+                          fitted.trans_counts.astype(dtype), fitted.end_counts.astype(dtype))
+               for dtype in (np.int64, np.float32, np.float64)]
+        want = got[0]
+        for model in got:
+            assert model.start_p.dtype == model.trans_p.dtype == model.end_p.dtype == np.float64
+            assert np.array_equal(model.start_p, want.start_p) and np.array_equal(model.end_p, want.end_p)
+            assert np.array_equal(model.trans_p.data, want.trans_p.data)
+            assert np.array_equal(model.trans_p.indices, want.trans_p.indices)
+            assert model.log_likelihood() == want.log_likelihood()
+
+    def test_float_counts_keep_their_bits(self):
+        """float32 counts that are not integers build; float64 ones give what
+        dividing by their own sums gives, bit for bit."""
+        fitted = fit_mogen(generators.order2_families(seed=4, n_paths=300), 2)
+        rng = np.random.default_rng(0)
+        start = fitted.start_counts * rng.uniform(0.1, 3, fitted.n_states)
+        end = fitted.end_counts * rng.uniform(0.1, 3, fitted.n_states)
+        trans = fitted.trans_counts.copy()
+        trans.data *= rng.uniform(0.1, 3, trans.nnz)
+        MOGenModel(2, fitted.states, start.astype(np.float32), trans.astype(np.float32), end.astype(np.float32))
+        model = MOGenModel(2, fitted.states, start, trans, end)
+        row_tot = np.asarray(trans.sum(axis=1)).ravel() + end
+        assert np.array_equal(model.start_p, start / start.sum())
+        assert np.array_equal(model.end_p, end / row_tot)
+        assert np.array_equal(model.trans_p.data, trans.data * np.repeat(1.0 / row_tot, np.diff(trans.indptr)))
 
     @pytest.mark.parametrize("call", [
         lambda m: m.expected_visits(), lambda m: m.reach_totals(),
