@@ -13,10 +13,10 @@ Per-state values are arrays aligned with ``model.states``; the edge report
 reads them at the rows of its order-2 states and searches closeness from those
 rows only.
 
-Closeness is out-direction harmonic closeness over unweighted hop distances.
-One sparse breadth-first search (:func:`pathcent.models._first_reached`)
-serves closeness on network and multi-order models, Brandes betweenness on
-the network model, and the models' absorbing check.
+Closeness is out-direction harmonic closeness over unweighted hop distances,
+searched per node and per state over bit sets of target groups
+(:func:`pathcent.models._closeness`). A breadth-first search serves Brandes
+betweenness and the edge report's closeness from its selected states.
 
 Path-model values (and the experiment's ground truth) are counted on the
 dataset's integer encoding over every sub-path occurrence up to a maximum
@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import MOGenModel, NetworkModel, PathModel, _first_reached, _keyed_sequences, _sequence_levels
+from .models import (MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows,
+                     _sequence_levels, _state_tuples)
 from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
@@ -56,25 +57,27 @@ def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
     s sums 1/d over every other sequence t, where d is the fewest transitions
     from an occurrence of s to a later occurrence of t on one path (between
     occurrence end positions)."""
-    for m in measures:
-        if m not in MEASURES:
-            raise DataError(f"unknown measure {m!r}")
-    seqs, value = _sequence_values(ds, max_len)
+    labels, rows, value = _sequence_values(ds, max_len, measures)
+    seqs = _state_tuples(labels, rows)
     return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
 
 
-def _sequence_values(ds: PathDataset, max_len: int):
-    """:func:`sequence_scores`' sequences and, per measure, a function of their values."""
-    _, _, lengths, weights = ds.encoded
+def _sequence_values(ds: PathDataset, max_len: int, measures=()):
+    """The labels, :func:`sequence_scores`' sequences as rows of ids into them,
+    and per measure a function of their values; ``measures`` are checked."""
+    for m in measures:
+        if m not in MEASURES:
+            raise DataError(f"unknown measure {m!r}")
+    labels, ids, lengths, weights = ds.encoded
     _, path, pos, levels = _sequence_levels(ds, max_len)
     # one occurrence per (end node, length), level-major and by node within a level
     at = np.concatenate([a for a, _ in levels])
     size = np.repeat(np.arange(1, len(levels) + 1), [len(a) for a, _ in levels])
-    sid, seqs = _keyed_sequences(ds, np.concatenate([key for _, key in levels]), path[at], pos[at], size)
-    n, j, last, w = len(seqs), pos[at], lengths[path[at]] - 1, weights[path[at]]
+    sid, rows = _keyed_rows(ids, np.concatenate([key for _, key in levels]), at, size)
+    n, j, last, w = len(rows), pos[at], lengths[path[at]] - 1, weights[path[at]]
     occ = np.bincount(sid, w, n)
     end_occ = np.bincount(sid, w * (j == last), n)
-    return seqs, {
+    return labels, rows, {
         "betweenness": lambda: np.bincount(sid, w * ((j >= size) & (j < last)), n),
         "closeness": lambda: _sequence_closeness(sid, at, at + last - j, n),
         "path_end": lambda: end_occ / ds.total,
@@ -131,7 +134,7 @@ def _network_betweenness(adj) -> np.ndarray:
     levels of each batch of sources."""
     out = np.zeros(adj.shape[0])
     levels = []
-    for _, _, _, sigma in _first_reached(adj, sp.identity(adj.shape[0], format="csr")):
+    for _, _, sigma in _first_reached(adj, sp.identity(adj.shape[0], format="csr")):
         if sigma.nnz:
             levels.append(sigma)
             continue
@@ -142,15 +145,6 @@ def _network_betweenness(adj) -> np.ndarray:
             inv = sigma.power(-1)
             coef = inv + inv.multiply(delta)
         levels = []
-    return out
-
-
-def _harmonic_closeness(adj, start, groups=None) -> np.ndarray:
-    """Per start row, the sum of 1/d over every group it reaches at hop
-    distance d (see :func:`_first_reached`)."""
-    out = np.zeros(start.shape[0])
-    for dist, rows, _, _ in _first_reached(adj, start, groups):
-        np.add.at(out, rows, 1.0 / dist)
     return out
 
 
@@ -176,20 +170,10 @@ def mogen_state_scores(model: MOGenModel, measure: str) -> np.ndarray:
     elif measure == "visitation":
         vals = sf / sf.sum()
     elif measure == "closeness":
-        vals = _harmonic_closeness(model.trans_p, sp.identity(model.n_states, dtype=bool, format="csr"))
+        vals = _closeness(model.trans_p, np.arange(model.n_states))
     else:
         raise DataError(f"unknown measure {measure!r}")
     return vals
-
-
-def _mogen_fo_closeness(model: MOGenModel) -> np.ndarray:
-    """First-order harmonic closeness over the multi-order topology: one
-    search per node of ``model.node_index``, starting from every state whose
-    last node it is; the states that end in a node form its group."""
-    nodes, last, _ = model.node_index
-    n = model.n_states
-    start = sp.csr_matrix((np.ones(n, dtype=bool), (last, np.arange(n))), shape=(len(nodes), n))
-    return _harmonic_closeness(model.trans_p, start, last)
 
 
 def _project_first_order(model: MOGenModel, measure: str, state_vals: np.ndarray) -> np.ndarray:
@@ -217,14 +201,14 @@ def compute(model, measure: str) -> CentralityVector:
         if measure == "betweenness":
             vals = _network_betweenness(model.counts != 0)
         else:
-            vals = _harmonic_closeness(model.counts, sp.identity(len(model.nodes), dtype=bool, format="csr"))
+            vals = _closeness(model.counts, np.arange(len(model.nodes)))
         return CentralityVector(dict(zip(model.nodes, vals.tolist())))
     if isinstance(model, PathModel):
-        seqs, value = model._nodes  # counted once for every measure
-        return CentralityVector({s[0]: v for s, v in zip(seqs, value[measure]().tolist())})
+        labels, rows, value = model._nodes  # counted once for every measure
+        return CentralityVector(dict(zip([labels[i] for i in rows[:, 0].tolist()], value[measure]().tolist())))
     if isinstance(model, MOGenModel):
-        if measure == "closeness":
-            state_vals, vals = None, _mogen_fo_closeness(model)
+        if measure == "closeness":  # a node's group holds the states ending in it
+            state_vals, vals = None, _closeness(model.trans_p, model.node_index[1], by_group=True)
         else:
             state_vals = mogen_state_scores(model, measure)
             vals = _project_first_order(model, measure, state_vals)
@@ -253,9 +237,10 @@ def edge_centralities(
     shares = sf / sf.sum()
     rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))
     columns = {m: mogen_state_scores(model, m)[rows] for m in measures if m != "closeness"}
-    if "closeness" in measures and len(rows):
-        start = sp.identity(model.n_states, dtype=bool, format="csr")[rows]
-        columns["closeness"] = _harmonic_closeness(model.trans_p, start)
+    if "closeness" in measures and len(rows):  # summed as _closeness sums, d ascending
+        columns["closeness"] = close = np.zeros(len(rows))
+        for lo, dist, level in _first_reached(model.trans_p, sp.identity(model.n_states, format="csr")[rows]):
+            close[lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
     selected = [model.states[i] for i in rows]
     values = {s: {m: float(columns[m][j]) for m in measures} for j, s in enumerate(selected)}
     return EdgeCentralityReport(dict(zip(selected, shares[rows].tolist())), values)

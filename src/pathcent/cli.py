@@ -233,10 +233,11 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
     elif model == "path":
         fitted = fit_path(ds)
     else:
+        fits: dict = {}
         if k == "auto":
-            k = select_order(ds, k_max)
+            k = select_order(ds, k_max, fits)
             click.echo(f"selected order K={k}")
-        fitted = fit_mogen(ds, k)
+        fitted = fits.get(k) or fit_mogen(ds, k)
         keys = ["|".join(s) for s in fitted.states]  # in row order, as the CSV writes them
         order = sorted(range(len(keys)), key=keys.__getitem__)  # shared by every JSON column
         sorted_keys = [keys[i] for i in order]

@@ -4,7 +4,9 @@ most influential nodes and node sequences in held-out test paths?
 Pipeline per replicate: instance-level train/test split, ground-truth ranking
 from the test paths, model predictions projected upward onto the ground-truth
 states, and top-decile AUC scoring with midrank tie handling. Results are
-averaged over replicates.
+averaged over replicates. Labels, suffixes and scores are arrays over the
+targets in lexicographic order. The truth breaks ties lexicographically; the AUC
+ties predicted scores within :data:`~pathcent.models.TIE_TOL` of the largest.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import centrality
 from .errors import DataError
-from .models import MOGenModel, fit_mogen, fit_network
+from .models import TIE_TOL, MOGenModel, _state_tuples, fit_mogen, fit_network
 from .pathdata import PathDataset, parse_model_label
 
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
@@ -71,60 +73,66 @@ def split(ds: PathDataset, fraction: float, seed):
     raise DataError("could not produce a non-degenerate split")
 
 
-def ground_truth(test: PathDataset, measures, k_truth: int) -> dict:
-    """Rank all sequences up to length ``k_truth`` in the test set by each of
-    ``measures``, descending: ``{measure: [(sequence, value), ...]}``.
+def ground_truth(test: PathDataset, measures, k_truth: int) -> tuple[tuple, dict]:
+    """All sequences up to length ``k_truth`` in the test set, in lexicographic
+    order, and per measure their indices ranked by value, descending, ties
+    broken lexicographically: ``(sequences, {measure: ranking})``."""
+    labels, rows, value = centrality._sequence_values(test, k_truth, measures)
+    order = np.lexsort(rows.T[::-1])  # a -1 pad sorts a prefix first
+    return _state_tuples(labels, rows[order]), {
+        m: np.argsort(-value[m]()[order], kind="stable") for m in measures}
 
-    Ties break lexicographically on the state tuple.
-    """
-    scores = centrality.sequence_scores(test, measures, max_len=k_truth)
-    return {m: sorted(v.items(), key=lambda kv: (-kv[1], kv[0])) for m, v in scores.items()}
 
-
-def project_up(keys, targets) -> list:
-    """For each target state, its longest suffix in ``keys``, or None."""
+def project_up(keys, targets) -> np.ndarray:
+    """For each target state, the index of its longest suffix in the sequence
+    ``keys``, or -1."""
+    index = {s: i for i, s in enumerate(keys)}
     out = []
     for h in targets:
         for i in range(len(h)):
-            if h[i:] in keys:
-                out.append(h[i:])
+            j = index.get(h[i:], -1)  # a target has at least one node
+            if j >= 0:
                 break
-        else:
-            out.append(None)
-    return out
+        out.append(j)
+    return np.array(out, dtype=np.int64)
 
 
-def _scored(values: dict, suffixes) -> list:
-    """The value of each suffix; a target with no scored suffix (None) gets
+def _scored(values: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
+    """The value of each suffix index; a target with no scored suffix (-1) gets
     the minimum score."""
-    floor = min(values.values(), default=0.0)
-    return [floor if s is None else values[s] for s in suffixes]
+    return np.append(values, values.min() if len(values) else 0.0)[suffixes]
 
 
 def auc_score(labels, scores) -> float:
-    """Rank-based (Mann-Whitney) AUC with midrank tie handling."""
+    """Rank-based (Mann-Whitney) AUC with midrank ties: sorted neighbours at
+    most ``TIE_TOL`` times the largest |score| apart share one rank group."""
     labels = np.asarray(labels, dtype=bool)
     scores = np.asarray(scores, dtype=float)
     n_pos = int(labels.sum())
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both positive and negative labels")
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    order = np.argsort(scores, kind="stable")
+    group = np.cumsum(np.r_[True, np.diff(scores[order]) > TIE_TOL * np.abs(scores).max()]) - 1
+    ranks = np.empty(len(scores))  # a group's midrank: the mean of its 1-based places
+    ranks[order] = (np.bincount(group, np.arange(1.0, len(scores) + 1)) / np.bincount(group))[group]
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _predictions(model, measure: str) -> dict:
-    """First-order scores for single nodes; for a multi-order model also the
-    analytic state values of higher-order states."""
-    vec = centrality.compute(model, measure)
-    scores = {(v,): s for v, s in vec.scores.items()}
-    if isinstance(model, MOGenModel):
-        values = vec.state_scores
-        if values is None:  # closeness reports no per-state values from compute
-            values = centrality.mogen_state_scores(model, measure)
-        scores.update((s, v) for s, v, n in zip(model.states, values.tolist(), model.node_index[2]) if n >= 2)
-    return scores
+def _predictions(model, measures) -> tuple[list, dict]:
+    """The model's keys, its nodes as 1-tuples and any states of length 2 or more,
+    and per measure an array of their first-order and analytic state scores."""
+    mogen = isinstance(model, MOGenModel)
+    higher = np.flatnonzero(model.node_index[2] >= 2) if mogen else []
+    keys = [(v,) for v in (model.node_index[0] if mogen else model.nodes)] + [model.states[i] for i in higher]
+    scores = {}
+    for m in measures:
+        vec = centrality.compute(model, m)
+        state = vec.state_scores
+        if mogen and state is None:  # closeness reports no per-state values from compute
+            state = centrality.mogen_state_scores(model, m)
+        scores[m] = np.concatenate([list(vec.scores.values()), state[higher] if mogen else []])
+    return keys, scores
 
 
 def evaluate(
@@ -148,27 +156,23 @@ def evaluate(
         raise DataError("no requested measure is supported by the requested models")
     for rep in range(spec.replicates):
         train, test = split(ds, spec.train_fraction, [spec.seed, rep])
-        truths = ground_truth(test, measures, k_truth)
-        # every ranking holds the same sequences; label each on one order
-        targets = [s for s, _ in next(iter(truths.values()))]
+        targets, rankings = ground_truth(test, measures, k_truth)
         if len(targets) < 10:
             raise DataError("target set too small for decile labeling")
         n_pos = math.ceil(0.1 * len(targets))
-        index = {s: i for i, s in enumerate(targets)}
-        labels = {}
-        for m, ranking in truths.items():
-            labels[m] = np.zeros(len(targets), dtype=bool)
-            labels[m][[index[s] for s, _ in ranking[:n_pos]]] = True
+        labels = {m: np.argsort(r) < n_pos for m, r in rankings.items()}  # by place in the ranking
         for label, kind, k, wanted in parsed:
             if not wanted:
                 continue
-            if kind == "path":
-                preds = centrality.sequence_scores(train, wanted, k_truth)
+            if kind == "path":  # every measure's dict holds the same keys, in one order
+                by_measure = centrality.sequence_scores(train, wanted, k_truth)
+                keys = list(by_measure[wanted[0]])
+                preds = {m: np.fromiter(v.values(), float) for m, v in by_measure.items()}
             else:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
-                preds = {m: _predictions(model, m) for m in wanted}
+                keys, preds = _predictions(model, wanted)
             # a model scores the same keys under every measure
-            suffixes = project_up(preds[wanted[0]], targets)
+            suffixes = project_up(keys, targets)
             for m in wanted:
                 collected[label, m].append(auc_score(labels[m], _scored(preds[m], suffixes)))
     return [AUCResult(label, m, tuple(aucs)) for (label, m), aucs in collected.items()]

@@ -12,14 +12,15 @@ Three representations of the same path dataset:
   solved by the fixed point x <- b + A x, or by sparse LU where that does not
   converge, with a checked residual; a chain with a state that never reaches
   the end, or that still fails, raises :class:`NumericError` (CLI exit 3).
-  Each solve logs one DEBUG record. That end check runs the package's one
-  breadth-first search, :func:`_first_reached`, as closeness and betweenness do.
+  Each solve logs one DEBUG record. That end check and closeness run the bit-set
+  search :func:`_closeness`; betweenness and the edge report run :func:`_first_reached`.
 
 A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
 the integer encoding that a corpus computes once and its windows and split
 sides share, and gives each state its row in ``(len, labels)`` order, or from
 its constructor over such counts; models have no file format.
-``model.states[i]`` is the only state-to-row key; later layers hold per-state
+A model holds its states as rows of label ids; ``model.states[i]``, a tuple view
+built on first use, is the only state-to-row key. Later layers hold per-state
 arrays over the rows and read ``model.node_index``.
 """
 from __future__ import annotations
@@ -40,11 +41,16 @@ from .pathdata import END, START, PathDataset
 STOCHASTIC_TOL = 1e-12
 #: Largest accepted ||x - A x - b||_inf / ||x||_inf of a chain solve.
 _TOL = 1e-14
+#: Scores closer than this share of the largest |score| tie in the experiment's AUC;
+#: solves and searches move values by far less (closeness: 4.5e-14 relative).
+TIE_TOL = 1e-9
 #: Fixed-point iterations before a chain solve falls back to sparse LU.
 _MAX_ITER = 1000
 #: Cells of the dense seen-mask of one BFS batch (source rows x states);
 #: bounds the search's memory on large models.
 _BFS_CELLS = 1 << 20
+#: uint64 words of one closeness batch (rows x words of group bits).
+_BATCH_WORDS = 1 << 17
 
 log = logging.getLogger(__name__)
 
@@ -93,24 +99,33 @@ class PathModel:
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
     absorption column R, normalised in float64 from start, transition and end
-    counts. Stored zero transition counts are dropped from a copy; an order
-    below 1, repeated states, counts not sized to the states, a negative or
+    counts of ``states``: label tuples, or with ``labels`` rows of ids into them
+    padded with -1. Stored zero transition counts are dropped from a copy; an
+    order below 1, repeated states, counts not sized to the states, a negative or
     non-finite count, or start counts summing to 0, raise :class:`DataError`."""
 
     def __init__(
         self,
         order: int,
-        states: Sequence[State],
+        states: Sequence[State] | np.ndarray,
         start_counts: np.ndarray,
         trans_counts: sp.csr_matrix,
         end_counts: np.ndarray,
+        labels: list[str] | None = None,
     ):
         self.order = order
-        self.states = tuple(states)
-        n = len(self.states)
+        if labels is None:  # the tuples are the view; the rows are derived from them
+            self.states = tuple(states)
+            labels = sorted({v for s in self.states for v in s})
+            ids, width = {v: i for i, v in enumerate(labels)}, max(map(len, self.states), default=1)
+            states = np.array([[ids[v] for v in s] + [-1] * (width - len(s)) for s in self.states],
+                              dtype=np.int32).reshape(-1, width)
+        self.labels, self.rows = labels, states
+        n = len(states)
         if not (isinstance(order, int) and order >= 1):
             raise DataError("order must be >= 1")
-        if len(set(self.states)) < n:
+        ranked = states[np.lexsort(states.T[::-1])]
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
             raise DataError("states must be distinct")
         if np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or trans_counts.shape != (n, n):
             raise DataError(f"counts must match the {n} states")
@@ -147,14 +162,18 @@ class MOGenModel:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.rows)
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:  # row i's state as a tuple of labels
+        return _state_tuples(self.labels, self.rows)
 
     @cached_property
     def node_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Sorted last-node labels; per row, its last node's id and its state length."""
-        ends = [s[-1] for s in self.states]
-        ids = {v: i for i, v in enumerate(sorted(set(ends)))}
-        return list(ids), np.array([ids[v] for v in ends]), np.array([len(s) for s in self.states])
+        lengths = (self.rows >= 0).sum(axis=1)
+        used, last = np.unique(self.rows[np.arange(len(lengths)), lengths - 1], return_inverse=True)
+        return [self.labels[i] for i in used.tolist()], last, lengths
 
     def expected_visits(self) -> np.ndarray:
         """S . F -- expected number of visits to each state on a random path."""
@@ -189,7 +208,7 @@ class MOGenModel:
 def fit_network(ds: PathDataset) -> NetworkModel:
     """The order-1 fit's transition counts: every consecutive node pair."""
     m = fit_mogen(ds, 1)
-    return NetworkModel([s[0] for s in m.states], m.trans_counts)
+    return NetworkModel(m.node_index[0], m.trans_counts)
 
 
 def fit_path(ds: PathDataset) -> PathModel:
@@ -204,18 +223,18 @@ def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     path starts in the state of its first node, ends in that of its last, and
     moves into the state of each later node from the one before.
     """
-    _, _, lengths, weights = ds.encoded
+    labels, ids, lengths, weights = ds.encoded
     first, path, pos, levels = _sequence_levels(ds, k)
     key = np.empty_like(pos)
     for at, level_key in levels:
         key[at] = level_key
-    state, states = _keyed_sequences(ds, key, path, pos, np.minimum(pos + 1, k))
-    n = len(states)
+    state, rows = _keyed_rows(ids, key, np.arange(len(ids)), np.minimum(pos + 1, k))
+    n = len(rows)
     start = np.bincount(state[first], weights, n)
     end = np.bincount(state[first + lengths - 1], weights, n)
     step = np.flatnonzero(pos)  # every node but a path's first
     trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
-    return MOGenModel(k, states, start, trans, end)
+    return MOGenModel(k, rows, start, trans, end, labels)
 
 
 def _sequence_levels(ds: PathDataset, k: int):
@@ -241,13 +260,18 @@ def _sequence_levels(ds: PathDataset, k: int):
     return first, path, pos, levels
 
 
-def _keyed_sequences(ds: PathDataset, key, path, pos, size):
+def _keyed_rows(ids: np.ndarray, key, at, size):
     """Each entry's index into the distinct ``key``s, and per distinct key the
-    ``size`` nodes of ``ds.paths[path]`` ending at position ``pos``."""
+    ids of the ``size`` nodes of ``ids`` ending at ``at``, padded with -1."""
     _, seen, index = np.unique(key, return_index=True, return_inverse=True)
-    seqs = [p.nodes for p in ds.paths]
-    ends = zip(path[seen].tolist(), pos[seen].tolist(), size[seen].tolist())
-    return index, [seqs[i][j - m + 1 : j + 1] for i, j, m in ends]
+    back = size[seen, None] - 1 - np.arange(int(size.max()))  # column c holds the node at - back
+    return index, np.where(back >= 0, ids[at[seen, None] - back.clip(0)], -1).astype(np.int32)
+
+
+def _state_tuples(labels: list[str], rows: np.ndarray) -> tuple[State, ...]:
+    """The label tuple of each row of ids."""
+    named = np.array(labels, dtype=object)[rows].tolist()  # a pad's label is cut off
+    return tuple(tuple(r[:m]) for r, m in zip(named, (rows >= 0).sum(axis=1).tolist()))
 
 
 def fundamental_matrix(model: MOGenModel) -> np.ndarray:
@@ -262,13 +286,13 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     ``_TOL`` and otherwise steps x -= residual; at ``_MAX_ITER`` sparse LU of
     (I - A) takes over, checked on the same residual.
     A state that cannot reach a state with ``end_p > 0`` makes the chain
-    non-absorbing (I - Q is then singular or nearly so): no solve is tried.
-    That search runs once per model; its verdict is kept on the model.
+    non-absorbing (I - Q is then singular or nearly so): no solve is tried;
+    that search runs once per model.
     """
     n = model.n_states
-    if not model._absorbing:  # backward search over Q from the states that can end a path
-        ends = sp.csr_matrix(model.end_p[None, :] > 0)
-        if ends.nnz + sum(len(rows) for _, rows, _, _ in _first_reached(model.trans_p.T, ends)) < n:
+    if not model._absorbing:
+        ends = model.end_p > 0
+        if not (ends | (_closeness(model.trans_p, np.where(ends, 0, -1)) > 0)).all():
             raise NumericError("non-absorbing chain: a state never reaches the end")
         model._absorbing = True
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
@@ -295,63 +319,86 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _first_reached(adj, start, groups=None):
+def _first_reached(adj, start):
     """Level-synchronous BFS over ``adj`` from the rows of the CSR matrix
-    ``start``, each row a set of states at distance 0; ``groups`` maps states
-    to group ids (default: one group per state).
-
-    Yields ``(dist, rows, grps, level)`` per level and batch: row ``rows[i]``
-    first reaches group ``grps[i]`` at ``dist`` >= 1 hops (start states are
-    never reached), and ``level`` (batch rows x states) counts the shortest
-    paths to each state first seen at ``dist``. A batch's last level is empty.
-    """
+    ``start``, each row a set of states at distance 0. Yields ``(lo, dist,
+    level)`` per level and batch of start rows from ``lo``: ``level`` (batch rows
+    x states) counts the shortest paths to each state first seen at ``dist`` >= 1
+    hops. A batch's last level is empty."""
     adj = (adj != 0).astype(float).tocsr()
     n = adj.shape[0]
-    groups = np.arange(n) if groups is None else np.asarray(groups, dtype=np.int64)
-    n_groups = int(groups.max()) + 1
     batch = max(1, _BFS_CELLS // n)
     for lo in range(0, start.shape[0], batch):
         frontier = start[lo : lo + batch].astype(float)
-        b = frontier.shape[0]
+        b, dist = frontier.shape[0], 0
         seen = np.zeros(b * n, dtype=bool)
-        reached = np.zeros(b * n_groups, dtype=bool)
-        r, c = _entries(frontier)
-        seen[r * n + c] = True
-        dist = 0
         while frontier.nnz:
+            seen[np.repeat(np.arange(b) * n, np.diff(frontier.indptr)) + frontier.indices] = True
             dist += 1
             paths = frontier @ adj
-            r, c = _entries(paths)
-            new = ~seen[r * n + c]
-            r, c = r[new], c[new]
-            seen[r * n + c] = True
-            indptr = np.zeros(b + 1, dtype=np.int64)
-            np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
-            frontier = sp.csr_matrix((paths.data[new], c, indptr), shape=(b, n))
-            keys = r * n_groups + groups[c]
-            keys = np.unique(keys[~reached[keys]])
-            reached[keys] = True
-            yield dist, lo + keys // n_groups, keys % n_groups, frontier
+            cells = np.repeat(np.arange(b) * n, np.diff(paths.indptr)) + paths.indices
+            new = ~seen[cells]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(cells[new] // n, minlength=b))])
+            frontier = sp.csr_matrix((paths.data[new], paths.indices[new], indptr), shape=(b, n))
+            yield lo, dist, frontier
 
 
-def _entries(m: sp.csr_matrix):
-    """Row and column of every stored entry of ``m``, in row order."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows, m.indices.astype(np.int64)
+def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
+    """Per row of ``adj``, or per group if ``by_group``, the sum of 1/d over the
+    groups first reached at d >= 1 hops: row i is in group ``group[i]`` (in none
+    if negative), and a row's own group never counts. A multi-source search
+    (Then et al., PVLDB 2014): rows keep the groups they reach as uint64 bit sets,
+    ``_BATCH_WORDS`` per batch (rows x words), and at each hop the rows that grew
+    OR their new bits into their predecessors, and groups their rows' new bits.
+    Counts per hop, over every batch, are summed as count / d, d ascending."""
+    pred = (adj != 0).T.tocsr()
+    n, n_groups = adj.shape[0], int(group.max(initial=-1)) + 1
+    n_out = n_groups if by_group else n
+    words = max(1, min(_BATCH_WORDS // max(n, 1), -(-n_groups // 64)))
+    counts: dict[int, np.ndarray] = {}  # per hop: the groups first reached, per row or group
+    for lo in range(0, n_groups, 64 * words):
+        rows = np.flatnonzero((group >= lo) & (group < lo + 64 * words))
+        bit, reach = group[rows] - lo, np.zeros((n, words), np.uint64)
+        reach[rows, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        new, seen = reach[rows], np.zeros((n_groups, words), np.uint64)  # per group, its reach
+        d = 0
+        while len(rows):
+            d += 1
+            size = pred.indptr[rows + 1] - pred.indptr[rows]  # the predecessors of the grown rows
+            at = np.repeat(pred.indptr[rows] - np.cumsum(size) + size, size) + np.arange(size.sum())
+            rows, new = _gains(pred.indices[at], new[np.repeat(np.arange(len(rows)), size)], reach)
+            own, gained = _gains(group[rows], new, seen) if by_group else (rows, new)
+            counts.setdefault(d, np.zeros(n_out))[own] += np.bitwise_count(gained).sum(axis=1)
+    return sum((counts[d] / d for d in sorted(counts)), np.zeros(n_out))
 
 
-def select_order(ds: PathDataset, k_max: int) -> int:
+def _gains(keys: np.ndarray, bits: np.ndarray, seen: np.ndarray):
+    """The distinct ``keys`` whose OR of ``bits`` rows holds bits not yet in
+    ``seen[key]``, and those bits, which join ``seen``."""
+    by = np.argsort(keys, kind="stable")
+    heads = np.flatnonzero(np.diff(keys[by], prepend=-1))
+    keys = keys[by][heads]
+    bits = np.bitwise_or.reduceat(bits[by], heads) & ~seen[keys]
+    seen[keys] |= bits
+    grew = bits.any(axis=1)
+    return keys[grew], bits[grew]
+
+
+def select_order(ds: PathDataset, k_max: int, fits: dict | None = None) -> int:
     """Pick the maximum order minimizing AIC over nested multi-order fits.
 
     AIC = 2 * dof - 2 * logL; dof counts observed nonzero transition
     probabilities minus one constraint per row. Ties go to the smaller order, so
     orders above the longest path, whose fits equal its fit, are not tried.
+    Each fit goes into ``fits``, if given, under its order.
     """
     if k_max < 1:
         raise DataError("k_max must be >= 1")
     best_k, best_aic = 1, math.inf
     for k in range(1, min(k_max, ds.max_length) + 1):
         m = fit_mogen(ds, k)
+        if fits is not None:
+            fits[k] = m
         aic = 2.0 * m.dof() - 2.0 * m.log_likelihood()
         if aic < best_aic - 1e-9:
             best_k, best_aic = k, aic

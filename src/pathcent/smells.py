@@ -72,7 +72,7 @@ def windowed_centralities(
 ) -> PlatformSeries:
     """Fit a multi-order model per non-empty window and collect first-order
     centralities of every measure. With ``k=None`` the order is selected per
-    window by AIC. Empty windows are gaps, not zeros."""
+    window by AIC, and the chosen fit is kept. Empty windows are gaps, not zeros."""
     non_empty = [w for w in windows if not w.empty]
     if not non_empty:
         raise DataError("all windows are empty")
@@ -81,14 +81,16 @@ def windowed_centralities(
     shape = (len(non_empty), len(members))
     values = {m: np.zeros(shape) for m in MEASURES}
     active = np.zeros(shape, dtype=bool)
-    orders = tuple(k if k is not None else select_order(w.dataset, k_max) for w in non_empty)
-    for i, (w, order) in enumerate(zip(non_empty, orders)):
-        model = fit_mogen(w.dataset, order)
+    orders = []
+    for i, w in enumerate(non_empty):
+        fits: dict = {}  # the window's fits by order, freed before the next window
+        orders.append(k if k is not None else select_order(w.dataset, k_max, fits))
+        model = fits.get(orders[-1]) or fit_mogen(w.dataset, orders[-1])
         active[i, [column[v] for v in w.dataset.vocabulary]] = True
         for m in MEASURES:
             scores = compute(model, m).scores
             values[m][i, [column[v] for v in scores]] = list(scores.values())
-    return PlatformSeries(platform, tuple(w.start for w in non_empty), members, values, active, orders)
+    return PlatformSeries(platform, tuple(w.start for w in non_empty), members, values, active, tuple(orders))
 
 
 def deviation_scores(series_list: list[PlatformSeries]) -> list[DeviationScore]:

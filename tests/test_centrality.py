@@ -457,21 +457,27 @@ class TestEdgeCentralities:
     @pytest.mark.parametrize("min_visitation", [0.0, 0.02, 1.1])
     def test_closeness_searched_from_selected_rows(self, monkeypatch, min_visitation):
         model = fit_mogen(generators.order2_families(seed=0), 2)
-        sf = model.expected_visits()  # the absorbing check runs its own search
+        sf = model.expected_visits()
         rows = [i for i, s in enumerate(model.states)
                 if len(s) == 2 and sf[i] / sf.sum() >= min_visitation]
-        starts = []
-        search = models._first_reached
+        starts, searches = [], []
+        search, closeness = models._first_reached, models._closeness
 
-        def spy(adj, start, groups=None):
+        def spy(adj, start):
             starts.append(start.shape[0])
-            return search(adj, start, groups)
+            return search(adj, start)
+
+        def every_state(*args):
+            searches.append(args)
+            return closeness(*args)
 
         for module in (models, centrality):
             monkeypatch.setattr(module, "_first_reached", spy)
+            monkeypatch.setattr(module, "_closeness", every_state)
         report = edge_centralities(model, ("closeness",), min_visitation=min_visitation)
         assert sum(starts) == len(rows)
         assert all(starts)  # 1.1 selects nothing, and nothing is searched
+        assert not searches  # no state's closeness outside the selected rows
         monkeypatch.undo()
         assert [model.states.index(s) for s in report.values] == rows
         full = mogen_state_scores(model, "closeness")
@@ -495,6 +501,7 @@ class TestNodeIndexOnce:
         model = fit_mogen(generators.order2_families(seed=2, n_paths=200), 3)
         for measure in MEASURES:
             compute(model, measure)
-            experiment._predictions(model, measure)
+            experiment._predictions(model, (measure,))
+        experiment._predictions(model, MEASURES)
         edge_centralities(model, min_visitation=0.0)
         assert derived == [model]

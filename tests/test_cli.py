@@ -570,7 +570,10 @@ class TestCentralityCommand:
 
     def test_auto_order(self, order2_file, tmp_path):
         args = ["centrality", "--input", order2_file, "--model", "mogen", "--k-max", "3"]
-        assert main(args + ["--k", "auto", "--output-dir", str(tmp_path / "auto")]) == 0
+        import pathcent.models as models
+        with mock.patch.object(models, "fit_mogen", wraps=models.fit_mogen) as fit:
+            assert main(args + ["--k", "auto", "--output-dir", str(tmp_path / "auto")]) == 0
+        assert [c.args[1] for c in fit.call_args_list] == [1, 2, 3]  # the chosen fit is kept
         doc = json.loads((tmp_path / "auto" / "centrality.json").read_text())
         k = doc["config"]["k"]  # the selected order is recorded
         assert k >= 2

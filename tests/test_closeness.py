@@ -1,10 +1,11 @@
-"""The breadth-first search behind closeness and network betweenness against
-reference oracles: a plain-Python BFS over multi-order states, and networkx
-shortest paths and Brandes betweenness on the network model.
+"""The searches behind closeness and network betweenness against reference
+oracles: a plain-Python BFS over multi-order states, and networkx shortest
+paths and Brandes betweenness on the network model.
 
-Hop distances must match exactly; harmonic sums and betweenness are compared
-at a relative tolerance of 1e-12, because the search adds level by level
-rather than in the oracles' order.
+Hop distances from the breadth-first search must match exactly; harmonic
+sums and betweenness are compared at a relative tolerance of 1e-12, because
+the searches add level by level rather than in the oracles' order. The
+bit-set search behind every closeness runs over batches of 1 word and up.
 """
 from collections import defaultdict, deque
 from unittest import mock
@@ -107,11 +108,16 @@ def harmonic(distances: dict, sources) -> dict:
 
 
 def searched(adj, start, groups=None) -> dict:
-    out = {}
-    for dist, rows, grps, _ in models._first_reached(adj, start, groups):
-        for r, g in zip(rows.tolist(), grps.tolist()):
-            assert (r, g) not in out
-            out[(r, g)] = dist
+    """(start row, group) -> the fewest hops from the row to a state of the group,
+    read off the breadth-first search's levels; a row's own states never count."""
+    groups = np.arange(adj.shape[0]) if groups is None else groups
+    out, seen = {}, set()
+    for lo, dist, level in models._first_reached(adj, start):
+        coo = level.tocoo()
+        for r, c in zip((coo.row + lo).tolist(), coo.col.tolist()):
+            assert (r, c) not in seen  # each state is first seen once
+            seen.add((r, c))
+            out.setdefault((r, int(groups[c])), dist)
     return out
 
 
@@ -175,7 +181,7 @@ def test_multi_order(name, k):
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
 
 
-@pytest.mark.parametrize("cells", [1, 7, 64])
+@pytest.mark.parametrize("cells", [1, 7, 64, 2048])
 def test_batches_do_not_change_results(monkeypatch, cells):
     model = fit_mogen(CORPORA["order2"](), 3)
     per_state = mogen_state_scores(model, "closeness")
@@ -183,9 +189,40 @@ def test_batches_do_not_change_results(monkeypatch, cells):
     network = fit_network(CORPORA["walks"]())
     betweenness = compute(network, "betweenness").scores
     monkeypatch.setattr(models, "_BFS_CELLS", cells)
+    monkeypatch.setattr(models, "_BATCH_WORDS", cells)
     assert np.array_equal(mogen_state_scores(model, "closeness"), per_state)
     assert compute(model, "closeness").scores == first_order
     assert compute(network, "betweenness").scores == pytest.approx(betweenness, rel=REL, abs=0)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", ["order2", "walks", "random3", "cycle", "self_loop"])
+def test_closeness_over_batch_sizes(monkeypatch, name, words):
+    """Batches of ``words`` uint64 words per row, so a batch of 64 * words
+    states: order2's larger models need several."""
+    ds = CORPORA[name]()
+    for k in range(1, ds.max_length + 1):
+        model = fit_mogen(ds, k)
+        monkeypatch.setattr(models, "_BATCH_WORDS", words * model.n_states)
+        oracle = harmonic(oracle_state_distances(model), range(model.n_states))
+        scores = mogen_state_scores(model, "closeness")
+        assert scores == pytest.approx(np.array(list(oracle.values())), rel=REL, abs=0)
+        nodes = model.node_index[0]
+        oracle = harmonic(oracle_first_order_distances(model), nodes)
+        assert compute(model, "closeness").scores == pytest.approx(oracle, rel=REL, abs=0)
+
+
+@pytest.mark.parametrize("words", [1, 2, 4])
+def test_network_closeness_over_batch_sizes(monkeypatch, words):
+    """A random digraph on 200 nodes: four words of node bits per row."""
+    rng = np.random.default_rng(5)
+    edges = {(int(a), int(b)) for a, b in rng.integers(200, size=(600, 2))}
+    ds = PathDataset([Path((f"v{a}", f"v{b}")) for a, b in sorted(edges)]
+                     + [Path((f"v{v}",)) for v in range(200)])
+    model = fit_network(ds)
+    monkeypatch.setattr(models, "_BATCH_WORDS", words * len(model.nodes))
+    expected = harmonic(oracle_network_distances(ds), model.nodes)
+    assert compute(model, "closeness").scores == pytest.approx(expected, rel=REL, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +261,13 @@ def test_network_betweenness_on_random_digraphs(ds, cells):
     with mock.patch.object(models, "_BFS_CELLS", cells):
         scores = compute(model, "betweenness").scores
     assert scores == pytest.approx(oracle_betweenness(ds), rel=REL, abs=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.sampled_from([1, 7, 64, models._BATCH_WORDS]))
+def test_network_closeness_on_random_digraphs(ds, words):
+    model = fit_network(ds)
+    with mock.patch.object(models, "_BATCH_WORDS", words):
+        scores = compute(model, "closeness").scores
+    expected = harmonic(oracle_network_distances(ds), model.nodes)
+    assert scores == pytest.approx(expected, rel=REL, abs=0)

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from pathcent import (
     DataError,
+    MOGenModel,
     Path,
     PathDataset,
     SplitSpec,
     auc_score,
+    compute,
     evaluate,
     fit_mogen,
     fit_network,
@@ -19,8 +22,10 @@ from pathcent import (
     project_up,
     split,
 )
-from pathcent.centrality import MEASURES, PATH_MEASURES
+from pathcent import centrality, experiment, models
+from pathcent.centrality import MEASURES, PATH_MEASURES, mogen_state_scores, sequence_scores
 from pathcent.experiment import _predictions, _scored, parse_model_label
+from pathcent.models import TIE_TOL
 
 import generators
 
@@ -116,22 +121,63 @@ class TestSplit:
                 assert (id(p) in given_ids) == (p.multiplicity == original.multiplicity)
 
 
+def _ground_truth_oracle(test, measures, k_truth) -> dict:
+    """The tuple ground truth: ``{measure: [(sequence, value), ...]}``, by value
+    descending, ties broken lexicographically on the sequence."""
+    scores = sequence_scores(test, measures, max_len=k_truth)
+    return {m: sorted(v.items(), key=lambda kv: (-kv[1], kv[0])) for m, v in scores.items()}
+
+
+def _project_up_oracle(keys, targets) -> list:
+    """For each target state, its longest suffix in ``keys``, or None."""
+    out = []
+    for h in targets:
+        for i in range(len(h)):
+            if h[i:] in keys:
+                out.append(h[i:])
+                break
+        else:
+            out.append(None)
+    return out
+
+
+def _scored_oracle(values: dict, suffixes) -> list:
+    """The value of each suffix; None gets the minimum score."""
+    floor = min(values.values(), default=0.0)
+    return [floor if s is None else values[s] for s in suffixes]
+
+
+def _ranked(ds, measures, k_truth) -> dict:
+    """``ground_truth``'s rankings as ``{measure: [(sequence, value), ...]}``."""
+    targets, rankings = ground_truth(ds, measures, k_truth)
+    values = sequence_scores(ds, measures, max_len=k_truth)
+    return {m: [(targets[i], values[m][targets[i]]) for i in r.tolist()] for m, r in rankings.items()}
+
+
+TRUTH_CORPORA = [
+    generators.toy_dataset,
+    lambda: generators.order2_families(seed=1, n_paths=300),
+    lambda: generators.first_order_walks(seed=2, n_paths=300, n_nodes=4),
+    generators.smell_corpus,
+]
+
+
 class TestGroundTruth:
     def test_sorted_descending_with_tie_rule(self):
         ds = generators.toy_dataset()
-        gt = ground_truth(ds, ("betweenness",), 2)["betweenness"]
+        gt = _ranked(ds, ("betweenness",), 2)["betweenness"]
         scores = [v for _, v in gt]
         assert scores == sorted(scores, reverse=True)
         tied = [s for s, v in gt if v == 0.0]
         assert tied == sorted(tied)
 
     def test_contains_all_orders_up_to_k(self):
-        gt = ground_truth(generators.toy_dataset(), ("visitation",), 3)["visitation"]
-        lengths = {len(s) for s, _ in gt}
-        assert lengths == {1, 2, 3}
+        targets, _ = ground_truth(generators.toy_dataset(), ("visitation",), 3)
+        assert {len(s) for s in targets} == {1, 2, 3}
+        assert list(targets) == sorted(targets)  # lexicographic: ("a", "b") before ("b",)
 
     def test_top_state_on_toy(self):
-        gt = ground_truth(generators.toy_dataset(), ("betweenness",), 2)["betweenness"]
+        gt = _ranked(generators.toy_dataset(), ("betweenness",), 2)["betweenness"]
         top = [s for s, v in gt if v == 2.0]
         assert top == [("C",), ("C", "D"), ("D",)]
 
@@ -140,35 +186,55 @@ class TestGroundTruth:
             ground_truth(generators.toy_dataset(), ("pagerank",), 2)
 
     def test_one_ranking_per_measure_over_the_same_sequences(self):
-        gt = ground_truth(generators.toy_dataset(), MEASURES, 3)
-        assert list(gt) == list(MEASURES)
-        assert len({frozenset(s for s, _ in ranking) for ranking in gt.values()}) == 1
-        assert gt["path_end"] == ground_truth(generators.toy_dataset(), ("path_end",), 3)["path_end"]
+        targets, rankings = ground_truth(generators.toy_dataset(), MEASURES, 3)
+        assert list(rankings) == list(MEASURES)
+        assert all(sorted(r.tolist()) == list(range(len(targets))) for r in rankings.values())
+        again = ground_truth(generators.toy_dataset(), ("path_end",), 3)
+        assert again[0] == targets and np.array_equal(again[1]["path_end"], rankings["path_end"])
+
+    @pytest.mark.parametrize("corpus", TRUTH_CORPORA)
+    @pytest.mark.parametrize("k_truth", [1, 3, 5])
+    def test_matches_the_tuple_oracle(self, corpus, k_truth):
+        ds = corpus()
+        assert _ranked(ds, MEASURES, k_truth) == _ground_truth_oracle(ds, MEASURES, k_truth)
 
 
 class TestProjectUp:
     def test_longest_scored_suffix_wins(self):
-        keys = {("A", "B"): 7.0, ("B",): 2.0}
-        assert project_up(keys, [("C", "A", "B")]) == [("A", "B")]
+        assert project_up([("A", "B"), ("B",)], [("C", "A", "B")]).tolist() == [0]
 
     def test_shorter_suffix_as_fallback(self):
-        keys = {("B",): 2.0, ("X", "B"): 9.0}
-        assert project_up(keys, [("C", "B")]) == [("B",)]
+        assert project_up([("B",), ("X", "B")], [("C", "B")]).tolist() == [0]
 
     def test_exact_match_preferred(self):
-        keys = {("C", "B"): 4.0, ("B",): 2.0}
-        assert project_up(keys, [("C", "B")]) == [("C", "B")]
+        assert project_up([("C", "B"), ("B",)], [("C", "B")]).tolist() == [0]
 
     def test_min_fallback(self):
-        scores = {("A",): 5.0, ("B",): -1.0}
-        suffixes = project_up(scores, [("Z",), ("A",)])
-        assert suffixes == [None, ("A",)]
-        assert _scored(scores, suffixes) == [-1.0, 5.0]
+        keys, values = [("A",), ("B",)], np.array([5.0, -1.0])
+        suffixes = project_up(keys, [("Z",), ("A",)])
+        assert suffixes.tolist() == [-1, 0]
+        assert _scored(values, suffixes).tolist() == [-1.0, 5.0]
+        assert _scored(np.zeros(0), np.array([-1, -1])).tolist() == [0.0, 0.0]
 
     def test_one_entry_per_target_in_order(self):
-        keys = {("a",), ("b", "a")}
+        keys = [("a",), ("b", "a")]
         targets = [("b", "a"), ("c",), ("c", "a"), ("a",)]
-        assert project_up(keys, targets) == [("b", "a"), None, ("a",), ("a",)]
+        assert project_up(keys, targets).tolist() == [1, -1, 0, 0]
+
+    @pytest.mark.parametrize("label", ["N", "M1", "M2", "M3"])
+    def test_suffixes_and_scores_match_the_tuple_oracles(self, label):
+        ds = generators.order2_families(seed=5, n_paths=400)
+        train, test = split(ds, 0.3, [0, 0])
+        targets, _ = ground_truth(test, ("visitation",), 4)
+        kind, k = parse_model_label(label)
+        keys, preds = _predictions(fit_network(train) if kind == "network" else fit_mogen(train, k),
+                                   ("betweenness", "closeness"))
+        suffixes = project_up(keys, targets)
+        assert len(suffixes) == len(targets)
+        expected = _project_up_oracle(set(keys), targets)
+        assert [None if j < 0 else keys[j] for j in suffixes.tolist()] == expected
+        for values in preds.values():
+            assert _scored(values, suffixes).tolist() == _scored_oracle(dict(zip(keys, values.tolist())), expected)
 
 
 class TestAUC:
@@ -210,6 +276,86 @@ class TestAUC:
                 n_pos * (n - n_pos)
             )
             assert auc_score(labels, scores) == expected
+
+
+    def test_scores_within_the_tolerance_tie(self):
+        assert auc_score([True, False], [1.0, 1.0 + 1e-12]) == 0.5
+        assert auc_score([True, False, False], [2.0, 2.0 - 1e-13, 1.0]) == 0.75
+        assert auc_score([True, False], [1.0, 1.0 + 1e-6]) == 0.0
+        # the gap is measured against the largest |score|
+        assert auc_score([True, False, False], [1e-3, 1e-3 + 1e-11, -100.0]) == 0.75
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(-20, 20).filter(bool), st.integers(-4, 4)),
+                    min_size=2, max_size=60),
+           st.integers(-300, 300))
+    def test_a_few_ulps_of_noise_move_no_auc(self, rows, exponent):
+        # distinct values lie at least 1/20 of the largest |score| apart, far beyond the
+        # tolerance; no value is 0, whose ulps are no relative change
+        labels = np.array([hit for hit, _, _ in rows])
+        if labels.all() or not labels.any():
+            return
+        scores = np.array([level for _, level, _ in rows]) * 2.0 ** (exponent // 10)
+        noisy = scores.copy()
+        for i, (_, _, ulps) in enumerate(rows):
+            for _ in range(abs(ulps)):
+                noisy[i] = np.nextafter(noisy[i], np.copysign(np.inf, ulps))
+        assert auc_score(labels, noisy) == auc_score(labels, scores)
+
+
+def _sequential_closeness(model) -> np.ndarray:
+    """Per-state closeness summed as the breadth-first search once summed it:
+    1/d added once per state first reached at d."""
+    out = np.zeros(model.n_states)
+    for lo, dist, level in models._first_reached(model.trans_p, sp.identity(model.n_states, format="csr")):
+        reached = np.diff(level.indptr)
+        np.add.at(out, lo + np.repeat(np.arange(len(reached)), reached), 1.0 / dist)
+    return out
+
+
+def _solve_other_step(model, system, b):
+    """The chain solve with its fixed-point step written x += b + A x - x."""
+    a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
+    x = np.zeros_like(b)
+    for _ in range(models._MAX_ITER):
+        if np.abs(x - a @ x - b).max() <= models._TOL * np.abs(x).max():
+            return x
+        x += b + a @ x - x
+    raise AssertionError("no fixed point")
+
+
+class TestTiePolicy:
+    """Last-bit changes to the scores that once moved AUCs move none; with the
+    tolerance at 0 they still do, so each case shows the policy at work."""
+
+    @staticmethod
+    def _aucs(monkeypatch, ds, spec, label, measure, tol, patch=None):
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "TIE_TOL", tol)
+            if patch:
+                m.setattr(*patch)
+            return evaluate(ds, spec, (label,), (measure,), 5)[0].aucs
+
+    def _moved(self, monkeypatch, ds, spec, label, measure, patch):
+        return {tol: self._aucs(monkeypatch, ds, spec, label, measure, tol)
+                != self._aucs(monkeypatch, ds, spec, label, measure, tol, patch)
+                for tol in (0.0, TIE_TOL)}
+
+    def test_solver_step_moves_no_path_reach_auc(self, monkeypatch):
+        # the other step moved a path_reach:M2 replicate by 1.7e-6 before ties had a tolerance
+        ds = generators.order2_families(seed=0, n_paths=5000)
+        moved = self._moved(monkeypatch, ds, SplitSpec(0.3, 0, 5), "M2", "path_reach",
+                            (models, "_solve", _solve_other_step))
+        assert moved == {0.0: True, TIE_TOL: False}
+
+    def test_closeness_summation_moves_no_closeness_auc(self, monkeypatch):
+        # closeness summed per level as count / d moved closeness:M4 against 1/d per state
+        ds = generators.first_order_walks(0, n_paths=4000, n_nodes=30, stop_p=0.15, max_len=12)
+        state_scores = centrality.mogen_state_scores
+        sequential = (centrality, "mogen_state_scores",
+                      lambda model, m: _sequential_closeness(model) if m == "closeness" else state_scores(model, m))
+        moved = self._moved(monkeypatch, ds, SplitSpec(0.3, 0, 1), "M4", "closeness", sequential)
+        assert moved == {0.0: True, TIE_TOL: False}
 
 
 class TestModelLabels:
@@ -272,11 +418,20 @@ class TestEvaluate:
             assert alone[0].aucs == r.aucs
 
     def test_each_model_scores_the_same_keys_under_every_measure(self):
-        # evaluate resolves a model's suffixes once for all its measures
+        # evaluate resolves a model's suffixes once for all its measures: one key
+        # index per model, and per measure the scores the per-measure dicts held
         train = generators.order2_families(seed=0, n_paths=200)
         network_measures = [m for m in MEASURES if m not in PATH_MEASURES]
         for model, measures in ((fit_network(train), network_measures), (fit_mogen(train, 2), MEASURES)):
-            assert len({frozenset(_predictions(model, m)) for m in measures}) == 1
+            keys, scores = _predictions(model, measures)
+            assert list(scores) == list(measures) and len(set(keys)) == len(keys)
+            for m in measures:
+                vec = compute(model, m)
+                expected = {(v,): s for v, s in vec.scores.items()}
+                if isinstance(model, MOGenModel):
+                    state = mogen_state_scores(model, m)
+                    expected.update((s, v) for s, v in zip(model.states, state.tolist()) if len(s) >= 2)
+                assert dict(zip(keys, scores[m].tolist())) == expected
 
     def test_repeated_models_and_measures_count_once(self):
         ds = generators.order2_families(seed=0, n_paths=300)

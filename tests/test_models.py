@@ -167,6 +167,87 @@ def small_corpora(draw):
     return PathDataset([Path(tuple(nodes), m, t) for nodes, m, t in paths])
 
 
+def _tuple_fit_oracle(ds, k):
+    """The fit that kept its states as tuples: each distinct level key's state
+    sliced from the nodes of a path where it occurs, given to the constructor."""
+    _, _, lengths, weights = ds.encoded
+    first, path, pos, levels = models._sequence_levels(ds, k)
+    key = np.empty_like(pos)
+    for at, level_key in levels:
+        key[at] = level_key
+    _, seen, state = np.unique(key, return_index=True, return_inverse=True)
+    seqs = [p.nodes for p in ds.paths]
+    size = np.minimum(pos + 1, k)
+    states = [seqs[i][j - m + 1 : j + 1]
+              for i, j, m in zip(path[seen].tolist(), pos[seen].tolist(), size[seen].tolist())]
+    n = len(states)
+    step = np.flatnonzero(pos)
+    trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
+    return MOGenModel(k, states, np.bincount(state[first], weights, n),
+                      trans, np.bincount(state[first + lengths - 1], weights, n))
+
+
+def _node_index_oracle(states) -> tuple:
+    """Sorted last-node labels, each state's last-node id and length, from tuples."""
+    ends = [s[-1] for s in states]
+    ids = {v: i for i, v in enumerate(sorted(set(ends)))}
+    return list(ids), [ids[v] for v in ends], [len(s) for s in states]
+
+
+class TestStatesAsRows:
+    """A fitted model holds label-id rows; its tuple view and ``node_index``
+    equal those of the tuple fit, on corpora, their windows and split sides."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 6), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_rows_match_the_tuple_fit(self, paths, k, length, shift, fraction, seed):
+        ds = PathDataset(paths)
+        subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+        try:
+            subsets += split(ds, fraction, seed)
+        except DataError:
+            pass  # fewer than 2 path instances, or no non-degenerate draw
+        for sub in subsets:
+            got, want = fit_mogen(sub, k), _tuple_fit_oracle(sub, k)
+            assert_same_fit(got, want)
+            assert got.labels is sub.encoded[0]  # the corpus's labels, not a copy
+            nodes, last, lengths = got.node_index
+            assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(want.states)
+            assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(got.states)
+
+    @pytest.mark.parametrize("corpus", [
+        lambda: generators.order2_families(seed=2, n_paths=300),
+        lambda: generators.first_order_walks(seed=1, n_paths=300),
+        generators.smell_corpus,
+    ])
+    def test_generator_corpora(self, corpus):
+        ds = corpus()
+        for k in range(1, 6):
+            got, want = fit_mogen(ds, k), _tuple_fit_oracle(ds, k)
+            assert_same_fit(got, want)
+            assert got.rows.dtype == np.int32 and got.rows.shape == (got.n_states, min(k, ds.max_length))
+            nodes, last, lengths = got.node_index
+            assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(want.states)
+
+    def test_constructor_rows_follow_the_given_tuples(self):
+        model = MOGenModel(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]),
+                           sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 1])), shape=(3, 3)),
+                           np.array([1.0, 1.0, 0.0]))
+        assert model.labels == ["a", "b", "c"]
+        assert model.rows.tolist() == [[1, 0], [2, -1], [0, -1]]
+        assert model.states == (("b", "a"), ("c",), ("a",))
+
+    def test_repeated_rows_are_data_error(self):
+        trans = sp.csr_matrix((2, 2))
+        with pytest.raises(DataError, match="distinct"):
+            MOGenModel(1, np.array([[0, -1], [0, -1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
+                       labels=["a"])
+        model = MOGenModel(1, np.array([[0, -1], [0, 1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
+                           labels=["a", "b"])
+        assert model.states == (("a",), ("a", "b"))
+
+
 class TestFitMatchesWalkOracle:
     @settings(max_examples=200, deadline=None)
     @given(small_corpora(), st.integers(1, 7))
@@ -364,13 +445,13 @@ class TestChainSolver:
 
     def test_end_search_runs_once_per_model(self, monkeypatch):
         searches = []
-        search = models._first_reached
+        search = models._closeness
 
         def spy(*args, **kwargs):
             searches.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(models, "_first_reached", spy)
+        monkeypatch.setattr(models, "_closeness", spy)
         model = fit_mogen(generators.toy_dataset(), 2)
         model.expected_visits()
         model.reach_totals()

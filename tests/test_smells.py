@@ -3,6 +3,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from pathcent import (
     select_order,
     windowed_centralities,
 )
+from pathcent import models, smells
 from pathcent.smells import MAX_ROLE_MEMBERS, MEAN_EPS
 
 import generators
@@ -55,6 +57,40 @@ class TestWindowedCentralities:
         series = windowed_centralities(windows, k=None, k_max=2)
         assert len(series.orders) == len(series.window_starts)
         assert set(series.orders) <= {1, 2}
+
+    def test_auto_order_reuses_the_chosen_fit(self, monkeypatch):
+        """Each window fits each order once, inside select_order, and keeps the
+        chosen fit: no window is fitted again at its order."""
+        ds = generators.smell_corpus(seed=1, n_windows=3)
+        windows = rolling_windows(ds, length=100, shift=100)
+        fits, chosen = [], []
+        fit, select = models.fit_mogen, models.select_order
+
+        def counted_fit(w, k):
+            fits.append((id(w), k))
+            return fit(w, k)
+
+        def recorded_select(w, k_max, kept=None):
+            chosen.append(select(w, k_max, kept))
+            return chosen[-1]
+
+        monkeypatch.setattr(models, "fit_mogen", counted_fit)
+        monkeypatch.setattr(smells, "fit_mogen", counted_fit)
+        monkeypatch.setattr(smells, "select_order", recorded_select)
+        series = windowed_centralities(windows, k=None, k_max=3)
+        non_empty = [w.dataset for w in windows if not w.empty]
+        assert fits == [(id(w), k) for w in non_empty for k in range(1, min(3, w.max_length) + 1)]
+        assert series.orders == tuple(chosen)
+        monkeypatch.undo()
+        again = windowed_centralities(windows, k=None, k_max=3)
+        assert all(np.array_equal(again.values[m], series.values[m]) for m in MEASURES)
+
+    def test_select_order_hands_back_its_fits(self):
+        ds = generators.smell_corpus(seed=1, n_windows=2)
+        kept = {}
+        k = select_order(ds, 4, kept)
+        assert sorted(kept) == list(range(1, min(4, ds.max_length) + 1)) and k in kept
+        assert all(m.order == order for order, m in kept.items())
 
     def test_empty_windows_are_gaps(self):
         ds = PathDataset([
