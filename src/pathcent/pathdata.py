@@ -2,9 +2,13 @@
 
 A path is an ordered node sequence with a multiplicity and an optional start
 timestamp. Datasets are immutable and merge identical (sequence, start_time)
-entries by summing multiplicities; a path is validated once, when it is built.
-Windows and split sides are row subsets that keep a dataset's paths and encoding.
-Only the encoding and the windows import numpy, so ingest runs without it.
+entries by summing multiplicities. A dataset keeps its distinct paths as
+parallel columns (node tuples, multiplicities, start times), sorted once;
+``PathDataset.paths`` is a view of :class:`Path` objects built on first use.
+The readers merge their lines straight into those columns and check each
+distinct label once, naming the first line that holds a bad one. Windows and
+split sides are row subsets that keep a dataset's encoding. Only the encoding
+and the windows import numpy, so ingest runs without it.
 """
 from __future__ import annotations
 
@@ -14,8 +18,9 @@ from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DataError
 
@@ -53,6 +58,34 @@ def parse_model_label(label: str):
     raise DataError(f"unknown model label {label!r}")
 
 
+def _check_labels(labels: Iterable[str], where: str = "") -> None:
+    """Raise :class:`DataError`, its message prefixed by ``where``, naming the
+    least of ``labels`` that is empty, reserved, starts with '#' or contains
+    one of '|,;'."""
+    labels = tuple(labels)
+    # joined by newlines, so that ^# tests the first character of every label
+    if "" in labels or not RESERVED.isdisjoint(labels) or BAD_LABEL.search("\n".join(labels)):
+        bad = min(v for v in labels if not v or v in RESERVED or BAD_LABEL.search(v))
+        raise DataError(f"{where}node label {bad!r} is empty, reserved, starts with '#', "
+                        "or contains one of '|,;'")
+
+
+def _check_columns(nodes: Sequence[tuple], counts: Sequence, times: Sequence,
+                   labels: Iterable[str]) -> None:
+    """Raise :class:`DataError` unless every path has a node, every count is an
+    ``int`` (not a ``bool``) >= 1, every start time an ``int`` or None, and
+    every one of ``labels`` is a valid node label."""
+    if not all(nodes):
+        raise DataError("a path needs at least one node")
+    if set(map(type, counts)) != {int}:
+        raise DataError("path multiplicity must be an int")
+    if min(counts) < 1:
+        raise DataError("path multiplicity must be >= 1")
+    if not set(map(type, times)) <= {int, type(None)}:
+        raise DataError("path start time must be an int or None")
+    _check_labels(labels)
+
+
 @dataclass(frozen=True)
 class Path:
     """An ordered node sequence observed ``multiplicity`` times."""
@@ -62,45 +95,58 @@ class Path:
     start_time: int | None = None
 
     def __post_init__(self):
-        if len(self.nodes) < 1:
-            raise DataError("a path needs at least one node")
-        if self.multiplicity < 1:
-            raise DataError("path multiplicity must be >= 1")
-        # joined by newlines, so that ^# tests the first character of every label
-        if not all(self.nodes) or RESERVED.intersection(self.nodes) or BAD_LABEL.search("\n".join(self.nodes)):
-            bad = next(v for v in self.nodes if not v or v in RESERVED or BAD_LABEL.search(v))
-            raise DataError(
-                f"node label {bad!r} is empty, reserved, starts with '#', or contains one of '|,;'"
-            )
+        _check_columns((self.nodes,), (self.multiplicity,), (self.start_time,), self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
+def _recounted(paths: Iterable[Path], counts: Iterable[int]) -> tuple[Path, ...]:
+    """``paths`` with multiplicities ``counts``; a path is rebuilt only if its count changes."""
+    return tuple(p if p.multiplicity == c else Path(p.nodes, c, p.start_time)
+                 for p, c in zip(paths, counts))
+
+
 class PathDataset:
     """An immutable multiset of paths over a shared vocabulary, sorted by key.
 
-    An input :class:`Path` whose ``(nodes, start_time)`` key occurs once is kept
-    as it is; a key that merges gets one new ``Path`` with the summed multiplicity.
+    Built from :class:`Path` objects, or from a mapping ``{(nodes, start_time):
+    multiplicity}``, which is checked as a ``Path`` is, each distinct label
+    once. The distinct paths are kept as parallel columns. ``paths`` views them
+    as ``Path`` objects, built on first use; a dataset built from ``Path``
+    objects keeps an input path whose key occurs once as it is, and a key that
+    merges gets one new ``Path`` with the summed multiplicity.
     """
 
-    def __init__(self, paths: Iterable[Path]):
-        merged: dict[tuple[tuple[str, ...], int | None], list] = {}
-        for p in paths:
-            merged.setdefault((p.nodes, p.start_time), [p, 0])[1] += p.multiplicity
+    def __init__(self, paths: Iterable[Path] | dict[tuple[tuple[str, ...], int | None], int]):
+        if isinstance(paths, dict):
+            merged, given = paths, None
+        else:
+            merged, given = {}, {}
+            for p in paths:
+                key = (p.nodes, p.start_time)
+                given.setdefault(key, p)
+                merged[key] = merged.get(key, 0) + p.multiplicity
         if not merged:
             raise DataError("empty dataset")
-        self._paths = tuple(sorted(
-            (p if p.multiplicity == total else Path(p.nodes, total, p.start_time)
-             for p, total in merged.values()),
-            key=lambda p: (p.nodes, p.start_time is not None, p.start_time or 0),
-        ))
-        self._vocabulary = frozenset(v for p in self._paths for v in p.nodes)
-        self._total = sum(p.multiplicity for p in self._paths)
+        try:  # a key's start times are compared only when its nodes are equal
+            keys = sorted(merged)
+        except TypeError:  # equal nodes with and without a start time: untimed first
+            keys = sorted(merged, key=lambda k: (k[0], k[1] is not None, k[1] or 0))
+        self._nodes = tuple(map(itemgetter(0), keys))
+        self._times = tuple(map(itemgetter(1), keys))
+        self._counts = tuple(map(merged.__getitem__, keys))
+        self._vocabulary = frozenset(chain.from_iterable(self._nodes))
+        if given is None:
+            _check_columns(self._nodes, self._counts, self._times, self._vocabulary)
+        else:
+            self.paths = _recounted(map(given.__getitem__, keys), self._counts)
+        self._total = sum(self._counts)
 
-    @property
+    @cached_property
     def paths(self) -> tuple[Path, ...]:
-        return self._paths
+        """The distinct paths as :class:`Path` objects, in key order; built on first use."""
+        return tuple(map(Path, self._nodes, self._counts, self._times))
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -114,70 +160,68 @@ class PathDataset:
     @cached_property
     def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         """The sorted labels (a derived dataset's are its parent's), node ids into them
-        over ``paths``, each path's length and its multiplicity as a float; on first use."""
+        over the paths, each path's length and its multiplicity as a float; on first use."""
         import numpy as np
 
         labels = sorted(self._vocabulary)
         ids = {v: i for i, v in enumerate(labels)}
-        nodes = np.fromiter((ids[v] for p in self._paths for v in p.nodes), np.int64)
-        lengths = np.fromiter(map(len, self._paths), np.int64, len(self._paths))
-        weights = np.fromiter((p.multiplicity for p in self._paths), float, len(self._paths))
-        return labels, nodes, lengths, weights
+        nodes = np.fromiter(map(ids.__getitem__, chain.from_iterable(self._nodes)), np.int64)
+        lengths = np.fromiter(map(len, self._nodes), np.int64, len(self._nodes))
+        return labels, nodes, lengths, np.array(self._counts, float)
 
     def _subset(self, rows: np.ndarray, counts: np.ndarray | None = None) -> PathDataset:
         """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
-        their own: nothing is merged, sorted or validated again, a path is rebuilt
-        only if its count changes, and the encoding is gathered with its ids."""
+        their own: nothing is merged, sorted or checked again, the encoding is
+        gathered with its ids, and so is the ``paths`` view if it was built."""
         import numpy as np
 
         labels, nodes, lengths, weights = self.encoded
-        paths = [self._paths[i] for i in rows.tolist()]
-        if counts is not None:
-            paths = [p if c == p.multiplicity else Path(p.nodes, c, p.start_time)
-                     for p, c in zip(paths, counts.tolist())]
+        picked = rows.tolist()
         out = PathDataset.__new__(PathDataset)
-        out._paths, out._total = tuple(paths), sum(p.multiplicity for p in paths)
+        out._nodes = tuple(map(self._nodes.__getitem__, picked))
+        out._times = tuple(map(self._times.__getitem__, picked))
+        out._counts = (tuple(map(self._counts.__getitem__, picked)) if counts is None
+                       else tuple(counts.tolist()))
+        out._total = sum(out._counts)
         kept = np.repeat(np.bincount(rows, minlength=len(lengths)) > 0, lengths)
         out.encoded = (labels, nodes[kept], lengths[rows],
                        weights[rows] if counts is None else counts.astype(float))
         out._vocabulary = frozenset(labels[i] for i in np.unique(out.encoded[1]).tolist())
+        if "paths" in self.__dict__:
+            out.paths = _recounted(map(self.paths.__getitem__, picked), out._counts)
         return out
 
-    @property
+    @cached_property
     def unique(self) -> int:
         """Number of distinct node sequences."""
-        return len({p.nodes for p in self._paths})
+        return len(set(self._nodes))
 
-    @property
+    @cached_property
     def max_length(self) -> int:
-        return max(len(p) for p in self._paths)
+        return max(map(len, self._nodes))
 
     @property
     def has_timestamps(self) -> bool:
-        return all(p.start_time is not None for p in self._paths)
+        return None not in self._times
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self._nodes)
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
+class TemporalEdge(NamedTuple):
+    """A contact from ``source`` to ``target`` at ``time``."""
+
     source: str
     target: str
     time: int
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     """A time-stamped action by ``actor`` on the work item ``key``."""
 
     key: str
     actor: str
     time: int
-
-    def __post_init__(self):
-        if not self.key:
-            raise DataError("action record with empty key")
 
 
 @dataclass(frozen=True)
@@ -207,12 +251,14 @@ def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDat
 
     Identical lines are merged with summed multiplicities. Lines starting
     with ``#`` are headers and skipped; blank lines are skipped with a
-    warning; malformed count or timestamp fields raise :class:`DataError`
-    with the line number in the source, as does an empty ``delimiter``.
+    warning; a line without nodes, an empty or otherwise bad label, and
+    malformed count or timestamp fields raise :class:`DataError` with the
+    line number in the source, as does an empty ``delimiter``.
     """
     if not delimiter:
         raise DataError("empty delimiter")
-    paths = []
+    merged: dict[tuple, int] = {}
+    checked: set[str] = set()
     for lineno, raw in enumerate(source, start=1):
         if raw.startswith("#"):
             continue
@@ -221,8 +267,7 @@ def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDat
             log.warning("skipping empty line %d", lineno)
             continue
         fields = line.split(";")
-        nodes = tuple(n.strip() for n in fields[0].split(delimiter) if n.strip())
-        if not nodes:
+        if not fields[0]:  # the line is stripped, so a blank node field is empty
             raise DataError(f"line {lineno}: no nodes")
         mult = 1
         start_time = None
@@ -240,17 +285,20 @@ def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDat
                 raise DataError(f"line {lineno}: malformed timestamp {fields[2]!r}") from None
         if len(fields) > 3:
             raise DataError(f"line {lineno}: too many fields")
-        paths.append(Path(nodes, mult, start_time))
-    return PathDataset(paths)  # which raises "empty dataset" when no line holds a path
+        nodes = tuple(map(str.strip, fields[0].split(delimiter)))
+        if not checked.issuperset(nodes):  # so each distinct label is checked once
+            _check_labels(set(nodes) - checked, f"line {lineno}: ")
+            checked.update(nodes)
+        key = (nodes, start_time)
+        merged[key] = merged.get(key, 0) + mult
+    return PathDataset(merged)  # which raises "empty dataset" when no line holds a path
 
 
 def write_paths(ds: PathDataset, out: TextIO, delimiter: str = ",") -> None:
     """Write a dataset in the canonical path-file format."""
-    for p in ds.paths:
-        line = delimiter.join(p.nodes) + f";{p.multiplicity}"
-        if p.start_time is not None:
-            line += f";{p.start_time}"
-        out.write(line + "\n")
+    join = delimiter.join
+    out.writelines(f"{join(nodes)};{count}" + ("\n" if time is None else f";{time}\n")
+                   for nodes, count, time in zip(ds._nodes, ds._counts, ds._times))
 
 
 def paths_from_actions(records: Sequence[ActionRecord]) -> PathDataset:
@@ -258,12 +306,19 @@ def paths_from_actions(records: Sequence[ActionRecord]) -> PathDataset:
 
     The path's start_time is the first action's timestamp.
     """
-    groups: dict[str, list[ActionRecord]] = defaultdict(list)
-    for rec in sorted(records, key=lambda r: r.time):  # stable, so it orders each key's actions
-        groups[rec.key].append(rec)
-    if not groups:
+    actors: dict[str, list[str]] = {}
+    starts: dict[str, int] = {}
+    # the sort is stable, so it orders each key's actions
+    for key, actor, time in sorted(records, key=itemgetter(2)):
+        if key in actors:
+            actors[key].append(actor)
+        else:
+            actors[key], starts[key] = [actor], time
+    if not actors:
         raise DataError("no action records")
-    return PathDataset(Path(tuple(r.actor for r in recs), 1, recs[0].time) for recs in groups.values())
+    if "" in actors:
+        raise DataError("action record with empty key")
+    return PathDataset(Counter((tuple(seq), starts[key]) for key, seq in actors.items()))
 
 
 def extract_paths(edges: Sequence[TemporalEdge], delta: int) -> PathDataset:
@@ -283,23 +338,21 @@ def extract_paths(edges: Sequence[TemporalEdge], delta: int) -> PathDataset:
         raise DataError("delta must be > 0")
     if not edges:
         raise DataError("empty edge list")
-    order = sorted(range(len(edges)), key=lambda i: (edges[i].time, i))
     chains: list[list] = []  # [nodes, end_time, start_time]
-    open_by_node: dict[str, deque[int]] = defaultdict(deque)
-    for i in order:
-        e = edges[i]
-        queue = open_by_node[e.source]
-        while queue and e.time - chains[queue[0]][1] > delta:
+    open_by_node: dict[str, deque[list]] = defaultdict(deque)
+    for source, target, time in sorted(edges, key=itemgetter(2)):  # stable on ties
+        queue = open_by_node[source]
+        while queue and time - queue[0][1] > delta:
             queue.popleft()
-        if queue and chains[queue[0]][1] < e.time:
-            ci = queue.popleft()
-            chains[ci][0].append(e.target)
-            chains[ci][1] = e.time
-        else:  # no open chain, or the front one (and so every one) ends at e.time
-            ci = len(chains)
-            chains.append([[e.source, e.target], e.time, e.time])
-        open_by_node[e.target].append(ci)
-    return PathDataset(Path(tuple(nodes), 1, start_t) for nodes, _, start_t in chains)
+        if queue and queue[0][1] < time:
+            walk = queue.popleft()
+            walk[0].append(target)
+            walk[1] = time
+        else:  # no open chain, or the front one (and so every one) ends at this time
+            walk = [[source, target], time, time]
+            chains.append(walk)
+        open_by_node[target].append(walk)
+    return PathDataset(Counter((tuple(nodes), start_time) for nodes, _, start_time in chains))
 
 
 def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlice]:
@@ -318,7 +371,7 @@ def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlic
         raise DataError("rolling windows require timestamps on every path")
     import numpy as np
 
-    times = np.array([p.start_time for p in ds.paths])
+    times = np.array(ds._times)
     order = np.argsort(times, kind="stable")
     times = times[order]
     out = []
@@ -335,10 +388,11 @@ def stats(ds: PathDataset) -> DatasetStats:
     equal those of ``statistics`` on the expanded list.
     """
     counts: Counter[int] = Counter()
+    for n, count in zip(map(len, ds._nodes), ds._counts):
+        counts[n] += count
     links = set()
-    for p in ds.paths:
-        counts[len(p)] += p.multiplicity
-        links.update(zip(p.nodes, p.nodes[1:]))
+    for nodes in set(ds._nodes):
+        links.update(zip(nodes, nodes[1:]))
     lengths = sorted(counts)
     cumulative = list(accumulate(counts[n] for n in lengths))
     total, half = cumulative[-1], cumulative[-1] // 2
@@ -358,38 +412,48 @@ def stats(ds: PathDataset) -> DatasetStats:
 
 def read_temporal_edges(source: TextIO | Iterable[str], delimiter: str = ",") -> list[TemporalEdge]:
     """Read a ``source,target,time`` edge list (header optional)."""
-    return [TemporalEdge(*r) for r in _read_triples(source, delimiter, "source,target,time",
-                                                   "empty edge list")]
+    return _read_triples(source, delimiter, TemporalEdge, "empty edge list")
 
 
 def read_actions(source: TextIO | Iterable[str], delimiter: str = ",") -> list[ActionRecord]:
     """Read a ``key,actor,time`` action log (header optional)."""
-    return [ActionRecord(*r) for r in _read_triples(source, delimiter, "key,actor,time",
-                                                   "no action records")]
+    return _read_triples(source, delimiter, ActionRecord, "no action records")
 
 
-def _read_triples(source: TextIO | Iterable[str], delimiter: str, columns: str,
-                  empty_message: str) -> Iterator[tuple[str, str, int]]:
-    """Yield ``(a, b, time)`` per ``columns`` line. Blank lines and a header on
-    line 1 are skipped; a bad line, no line at all, or an empty ``delimiter``
-    raises :class:`DataError`."""
+def _read_triples(source: TextIO | Iterable[str], delimiter: str, record: type,
+                  empty_message: str) -> list:
+    """``record(a, b, time)`` per line of ``record._fields`` columns. Blank lines
+    and a header on line 1 are skipped; a bad line, no line at all, or an empty
+    ``delimiter`` raises :class:`DataError`. Node labels (both ends of an edge,
+    an action's actor) are checked once each and an action's key must not be
+    empty; a bad one raises naming the first line that holds it."""
     if not delimiter:
         raise DataError("empty delimiter")
-    empty = True
+    columns = ",".join(record._fields)
+    keyed = record is ActionRecord
+    out = []
+    checked: set[str] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = [f.strip() for f in line.split(delimiter)]
+        parts = line.split(delimiter)
         if len(parts) != 3:
             raise DataError(f"line {lineno}: expected {columns}")
+        a, b, stamp = map(str.strip, parts)
         try:
-            time = int(parts[2])
+            time = int(stamp)
         except ValueError:
             if lineno == 1:
                 continue  # header row
-            raise DataError(f"line {lineno}: malformed timestamp {parts[2]!r}") from None
-        empty = False
-        yield parts[0], parts[1], time
-    if empty:
+            raise DataError(f"line {lineno}: malformed timestamp {stamp!r}") from None
+        if keyed and not a:
+            raise DataError(f"line {lineno}: action record with empty key")
+        labels = (b,) if keyed else (a, b)
+        if not checked.issuperset(labels):
+            _check_labels(set(labels) - checked, f"line {lineno}: ")
+            checked.update(labels)
+        out.append(record(a, b, time))
+    if not out:
         raise DataError(empty_message)
+    return out

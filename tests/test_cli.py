@@ -1,4 +1,5 @@
 """CLI pipeline: commands, exit codes, embedded metadata, determinism."""
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -821,6 +822,30 @@ class TestDatasetsBuiltOnce:
                 "--k-truth", "2", "--output-dir", str(tmp_path / "out")]
         assert main(args) == 0
         assert len(built) == 1
+
+    def test_commands_build_no_path(self, smell_files, order2_file, tmp_path, built, monkeypatch):
+        """Ingest in every format and ``load_dataset`` merge lines into a dataset's
+        columns: no ``Path`` is built, and no ``paths`` view either, also where
+        ``smells`` and ``experiment`` window and split what they load."""
+        made = []
+        check = pathcent.Path.__post_init__
+        monkeypatch.setattr(pathcent.Path, "__post_init__", lambda p: made.append(p) or check(p))
+        del built[:]
+        edges, actions = tmp_path / "edges.csv", tmp_path / "actions.csv"
+        edges.write_text("source,target,time\na,b,0\nb,c,100\n")
+        actions.write_text("key,actor,time\nT-1,ann,1\nT-1,bob,2\n")
+        for fmt, src, extra in (("paths", order2_file, []), ("actions", actions, []),
+                                ("temporal-edges", edges, ["--delta", "800s"])):
+            assert main(["ingest", "--input", str(src), "--format", fmt, *extra,
+                         "--output-dir", str(tmp_path / fmt)]) == 0
+        load_dataset(order2_file)
+        assert main(["smells", "--platform", f"p1={smell_files[0]}", "--window", "200",
+                     "--shift", "100", "--output-dir", str(tmp_path / "smells")]) == 0
+        assert main(["experiment", "--input", order2_file, "--models", "N,M2,P", "--replicates", "2",
+                     "--k-truth", "2", "--output-dir", str(tmp_path / "experiment")]) == 0
+        assert made == []
+        assert len(built) == 6 and not any("paths" in ds.__dict__ for ds in built)
+        assert not any(map(dataclasses.is_dataclass, (pathcent.TemporalEdge, pathcent.ActionRecord)))
 
     def test_evaluate_builds_no_dataset(self, built):
         ds = generators.order2_families(seed=0, n_paths=200)

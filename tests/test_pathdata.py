@@ -27,6 +27,8 @@ from pathcent import (
 )
 from pathcent.pathdata import read_actions, read_temporal_edges, write_paths
 
+import pathdata_oracles as oracle
+
 
 class TestPath:
     def test_rejects_empty_sequence(self):
@@ -55,6 +57,12 @@ class TestPath:
     def test_rejects_leading_hash(self, bad):
         with pytest.raises(DataError, match="starts with '#'"):
             Path(("x", bad))
+
+    @pytest.mark.parametrize("count, time", [(2.5, None), (True, 1.5), (1, True), (1, 1.5), (2, "3")])
+    def test_rejects_counts_and_times_that_are_not_int(self, count, time):
+        # write_paths would write them as "a,b;2.5" or "a,b;True;1.5", which parse_paths rejects
+        with pytest.raises(DataError, match="must be an int"):
+            Path(("a", "b"), count, time)
 
     def test_hash_inside_a_label_is_allowed(self):
         assert Path(("a#", "b#c")).nodes == ("a#", "b#c")
@@ -93,6 +101,27 @@ class TestPathDataset:
         assert len(again) == len(ds)
         assert all(p is q for p, q in zip(again.paths, ds.paths))
 
+    @pytest.mark.parametrize("merged, message", [
+        ({(("a",), None): 0}, "multiplicity must be >= 1"),
+        ({(("a",), None): 2.0}, "multiplicity must be an int"),
+        ({(("a",), None): True}, "multiplicity must be an int"),
+        ({(("a",), 2.5): 1}, "start time must be an int or None"),
+        ({((), None): 1}, "at least one node"),
+        ({(("a", "b|c"), None): 1, (("a", ""), 3): 2}, "node label '' is empty"),
+    ])
+    def test_checks_a_mapping_as_it_checks_paths(self, merged, message):
+        with pytest.raises(DataError, match=message):
+            PathDataset(merged)
+
+    def test_mapping_builds_columns_and_the_view_on_first_use(self):
+        ds = PathDataset({(("b",), 3): 1, (("a", "b"), -1): 4, (("a", "b"), None): 2})
+        assert "paths" not in ds.__dict__
+        assert (len(ds), ds.total, ds.unique, ds.max_length, ds.has_timestamps) == (3, 7, 2, 2, False)
+        assert ds.vocabulary == {"a", "b"}
+        # a node sequence's untimed row comes before its timed ones
+        assert ds.paths == (Path(("a", "b"), 2), Path(("a", "b"), 4, -1), Path(("b",), 1, 3))
+        assert ds.paths is ds.paths
+
     def test_merging_key_builds_one_path_with_the_summed_multiplicity(self):
         first, second, alone = Path(("a", "b"), 2, 0), Path(("a", "b"), 3, 0), Path(("c",), 1, 0)
         ds = PathDataset([first, alone, second])
@@ -121,6 +150,11 @@ class TestParsePaths:
     def test_skips_blank_lines(self):
         ds = parse_paths(io.StringIO("a,b\n\nc\n"))
         assert ds.total == 2
+
+    @pytest.mark.parametrize("line", ["a,,b;2", "a, ,b", "c,"])
+    def test_empty_label_names_its_line(self, line):
+        with pytest.raises(DataError, match="^line 2: node label '' is empty"):
+            parse_paths(io.StringIO(f"a,b;2\n{line}\na,b\n"))
 
     def test_malformed_count(self):
         with pytest.raises(DataError, match="line 1"):
@@ -163,12 +197,21 @@ class TestParsePaths:
             max_size=20,
         ),
         st.sampled_from([",", ":"]),
+        st.lists(
+            st.tuples(st.integers(1, 10**12) | st.booleans() | st.floats(allow_nan=False),
+                      st.none() | st.integers() | st.booleans() | st.floats(allow_nan=False))
+            .filter(lambda ct: not (type(ct[0]) is int and type(ct[1]) in (int, type(None)))),
+            max_size=3,
+        ),
     )
-    def test_write_parse_roundtrip_property(self, paths, delimiter):
+    def test_write_parse_roundtrip_property(self, paths, delimiter, not_int):
         ds = PathDataset(paths)
         buf = io.StringIO()
         write_paths(ds, buf, delimiter)
         assert parse_paths(io.StringIO(buf.getvalue()), delimiter).paths == ds.paths
+        for count, time in not_int:  # so no path is written that cannot be read back
+            with pytest.raises(DataError, match="must be an int"):
+                Path(("a",), count, time)
 
 
 class TestActions:
@@ -328,7 +371,25 @@ class TestTripleReaders:
 
     def test_delimiter(self, fmt):
         read, record, _, _ = READERS[fmt]
-        assert read(io.StringIO("a,1\tb\t7\n"), delimiter="\t") == [record("a,1", "b", 7)]
+        assert read(io.StringIO("a 1\tb\t7\n"), delimiter="\t") == [record("a 1", "b", 7)]
+        if fmt == "actions":  # a key is no node label, so it may hold a ','
+            assert read(io.StringIO("a,1\tb\t7\n"), delimiter="\t") == [record("a,1", "b", 7)]
+        else:
+            with pytest.raises(DataError, match="^line 1: node label 'a,1'"):
+                read(io.StringIO("a,1\tb\t7\n"), delimiter="\t")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("T2,,2", "node label '' is empty"),
+        (",bob,2", None),
+        ("T2,b|c,2", "node label 'b|c'"),
+        ("T2,*,2", "node label '\\*' is empty, reserved"),
+    ])
+    def test_bad_label_or_key_names_the_first_line_that_holds_it(self, fmt, bad, message):
+        read = READERS[fmt][0]
+        if message is None:  # an empty key, or an empty source label
+            message = "action record with empty key" if fmt == "actions" else "node label '' is empty"
+        with pytest.raises(DataError, match=f"^line 3: {message}"):
+            read(io.StringIO(f"{READERS[fmt][2]}\nT1,b,1\n{bad}\n\n{bad}\n"))
 
 
 def _rolling_windows_oracle(ds, length, shift):
@@ -509,3 +570,82 @@ class TestStats:
         assert s.median_len == 2.0 and isinstance(s.median_len, float)
         odd = stats(PathDataset([Path(("a",), 10**12), Path(("a", "b"), 10**12 + 1)]))
         assert odd.median_len == 2 and isinstance(odd.median_len, int)
+
+
+_pad = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _path_file(draw):
+    """A path file: padded labels and fields, '#' headers, blank lines, repeated
+    keys, and rows with and without counts and start times."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["path"] * 4 + ["header", "blank"]))
+        if kind == "header":
+            lines.append("#" + draw(st.text("ab ,;#", max_size=6)))
+        elif kind == "blank":
+            lines.append(draw(_pad))
+        else:
+            nodes = draw(st.lists(st.sampled_from(["a", "b", "é", "x-1"]), min_size=1, max_size=4))
+            line = ",".join(draw(_pad) + v + draw(_pad) for v in nodes)
+            count = draw(st.none() | st.integers(1, 5).map(str))
+            time = draw(st.none() | st.integers(-3, 3).map(str))
+            if count is not None or time is not None:
+                line += ";" + draw(_pad) + (count or "") + draw(_pad)
+            if time is not None:
+                line += ";" + draw(_pad) + time
+            lines.append(line)
+    lines += draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []
+    return "".join(line + "\n" for line in lines)
+
+
+def _triples(first, second):
+    """``a,b,time`` lines, padded, with an optional header; times 0-8, so ties occur."""
+    return st.tuples(
+        st.lists(st.tuples(first, second, st.integers(0, 8)), min_size=1, max_size=30),
+        st.booleans(), _pad)
+
+
+def _assert_same_as_oracle(got, want):
+    """Same paths, written bytes and statistics; ``write_paths`` and ``stats``
+    read the columns, so neither builds the ``paths`` view."""
+    written, expected = io.StringIO(), io.StringIO()
+    write_paths(got, written)
+    oracle.write_paths(want, expected)
+    assert stats(got) == oracle.stats(want)
+    assert "paths" not in got.__dict__
+    assert written.getvalue() == expected.getvalue()
+    assert got.paths == want.paths
+
+
+class TestColumnOracles:
+    """The column readers, writer and statistics equal the object-based ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_path_file())
+    def test_path_files(self, text):
+        try:
+            want = oracle.parse_paths(io.StringIO(text))
+        except DataError as error:
+            with pytest.raises(DataError, match=f"^{re.escape(str(error))}$"):
+                parse_paths(io.StringIO(text))
+            return
+        _assert_same_as_oracle(parse_paths(io.StringIO(text)), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_triples(st.sampled_from("abc"), st.sampled_from("abc")), st.integers(1, 4))
+    def test_edge_logs(self, triples, delta):
+        # times 0-8 and delta 1-4: ties, self-loops and chains ending exactly delta apart
+        rows, header, pad = triples
+        text = "source,target,time\n" * header + "".join(f"{a},{pad}{b}{pad},{t}\n" for a, b, t in rows)
+        got = extract_paths(read_temporal_edges(io.StringIO(text)), delta)
+        _assert_same_as_oracle(got, oracle.extract_paths([TemporalEdge(*r) for r in rows], delta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_triples(st.sampled_from(["T-1", "T-2", "T-3"]), st.sampled_from(["ann", "bob", "eve"])))
+    def test_action_logs(self, triples):
+        rows, header, pad = triples
+        text = "key,actor,time\n" * header + "".join(f"{pad}{k},{a},{pad}{t}\n" for k, a, t in rows)
+        got = paths_from_actions(read_actions(io.StringIO(text)))
+        _assert_same_as_oracle(got, oracle.paths_from_actions([ActionRecord(*r) for r in rows]))
