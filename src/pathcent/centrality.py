@@ -18,10 +18,10 @@ searched per node and per state over bit sets of target groups
 (:func:`pathcent.models._closeness`). A breadth-first search serves Brandes
 betweenness and the edge report's closeness from its selected states.
 
-Path-model values (and the experiment's ground truth) are counted on the
-dataset's integer encoding over every sub-path occurrence up to a maximum
-length. Closeness sums, exactly per sequence, 1/d over the fewest transitions
-d from an occurrence of it to a later occurrence of another on the same path.
+Path-model values (and the experiment's ground truth) are counted over every
+sub-path occurrence up to a maximum length, keyed by the corpus's sequence codes.
+Closeness sums, exactly per sequence, 1/d over the fewest transitions d from an
+occurrence of it to a later occurrence of another on the same path.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
 from .models import (MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows,
-                     _sequence_levels, _state_tuples)
+                     _state_tuples)
 from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
@@ -51,33 +51,38 @@ class CentralityVector:
 
 def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
     """Path-data centralities of every node sequence up to ``max_len``:
-    ``{measure: {sequence: value}}`` for each of ``measures``, counted by
-    ``np.bincount`` over the occurrences of :func:`~pathcent.models._sequence_levels`.
+    ``{measure: {sequence: value}}`` for each of ``measures``, in the order of
+    the sequences' codes, counted by ``np.bincount`` over their occurrences.
     With ``max_len=1`` these are the path-model node centralities. Closeness of
     s sums 1/d over every other sequence t, where d is the fewest transitions
     from an occurrence of s to a later occurrence of t on one path (between
     occurrence end positions)."""
-    labels, rows, value = _sequence_values(ds, max_len, measures)
+    labels, rows, _, value = _sequence_values(ds, max_len, measures)
     seqs = _state_tuples(labels, rows)
     return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
 
 
 def _sequence_values(ds: PathDataset, max_len: int, measures=()):
-    """The labels, :func:`sequence_scores`' sequences as rows of ids into them,
-    and per measure a function of their values; ``measures`` are checked."""
+    """The labels, :func:`sequence_scores`' sequences as rows of ids into them and
+    one node of ``ds.encoded`` where each ends, and per measure a function of
+    their values; ``measures`` are checked."""
     for m in measures:
         if m not in MEASURES:
             raise DataError(f"unknown measure {m!r}")
+    n_codes = ds._codes(max_len)[1]  # which checks max_len
     labels, ids, lengths, weights = ds.encoded
-    _, path, pos, levels = _sequence_levels(ds, max_len)
+    path = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(path)) - (np.cumsum(lengths) - lengths)[path]
     # one occurrence per (end node, length), level-major and by node within a level
-    at = np.concatenate([a for a, _ in levels])
-    size = np.repeat(np.arange(1, len(levels) + 1), [len(a) for a, _ in levels])
-    sid, rows = _keyed_rows(ids, np.concatenate([key for _, key in levels]), at, size)
+    at = [np.flatnonzero(pos >= m) for m in range(min(max_len, int(lengths.max())))]
+    code = np.concatenate([ds._codes(m)[0][a] for m, a in enumerate(at, 1)])
+    size = np.repeat(np.arange(1, len(at) + 1), list(map(len, at)))
+    at = np.concatenate(at)
+    sid, _, seen, rows = _keyed_rows(ids, code, n_codes, at, size)
     n, j, last, w = len(rows), pos[at], lengths[path[at]] - 1, weights[path[at]]
     occ = np.bincount(sid, w, n)
     end_occ = np.bincount(sid, w * (j == last), n)
-    return labels, rows, {
+    return labels, rows, at[seen], {
         "betweenness": lambda: np.bincount(sid, w * ((j >= size) & (j < last)), n),
         "closeness": lambda: _sequence_closeness(sid, at, at + last - j, n),
         "path_end": lambda: end_occ / ds.total,
@@ -204,7 +209,7 @@ def compute(model, measure: str) -> CentralityVector:
             vals = _closeness(model.counts, np.arange(len(model.nodes)))
         return CentralityVector(dict(zip(model.nodes, vals.tolist())))
     if isinstance(model, PathModel):
-        labels, rows, value = model._nodes  # counted once for every measure
+        labels, rows, _, value = model._nodes  # counted once for every measure
         return CentralityVector(dict(zip([labels[i] for i in rows[:, 0].tolist()], value[measure]().tolist())))
     if isinstance(model, MOGenModel):
         if measure == "closeness":  # a node's group holds the states ending in it

@@ -4,9 +4,10 @@ most influential nodes and node sequences in held-out test paths?
 Pipeline per replicate: instance-level train/test split, ground-truth ranking
 from the test paths, model predictions projected upward onto the ground-truth
 states, and top-decile AUC scoring with midrank tie handling. Results are
-averaged over replicates. Labels, suffixes and scores are arrays over the
-targets in lexicographic order. The truth breaks ties lexicographically; the AUC
-ties predicted scores within :data:`~pathcent.models.TIE_TOL` of the largest.
+averaged over replicates. Targets and a model's keys are codes of the split
+corpus's sequences, and labels, suffixes and scores are arrays over the targets
+in lexicographic order. The truth breaks ties lexicographically; the AUC ties
+predicted scores within :data:`~pathcent.models.TIE_TOL` of the largest.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import centrality
 from .errors import DataError
-from .models import TIE_TOL, MOGenModel, _state_tuples, fit_mogen, fit_network
+from .models import TIE_TOL, MOGenModel, fit_mogen, fit_network
 from .pathdata import PathDataset, parse_model_label
 
 #: Draws :func:`split` makes before it gives up on a non-degenerate split.
@@ -74,28 +75,31 @@ def split(ds: PathDataset, fraction: float, seed):
     raise DataError("could not produce a non-degenerate split")
 
 
-def ground_truth(test: PathDataset, measures, k_truth: int) -> tuple[tuple, dict]:
-    """All sequences up to length ``k_truth`` in the test set, in lexicographic
-    order, and per measure their indices ranked by value, descending, ties
-    broken lexicographically: ``(sequences, {measure: ranking})``."""
-    labels, rows, value = centrality._sequence_values(test, k_truth, measures)
+def ground_truth(test: PathDataset, measures, k_truth: int) -> tuple[np.ndarray, dict]:
+    """All sequences up to length ``k_truth`` in the test set, in lexicographic order,
+    as rows of their suffix codes (:func:`project_up`), and per measure their indices
+    ranked by value, descending, ties broken lexicographically."""
+    labels, rows, at, value = centrality._sequence_values(test, k_truth, measures)
     order = np.lexsort(rows.T[::-1])  # a -1 pad sorts a prefix first
-    return _state_tuples(labels, rows[order]), {
-        m: np.argsort(-value[m]()[order], kind="stable") for m in measures}
+    at, size = at[order], (rows[order] >= 0).sum(axis=1)
+    targets = np.stack([np.where(size >= m, test._codes(m)[0][at], -1)
+                        for m in range(1, rows.shape[1] + 1)], axis=1)
+    return targets, {m: np.argsort(-value[m]()[order], kind="stable") for m in measures}
 
 
-def project_up(keys, targets) -> np.ndarray:
-    """For each target state, the index of its longest suffix in the sequence
-    ``keys``, or -1."""
-    index = {s: i for i, s in enumerate(keys)}
-    out = []
-    for h in targets:
-        for i in range(len(h)):
-            j = index.get(h[i:], -1)  # a target has at least one node
-            if j >= 0:
-                break
-        out.append(j)
-    return np.array(out, dtype=np.int64)
+def project_up(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each target, the index of its longest suffix in ``keys``, or -1.
+
+    ``keys`` are distinct sequence codes of one corpus ranking, and a target's
+    row holds the codes of its suffixes of length 1, 2, ..., padded with -1. The
+    walk goes down the lengths, from the longest, over a membership array of
+    the codes."""
+    index = np.full(int(max(keys.max(initial=-1), targets.max(initial=-1))) + 2, -1)
+    index[keys] = np.arange(len(keys))  # a pad reads the last slot: -1
+    out = np.full(len(targets), -1)
+    for suffix in targets.T[::-1]:
+        out = np.where(out < 0, index[suffix], out)
+    return out
 
 
 def _scored(values: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
@@ -120,12 +124,13 @@ def auc_score(labels, scores) -> float:
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _predictions(model, measures) -> tuple[list, dict]:
-    """The model's keys, its nodes as 1-tuples and any states of length 2 or more,
-    and per measure an array of their first-order and analytic state scores."""
+def _predictions(model, measures, nodes: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The codes of a fit's keys: its ``nodes``, the sorted node ids of the side it was
+    fitted on, and a MOGen fit's ``codes`` of its states of length 2 or more; and per
+    measure an array of their scores."""
     mogen = isinstance(model, MOGenModel)
     higher = np.flatnonzero(model.node_index[2] >= 2) if mogen else []
-    keys = [(v,) for v in (model.node_index[0] if mogen else model.nodes)] + [model.states[i] for i in higher]
+    keys = np.concatenate([nodes, model.codes[higher]]) if mogen else nodes
     scores = {}
     for m in measures:
         vec = centrality.compute(model, m)
@@ -157,6 +162,7 @@ def evaluate(
         raise DataError("no requested measure is supported by the requested models")
     for rep in range(spec.replicates):
         train, test = split(ds, spec.train_fraction, [spec.seed, rep])
+        nodes = np.unique(train.encoded[1])  # every model's nodes, by label id (level-1 code)
         targets, rankings = ground_truth(test, measures, k_truth)
         if len(targets) < 10:
             raise DataError("target set too small for decile labeling")
@@ -165,13 +171,13 @@ def evaluate(
         for label, kind, k, wanted in parsed:
             if not wanted:
                 continue
-            if kind == "path":  # every measure's dict holds the same keys, in one order
+            if kind == "path":  # every measure's dict holds the sequences in code order
+                keys = np.unique(np.concatenate([train._codes(m)[0] for m in range(1, k_truth + 1)]))
                 by_measure = centrality.sequence_scores(train, wanted, k_truth)
-                keys = list(by_measure[wanted[0]])
-                preds = {m: np.fromiter(v.values(), float) for m, v in by_measure.items()}
+                preds = {m: np.fromiter(v.values(), float, len(keys)) for m, v in by_measure.items()}
             else:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
-                keys, preds = _predictions(model, wanted)
+                keys, preds = _predictions(model, wanted, nodes)
             # a model scores the same keys under every measure
             suffixes = project_up(keys, targets)
             for m in wanted:

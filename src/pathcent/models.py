@@ -16,9 +16,9 @@ Three representations of the same path dataset:
   search :func:`_closeness`; betweenness and the edge report run :func:`_first_reached`.
 
 A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
-the integer encoding that a corpus computes once and its windows and split
-sides share, and gives each state its row in ``(len, labels)`` order, or from
-its constructor over such counts; models have no file format.
+the integer encoding and sequence codes that a corpus computes once and its
+windows and split sides read, and keys each state by its code, in ``(len,
+labels)`` order; or from its constructor over such counts; no file format.
 A model holds its states as rows of label ids; ``model.states[i]``, a tuple view
 built on first use, is the only state-to-row key. Later layers hold per-state
 arrays over the rows and read ``model.node_index``.
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, NumericError
-from .pathdata import END, START, PathDataset
+from .pathdata import END, START, PathDataset, _ranked
 
 #: Row-stochasticity tolerance after normalisation.
 STOCHASTIC_TOL = 1e-12
@@ -102,7 +102,10 @@ class MOGenModel:
     counts of ``states``: label tuples, or with ``labels`` rows of ids into them
     padded with -1. Stored zero transition counts are dropped from a copy; an
     order below 1, repeated states, counts not sized to the states, a negative or
-    non-finite count, or start counts summing to 0, raise :class:`DataError`."""
+    non-finite count, or start counts summing to 0, raise :class:`DataError`.
+    A fit also sets ``codes``, its states' codes in its corpus's ranking."""
+
+    codes: np.ndarray | None = None
 
     def __init__(
         self,
@@ -124,9 +127,15 @@ class MOGenModel:
         n = len(states)
         if not (isinstance(order, int) and order >= 1):
             raise DataError("order must be >= 1")
-        ranked = states[np.lexsort(states.T[::-1])]
-        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
-            raise DataError("states must be distinct")
+        size = (states >= 0).sum(axis=1)  # a fit's rows ascend in (len, labels) order: no sort
+        later, tied = size[1:] > size[:-1], size[1:] == size[:-1]
+        for before, after in zip(states[:-1].T, states[1:].T):
+            later |= tied & (after > before)
+            tied &= after == before
+        if not later.all():
+            ranked = states[np.lexsort(states.T[::-1])]  # repeats adjacent
+            if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+                raise DataError("states must be distinct")
         if np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or trans_counts.shape != (n, n):
             raise DataError(f"counts must match the {n} states")
         self.start_counts = start_counts
@@ -151,7 +160,7 @@ class MOGenModel:
         self._validate()
         self._sf: np.ndarray | None = None
         self._reach: np.ndarray | None = None
-        self._absorbing = False  # set once _solve's end search passes
+        self._absorbing = False  # set once _solve's end search passes, or by fit_mogen
 
     def _validate(self):
         rows = np.asarray(self.trans_p.sum(axis=1)).ravel() + self.end_p
@@ -218,54 +227,36 @@ def fit_path(ds: PathDataset) -> PathModel:
 def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     """Fit a multi-order model of maximum order ``k`` by transition counting.
 
-    The state of node i is ``nodes[max(0, i - k + 1) : i + 1]``, keyed by
-    :func:`_sequence_levels`, so states take rows in ``(len, labels)`` order. A
-    path starts in the state of its first node, ends in that of its last, and
-    moves into the state of each later node from the one before.
+    The state of node i is ``nodes[max(0, i - k + 1) : i + 1]``, keyed by its code
+    in the corpus ranking, so states take rows in ``(len, labels)`` order. A path
+    starts in the state of its first node, ends in that of its last, and moves
+    into the state of each later node from the one before, so the model is
+    absorbing: every state reaches the end of a path that holds it.
     """
     labels, ids, lengths, weights = ds.encoded
-    first, path, pos, levels = _sequence_levels(ds, k)
-    key = np.empty_like(pos)
-    for at, level_key in levels:
-        key[at] = level_key
-    state, rows = _keyed_rows(ids, key, np.arange(len(ids)), np.minimum(pos + 1, k))
+    first = np.cumsum(lengths) - lengths
+    pos = np.arange(len(ids)) - np.repeat(first, lengths)
+    state, codes, _, rows = _keyed_rows(ids, *ds._codes(k), np.arange(len(ids)), np.minimum(pos + 1, k))
     n = len(rows)
     start = np.bincount(state[first], weights, n)
     end = np.bincount(state[first + lengths - 1], weights, n)
     step = np.flatnonzero(pos)  # every node but a path's first
-    trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
-    return MOGenModel(k, rows, start, trans, end, labels)
+    trans = sp.csr_matrix((np.repeat(weights, lengths - 1), (state[step - 1], state[step])), shape=(n, n))
+    model = MOGenModel(k, rows, start, trans, end, labels)
+    model.codes, model._absorbing = codes, True
+    return model
 
 
-def _sequence_levels(ds: PathDataset, k: int):
-    """Each path's first node, each node's path and position, and per length
-    m = 1..k the nodes of ``ds.encoded`` where a length-m sequence ends with its
-    key, in (length, labels) order: level m ranks (level m-1 rank of the node
-    before * number of labels + node id) by one ``np.unique``, so no code overflows.
-    No level is longer than the longest path, so a larger ``k`` adds none."""
-    if k < 1:
-        raise DataError("order must be >= 1")
-    labels, ids, lengths, _ = ds.encoded
-    first = np.cumsum(lengths) - lengths
-    path = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(len(ids)) - first[path]
-    at, rank, offset = np.arange(len(ids)), ids.copy(), len(labels)
-    levels = [(at, ids)]
-    for m in range(2, min(k, int(lengths.max())) + 1):
-        at = at[pos[at] >= m - 1]
-        codes, rank_at = np.unique(rank[at - 1] * len(labels) + ids[at], return_inverse=True)
-        rank[at] = rank_at  # read only where level m + 1 looks back
-        levels.append((at, offset + rank_at))
-        offset += len(codes)
-    return first, path, pos, levels
-
-
-def _keyed_rows(ids: np.ndarray, key, at, size):
-    """Each entry's index into the distinct ``key``s, and per distinct key the
-    ids of the ``size`` nodes of ``ids`` ending at ``at``, padded with -1."""
-    _, seen, index = np.unique(key, return_index=True, return_inverse=True)
+def _keyed_rows(ids: np.ndarray, codes: np.ndarray, n_codes: int, at, size):
+    """Each of ``codes``' index into its distinct values (:func:`~pathcent.pathdata._ranked`
+    over the ``n_codes`` codes); those values; per value an entry with it; and the ids of
+    that entry's ``size`` nodes ending at its ``at``."""
+    index, distinct = _ranked(codes, n_codes)
+    seen = np.empty(len(distinct), np.int64)
+    seen[index] = np.arange(len(codes))
     back = size[seen, None] - 1 - np.arange(int(size.max()))  # column c holds the node at - back
-    return index, np.where(back >= 0, ids[at[seen, None] - back.clip(0)], -1).astype(np.int32)
+    rows = np.where(back >= 0, ids[at[seen, None] - back.clip(0)], -1).astype(np.int32)
+    return index, distinct, seen, rows
 
 
 def _state_tuples(labels: list[str], rows: np.ndarray) -> tuple[State, ...]:

@@ -6,9 +6,9 @@ entries by summing multiplicities. A dataset keeps its distinct paths as
 parallel columns (node tuples, multiplicities, start times), sorted once;
 ``PathDataset.paths`` is a view of :class:`Path` objects built on first use.
 The readers merge their lines straight into those columns and check each
-distinct label once, naming the first line that holds a bad one. Windows and
-split sides are row subsets that keep a dataset's encoding. Only the encoding
-and the windows import numpy, so ingest runs without it.
+distinct label once, naming the first line that holds a bad one. A corpus
+ranks its node sequences once; its windows and split sides hold it and read
+its codes. Only the encoding, the ranking and the windows import numpy.
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ RESERVED = frozenset({START, END})
 #: Separators of state keys (``|``), labels (``,``) and fields (``;``) in
 #: outputs, and a leading ``#``, which marks a header line in a path file.
 BAD_LABEL = re.compile(r"[|,;]|^#", re.MULTILINE)
+
+#: :func:`_ranked` sorts its keys, rather than mask the key space, when they are fewer
+#: than the space / this (timed on 127k and 2M keys, the two cross near 8).
+_SORT_BELOW = 8
 
 #: The centrality measures (:mod:`pathcent.centrality`), here so that the CLI needs no numpy.
 MEASURES = ("betweenness", "closeness", "path_end", "path_continuation", "path_reach", "visitation")
@@ -101,6 +105,21 @@ class Path:
         return len(self.nodes)
 
 
+def _ranked(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the non-negative ``keys``' index into its distinct values, ascending, and
+    those values: by a presence mask over the ``space`` keys and its cumulative sum, or
+    by a sort where the keys are far fewer (a small window of a large corpus)."""
+    import numpy as np
+
+    if len(keys) * _SORT_BELOW < space:
+        distinct, index = np.unique(keys, return_inverse=True)
+        return index, distinct
+    present = np.zeros(space, bool)
+    present[keys] = True
+    rank = np.cumsum(present, dtype=np.int32 if len(keys) < 2**31 else np.int64)  # at most len(keys)
+    return np.subtract(rank[keys], 1, dtype=np.int64), np.flatnonzero(present)
+
+
 def _recounted(paths: Iterable[Path], counts: Iterable[int]) -> tuple[Path, ...]:
     """``paths`` with multiplicities ``counts``; a path is rebuilt only if its count changes."""
     return tuple(p if p.multiplicity == c else Path(p.nodes, c, p.start_time)
@@ -117,6 +136,8 @@ class PathDataset:
     objects keeps an input path whose key occurs once as it is, and a key that
     merges gets one new ``Path`` with the summed multiplicity.
     """
+
+    _corpus = _rows = _at = None  # a subset's corpus, and its rows and node positions there
 
     def __init__(self, paths: Iterable[Path] | dict[tuple[tuple[str, ...], int | None], int]):
         if isinstance(paths, dict):
@@ -141,21 +162,28 @@ class PathDataset:
             _check_columns(self._nodes, self._counts, self._times, self._vocabulary)
         else:
             self.paths = _recounted(map(given.__getitem__, keys), self._counts)
-        self._total = sum(self._counts)
+
+    # a subset gathers these columns from its corpus's on first use; a corpus sets its own
+    _nodes, _times, _counts = (
+        cached_property(lambda ds, c=c: tuple(map(getattr(ds._corpus, c).__getitem__, ds._rows.tolist())))
+        for c in ("_nodes", "_times", "_counts"))
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
-        """The distinct paths as :class:`Path` objects, in key order; built on first use."""
+        """The distinct paths as :class:`Path` objects, in key order; built on first
+        use. A subset keeps its corpus's objects where the corpus built them."""
+        if self._corpus is not None and "paths" in self._corpus.__dict__:
+            return _recounted(map(self._corpus.paths.__getitem__, self._rows.tolist()), self._counts)
         return tuple(map(Path, self._nodes, self._counts, self._times))
 
     @property
     def vocabulary(self) -> frozenset[str]:
         return self._vocabulary
 
-    @property
+    @cached_property
     def total(self) -> int:
         """Number of path instances, multiplicities included."""
-        return self._total
+        return sum(self._counts)
 
     @cached_property
     def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -165,30 +193,51 @@ class PathDataset:
 
         labels = sorted(self._vocabulary)
         ids = {v: i for i, v in enumerate(labels)}
-        nodes = np.fromiter(map(ids.__getitem__, chain.from_iterable(self._nodes)), np.int64)
+        nodes = np.fromiter(map(ids.__getitem__, chain.from_iterable(self._nodes)), np.int32)
         lengths = np.fromiter(map(len, self._nodes), np.int64, len(self._nodes))
         return labels, nodes, lengths, np.array(self._counts, float)
 
+    def _codes(self, k: int) -> tuple[np.ndarray, int]:
+        """Per node of ``encoded``, the code of its order-``k`` state (its last ``k`` nodes,
+        or fewer at a path's start), and the number of codes up to length ``k``. Codes
+        number the corpus's sequences in ``(len, labels)`` order, level 1 by label id.
+        The corpus ranks level m, when first asked, by (level m-1 code of the node
+        before * number of labels + node id); int32 while the codes fit."""
+        import numpy as np
+
+        if k < 1:
+            raise DataError("order must be >= 1")
+        root = self if self._corpus is None else self._corpus
+        labels, ids, lengths, _ = root.encoded
+        levels, ends = root.__dict__.setdefault("_ranking", ([ids], [len(labels)]))
+        for m in range(len(levels) + 1, min(k, root.max_length) + 1):
+            pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            at = np.flatnonzero(pos >= m - 1)
+            rank, codes = _ranked(levels[-1][at - 1] * np.int64(len(labels)) + ids[at], ends[-1] * len(labels))
+            ends.append(ends[-1] + len(codes))
+            # a copy, so a node with fewer than m nodes up to it keeps its state
+            levels.append(levels[-1].astype(np.int32 if ends[-1] < 2**31 else np.int64))
+            levels[-1][at] = ends[-2] + rank
+        m = min(k, len(levels))
+        return levels[m - 1] if self._at is None else levels[m - 1][self._at], ends[m - 1]
+
     def _subset(self, rows: np.ndarray, counts: np.ndarray | None = None) -> PathDataset:
         """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
-        their own: nothing is merged, sorted or checked again, the encoding is
-        gathered with its ids, and so is the ``paths`` view if it was built."""
+        their own: nothing is merged, sorted or checked again, and the encoding is
+        gathered with its ids; the subset holds its corpus and reads the corpus's codes."""
         import numpy as np
 
         labels, nodes, lengths, weights = self.encoded
-        picked = rows.tolist()
         out = PathDataset.__new__(PathDataset)
-        out._nodes = tuple(map(self._nodes.__getitem__, picked))
-        out._times = tuple(map(self._times.__getitem__, picked))
-        out._counts = (tuple(map(self._counts.__getitem__, picked)) if counts is None
-                       else tuple(counts.tolist()))
-        out._total = sum(out._counts)
-        kept = np.repeat(np.bincount(rows, minlength=len(lengths)) > 0, lengths)
-        out.encoded = (labels, nodes[kept], lengths[rows],
+        at = np.flatnonzero(np.repeat(np.bincount(rows, minlength=len(lengths)) > 0, lengths))
+        at = at.astype(np.int32) if len(nodes) < 2**31 else at
+        out._corpus, out._rows, out._at = ((self, rows, at) if self._corpus is None
+                                           else (self._corpus, self._rows[rows], self._at[at]))
+        out.encoded = (labels, nodes[at], lengths[rows],
                        weights[rows] if counts is None else counts.astype(float))
         out._vocabulary = frozenset(labels[i] for i in np.unique(out.encoded[1]).tolist())
-        if "paths" in self.__dict__:
-            out.paths = _recounted(map(self.paths.__getitem__, picked), out._counts)
+        if counts is not None:
+            out._counts = tuple(counts.tolist())
         return out
 
     @cached_property
@@ -198,14 +247,14 @@ class PathDataset:
 
     @cached_property
     def max_length(self) -> int:
-        return max(map(len, self._nodes))
+        return max(map(len, self._nodes)) if self._corpus is None else int(self.encoded[2].max())
 
     @property
     def has_timestamps(self) -> bool:
         return None not in self._times
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._nodes) if self._corpus is None else len(self._rows)
 
 
 class TemporalEdge(NamedTuple):

@@ -63,3 +63,25 @@ class TestSummarize:
         assert bench_pairs.bench_command("mogen-centrality", 3, 30.0) == [
             "bench/run.py", "--workload", "mogen-centrality", "--seed", "3", "--seconds", "30",
             "--trace", "0"]
+
+
+class TestCliPairs:
+    def test_a_command_run_records_times_rss_and_outputs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        src = tmp_path / "in.paths"
+        src.write_text("a,b;2\nb,c;1\n")
+        result = bench_pairs.run_cli(root, ["ingest", "--input", str(src), "--format", "paths"],
+                                     tmp_path / "out")
+        assert result["correct"] is True
+        assert set(result["metrics"]) == {m["name"] for m in bench_pairs.CLI_METRICS}
+        assert all(result["metrics"][m]["value"] > 0 for m in ("job_s", "peak_rss_mb"))
+        assert sorted(result["outputs"]) == ["dataset.paths", "stats.json"]
+        again = bench_pairs.run_cli(root, ["ingest", "--input", str(src), "--format", "paths"],
+                                    tmp_path / "again")
+        assert again["outputs"] == result["outputs"]  # a rerun writes the same bytes
+
+    def test_a_failed_command_is_not_correct(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        result = bench_pairs.run_cli(root, ["ingest", "--input", str(tmp_path / "missing"),
+                                            "--format", "paths"], tmp_path / "out")
+        assert result["correct"] is False and result["outputs"] == {}

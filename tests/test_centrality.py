@@ -4,6 +4,7 @@ import math
 from collections import defaultdict
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -498,10 +499,11 @@ class TestNodeIndexOnce:
         prop = models.MOGenModel.__dict__["node_index"]
         derived = []
         monkeypatch.setattr(prop, "func", lambda m, derive=prop.func: derived.append(m) or derive(m))
-        model = fit_mogen(generators.order2_families(seed=2, n_paths=200), 3)
+        ds = generators.order2_families(seed=2, n_paths=200)
+        model, nodes = fit_mogen(ds, 3), np.unique(ds.encoded[1])
         for measure in MEASURES:
             compute(model, measure)
-            experiment._predictions(model, (measure,))
-        experiment._predictions(model, MEASURES)
+            experiment._predictions(model, (measure,), nodes)
+        experiment._predictions(model, MEASURES, nodes)
         edge_centralities(model, min_visitation=0.0)
         assert derived == [model]

@@ -421,8 +421,8 @@ class TestJsonWriter:
 class TestPathModelOnePass:
     def test_centrality_counts_occurrences_once(self, order2_file, tmp_path, monkeypatch):
         passes = []
-        levels = cent._sequence_levels
-        monkeypatch.setattr(cent, "_sequence_levels", lambda *args: passes.append(args) or levels(*args))
+        keyed = cent._keyed_rows
+        monkeypatch.setattr(cent, "_keyed_rows", lambda *args: passes.append(args) or keyed(*args))
         computed = []
         compute = cent.compute
         monkeypatch.setattr(cent, "compute", lambda *args: computed.append(args[1]) or compute(*args))
@@ -846,6 +846,23 @@ class TestDatasetsBuiltOnce:
         assert made == []
         assert len(built) == 6 and not any("paths" in ds.__dict__ for ds in built)
         assert not any(map(dataclasses.is_dataclass, (pathcent.TemporalEdge, pathcent.ActionRecord)))
+
+    def test_windows_and_split_sides_gather_no_column(self, smell_files, order2_file, tmp_path,
+                                                      monkeypatch):
+        """``smells`` and ``experiment`` read their windows' and split sides'
+        encoding and codes only: no node, time or count column is gathered."""
+        gathered = []
+        for name in ("_nodes", "_times", "_counts"):
+            prop = pathcent.PathDataset.__dict__[name]
+            monkeypatch.setattr(prop, "func", lambda ds, gather=prop.func, name=name:
+                                gathered.append(name) or gather(ds))
+        assert main(["smells", "--platform", f"p1={smell_files[0]}", "--platform", f"p2={smell_files[1]}",
+                     "--window", "200", "--shift", "100", "--output-dir", str(tmp_path / "smells")]) == 0
+        assert main(["experiment", "--input", order2_file, "--models", "N,M2,P", "--replicates", "2",
+                     "--k-truth", "2", "--output-dir", str(tmp_path / "experiment")]) == 0
+        assert gathered == []
+        window = rolling_windows(load_dataset(smell_files[0]), 200, 100)[0].dataset
+        assert window._nodes and gathered == ["_nodes"]  # the spy sees a gather
 
     def test_evaluate_builds_no_dataset(self, built):
         ds = generators.order2_families(seed=0, n_paths=200)

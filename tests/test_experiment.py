@@ -28,6 +28,7 @@ from pathcent.experiment import _predictions, _scored, parse_model_label
 from pathcent.models import TIE_TOL
 
 import generators
+import ranking_oracles
 
 
 def _split_oracle(ds, fraction, seed, max_attempts=100):
@@ -147,11 +148,69 @@ def _scored_oracle(values: dict, suffixes) -> list:
     return [floor if s is None else values[s] for s in suffixes]
 
 
+def _evaluate_oracle(ds, spec, models, measures, k_truth) -> dict:
+    """``evaluate`` on label tuples: per (model, measure), each replicate's AUC from the
+    tuple ground truth, the model's tuple keys and scores, and the tuple suffix walk."""
+    out = {}
+    for rep in range(spec.replicates):
+        train, test = split(ds, spec.train_fraction, [spec.seed, rep])
+        truth = _ground_truth_oracle(test, measures, k_truth)
+        for label in models:
+            kind, k = parse_model_label(label)
+            if kind == "path":
+                scored = sequence_scores(train, measures, k_truth)
+            else:
+                model = fit_network(train) if kind == "network" else fit_mogen(train, k)
+                scored = {}
+                for m in measures if kind == "mogen" else [m for m in measures if m not in PATH_MEASURES]:
+                    scored[m] = {(v,): x for v, x in compute(model, m).scores.items()}
+                    if kind == "mogen":
+                        values = mogen_state_scores(model, m).tolist()
+                        scored[m].update((s, x) for s, x in zip(model.states, values) if len(s) >= 2)
+            for m, values in scored.items():
+                targets = sorted(seq for seq, _ in truth[m])
+                top = {seq for seq, _ in truth[m][: -(-len(targets) // 10)]}
+                scores = _scored_oracle(values, _project_up_oracle(set(values), targets))
+                out.setdefault((label, m), []).append(auc_score([t in top for t in targets], scores))
+    return out
+
+
+def _named(ds, codes) -> list:
+    """The label tuple of each of ``codes`` in the ranking of the corpus of ``ds``."""
+    names = ranking_oracles.code_names(ds, 8)
+    return [names[c] for c in np.asarray(codes).tolist()]
+
+
+def _target_tuples(ds, targets) -> list:
+    """Each target row's sequence (its longest suffix), checking that the row holds
+    the codes of its suffixes by length, padded with -1."""
+    names = ranking_oracles.code_names(ds, targets.shape[1])
+    out = []
+    for row in targets.tolist():
+        size = sum(c >= 0 for c in row)
+        assert row[size:] == [-1] * (len(row) - size)
+        seq = names[row[size - 1]]
+        assert [names[c] for c in row[:size]] == [seq[-m:] for m in range(1, size + 1)]
+        out.append(seq)
+    return out
+
+
+def _coded(keys, targets):
+    """Label-tuple ``keys`` and ``targets`` as :func:`project_up` takes them: codes
+    of the ranking of a corpus that holds each as a path."""
+    ds = PathDataset([Path(s) for s in (*keys, *targets)])
+    names = {s: c for c, s in ranking_oracles.code_names(ds, 8).items()}
+    width = max(map(len, targets))
+    rows = [[names[t[-m:]] for m in range(1, len(t) + 1)] + [-1] * (width - len(t)) for t in targets]
+    return np.array([names[s] for s in keys], np.int64), np.array(rows, np.int64).reshape(-1, width)
+
+
 def _ranked(ds, measures, k_truth) -> dict:
     """``ground_truth``'s rankings as ``{measure: [(sequence, value), ...]}``."""
     targets, rankings = ground_truth(ds, measures, k_truth)
+    seqs = _target_tuples(ds, targets)
     values = sequence_scores(ds, measures, max_len=k_truth)
-    return {m: [(targets[i], values[m][targets[i]]) for i in r.tolist()] for m, r in rankings.items()}
+    return {m: [(seqs[i], values[m][seqs[i]]) for i in r.tolist()] for m, r in rankings.items()}
 
 
 TRUTH_CORPORA = [
@@ -172,9 +231,11 @@ class TestGroundTruth:
         assert tied == sorted(tied)
 
     def test_contains_all_orders_up_to_k(self):
-        targets, _ = ground_truth(generators.toy_dataset(), ("visitation",), 3)
-        assert {len(s) for s in targets} == {1, 2, 3}
-        assert list(targets) == sorted(targets)  # lexicographic: ("a", "b") before ("b",)
+        ds = generators.toy_dataset()
+        targets, _ = ground_truth(ds, ("visitation",), 3)
+        seqs = _target_tuples(ds, targets)
+        assert {len(s) for s in seqs} == {1, 2, 3} and targets.shape == (len(seqs), 3)
+        assert seqs == sorted(seqs)  # lexicographic: ("a", "b") before ("b",)
 
     def test_top_state_on_toy(self):
         gt = _ranked(generators.toy_dataset(), ("betweenness",), 2)["betweenness"]
@@ -190,7 +251,7 @@ class TestGroundTruth:
         assert list(rankings) == list(MEASURES)
         assert all(sorted(r.tolist()) == list(range(len(targets))) for r in rankings.values())
         again = ground_truth(generators.toy_dataset(), ("path_end",), 3)
-        assert again[0] == targets and np.array_equal(again[1]["path_end"], rankings["path_end"])
+        assert np.array_equal(again[0], targets) and np.array_equal(again[1]["path_end"], rankings["path_end"])
 
     @pytest.mark.parametrize("corpus", TRUTH_CORPORA)
     @pytest.mark.parametrize("k_truth", [1, 3, 5])
@@ -201,17 +262,17 @@ class TestGroundTruth:
 
 class TestProjectUp:
     def test_longest_scored_suffix_wins(self):
-        assert project_up([("A", "B"), ("B",)], [("C", "A", "B")]).tolist() == [0]
+        assert project_up(*_coded([("A", "B"), ("B",)], [("C", "A", "B")])).tolist() == [0]
 
     def test_shorter_suffix_as_fallback(self):
-        assert project_up([("B",), ("X", "B")], [("C", "B")]).tolist() == [0]
+        assert project_up(*_coded([("B",), ("X", "B")], [("C", "B")])).tolist() == [0]
 
     def test_exact_match_preferred(self):
-        assert project_up([("C", "B"), ("B",)], [("C", "B")]).tolist() == [0]
+        assert project_up(*_coded([("C", "B"), ("B",)], [("C", "B")])).tolist() == [0]
 
     def test_min_fallback(self):
-        keys, values = [("A",), ("B",)], np.array([5.0, -1.0])
-        suffixes = project_up(keys, [("Z",), ("A",)])
+        values = np.array([5.0, -1.0])
+        suffixes = project_up(*_coded([("A",), ("B",)], [("Z",), ("A",)]))
         assert suffixes.tolist() == [-1, 0]
         assert _scored(values, suffixes).tolist() == [-1.0, 5.0]
         assert _scored(np.zeros(0), np.array([-1, -1])).tolist() == [0.0, 0.0]
@@ -219,7 +280,12 @@ class TestProjectUp:
     def test_one_entry_per_target_in_order(self):
         keys = [("a",), ("b", "a")]
         targets = [("b", "a"), ("c",), ("c", "a"), ("a",)]
-        assert project_up(keys, targets).tolist() == [1, -1, 0, 0]
+        assert project_up(*_coded(keys, targets)).tolist() == [1, -1, 0, 0]
+
+    def test_no_keys_or_no_targets(self):
+        keys, targets = _coded([("a",)], [("b", "a")])
+        assert project_up(keys[:0], targets).tolist() == [-1]
+        assert project_up(keys, targets[:0]).tolist() == []
 
     @pytest.mark.parametrize("label", ["N", "M1", "M2", "M3"])
     def test_suffixes_and_scores_match_the_tuple_oracles(self, label):
@@ -228,13 +294,42 @@ class TestProjectUp:
         targets, _ = ground_truth(test, ("visitation",), 4)
         kind, k = parse_model_label(label)
         keys, preds = _predictions(fit_network(train) if kind == "network" else fit_mogen(train, k),
-                                   ("betweenness", "closeness"))
+                                   ("betweenness", "closeness"), np.unique(train.encoded[1]))
         suffixes = project_up(keys, targets)
         assert len(suffixes) == len(targets)
+        keys, targets = _named(ds, keys), _target_tuples(test, targets)
         expected = _project_up_oracle(set(keys), targets)
         assert [None if j < 0 else keys[j] for j in suffixes.tolist()] == expected
         for values in preds.values():
             assert _scored(values, suffixes).tolist() == _scored_oracle(dict(zip(keys, values.tolist())), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.floats(0.2, 0.8), st.integers(1, 5), st.integers(0, 2))
+    def test_matches_the_tuple_walk_for_every_model(self, seed, fraction, k_truth, corpus):
+        """N, M1-M5 and P keys over random splits: the integer walk finds the
+        suffix that the tuple walk finds, and the keys name the model's states."""
+        ds = [lambda: generators.order2_families(seed=seed % 7, n_paths=60),
+              lambda: generators.first_order_walks(seed % 7, n_paths=60, n_nodes=4, max_len=8),
+              lambda: generators.random_small_dataset(seed % 7)][corpus]()
+        try:
+            train, test = split(ds, fraction, seed)
+        except DataError:
+            return
+        targets, _ = ground_truth(test, ("visitation",), k_truth)
+        names = _target_tuples(test, targets)
+        for label in ("N", "M1", "M2", "M3", "M4", "M5", "P"):
+            kind, k = parse_model_label(label)
+            if kind == "path":
+                keys = np.unique(np.concatenate([train._codes(m)[0] for m in range(1, k_truth + 1)]))
+                want = list(sequence_scores(train, ("visitation",), k_truth)["visitation"])
+            else:
+                model = fit_network(train) if kind == "network" else fit_mogen(train, k)
+                keys, _ = _predictions(model, ("closeness",), np.unique(train.encoded[1]))
+                nodes = model.node_index[0] if kind == "mogen" else model.nodes
+                want = [(v,) for v in nodes] + [s for s in getattr(model, "states", ()) if len(s) >= 2]
+            assert _named(ds, keys) == want
+            suffixes = project_up(keys, targets)
+            assert [None if j < 0 else want[j] for j in suffixes.tolist()] == _project_up_oracle(set(want), names)
 
 
 class TestAUC:
@@ -402,6 +497,16 @@ class TestEvaluate:
         )
         assert res[0].mean > 0.8
 
+    @pytest.mark.parametrize("corpus", [
+        lambda: generators.order2_families(seed=3, n_paths=300),
+        lambda: generators.first_order_walks(seed=4, n_paths=200, n_nodes=5, max_len=9),
+    ])
+    def test_matches_the_tuple_pipeline(self, corpus):
+        """Every model's AUCs equal those of the same experiment on label tuples."""
+        ds, spec, models = corpus(), SplitSpec(0.4, seed=5, replicates=2), ("N", "M1", "M2", "M3", "P")
+        got = evaluate(ds, spec, models=models, measures=MEASURES, k_truth=4)
+        assert {(r.model, r.measure): list(r.aucs) for r in got} == _evaluate_oracle(ds, spec, models, MEASURES, 4)
+
     def test_results_are_measure_major_and_match_single_pair_runs(self):
         # one ground-truth pass and one suffix resolution per model must
         # give every pair the AUCs of a run that scores that pair alone
@@ -423,8 +528,9 @@ class TestEvaluate:
         train = generators.order2_families(seed=0, n_paths=200)
         network_measures = [m for m in MEASURES if m not in PATH_MEASURES]
         for model, measures in ((fit_network(train), network_measures), (fit_mogen(train, 2), MEASURES)):
-            keys, scores = _predictions(model, measures)
-            assert list(scores) == list(measures) and len(set(keys)) == len(keys)
+            keys, scores = _predictions(model, measures, np.unique(train.encoded[1]))
+            assert list(scores) == list(measures) and len(set(keys.tolist())) == len(keys)
+            keys = _named(train, keys)
             for m in measures:
                 vec = compute(model, m)
                 expected = {(v,): s for v, s in vec.scores.items()}

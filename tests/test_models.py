@@ -26,11 +26,13 @@ from pathcent import (
     select_order,
 )
 from pathcent import models
-from pathcent.centrality import MEASURES, compute, sequence_scores
+from pathcent.centrality import MEASURES, _sequence_values, compute, sequence_scores
 from pathcent.experiment import split
-from pathcent.pathdata import END, START, rolling_windows
+from pathcent import pathdata
+from pathcent.pathdata import END, START, _ranked, rolling_windows
 
 import generators
+import ranking_oracles
 from test_pathdata import _timestamped
 
 
@@ -171,7 +173,7 @@ def _tuple_fit_oracle(ds, k):
     """The fit that kept its states as tuples: each distinct level key's state
     sliced from the nodes of a path where it occurs, given to the constructor."""
     _, _, lengths, weights = ds.encoded
-    first, path, pos, levels = models._sequence_levels(ds, k)
+    first, path, pos, levels = ranking_oracles.sequence_levels(ds, k)
     key = np.empty_like(pos)
     for at, level_key in levels:
         key[at] = level_key
@@ -194,6 +196,82 @@ def _node_index_oracle(states) -> tuple:
     return list(ids), [ids[v] for v in ends], [len(s) for s in states]
 
 
+def _subsets(ds, length, shift, fraction, seed) -> list:
+    """``ds``, its non-empty windows and, where a draw succeeds, its split sides."""
+    subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+    try:
+        subsets += split(ds, fraction, seed)
+    except DataError:
+        pass  # fewer than 2 path instances, or no non-degenerate draw
+    return subsets
+
+
+class TestOneRankingPerCorpus:
+    """Fits and sequence values read the corpus ranking, extended level by level
+    as orders are asked for; they equal those of the per-call ranking on
+    corpora, their windows and their split sides, in either order of requests."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 7), st.booleans(), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_fits_and_values_match_the_per_call_ranking(self, paths, k_max, descending, length,
+                                                        shift, fraction, seed):
+        ds = PathDataset(paths)
+        orders = sorted(range(1, k_max + 1), reverse=descending)
+        subsets = _subsets(ds, length, shift, fraction, seed)
+        for k in orders:
+            for sub in subsets:
+                got = fit_mogen(sub, k)
+                assert_same_fit(got, _tuple_fit_oracle(sub, k))
+                names = ranking_oracles.code_names(sub, k)
+                assert [names[c] for c in got.codes.tolist()] == list(got.states)
+                seqs, rows, want = ranking_oracles.sequence_values(sub, k)
+                labels, got_rows, at, value = _sequence_values(sub, k, MEASURES)
+                assert np.array_equal(got_rows, rows)
+                assert all(np.array_equal(value[m](), want[m]) for m in MEASURES)
+                # one node where each sequence ends
+                _, ids, _, _ = sub.encoded
+                assert [tuple(labels[i] for i in ids[a - len(s) + 1 : a + 1]) for a, s in
+                        zip(at.tolist(), seqs)] == seqs
+        levels, ends = ds.__dict__["_ranking"]
+        assert len(levels) == min(k_max, ds.max_length)  # ranked once, to the highest order asked
+        assert all(level.dtype == np.int32 for level in levels)
+        assert not any("_ranking" in sub.__dict__ for sub in subsets[1:])  # subsets hold no copy
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 300), max_size=60), st.integers(0, 3000))
+    def test_mask_and_sort_rank_alike(self, keys, extra):
+        """``_ranked`` masks the key space or, for keys far fewer than it, sorts;
+        either way it gives ``np.unique``'s distinct keys and inverse."""
+        keys = np.array(keys, dtype=np.int32)
+        space = int(keys.max(initial=-1)) + 1 + extra
+        distinct, index = np.unique(keys, return_inverse=True)
+        got_index, got_distinct = _ranked(keys, space)
+        assert got_distinct.tolist() == distinct.tolist() and got_index.tolist() == index.tolist()
+
+    @pytest.mark.parametrize("sort_below", [0, 10**9])  # always mask, always sort
+    def test_fits_and_values_match_by_mask_and_by_sort(self, sort_below, monkeypatch):
+        monkeypatch.setattr(pathdata, "_SORT_BELOW", sort_below)
+        ds = generators.smell_corpus()  # ranked afresh under the patched threshold
+        for sub in [ds] + [w.dataset for w in rolling_windows(ds, 100, 50) if not w.empty]:
+            for k in (3, 1, 2):
+                assert_same_fit(fit_mogen(sub, k), _tuple_fit_oracle(sub, k))
+                _, rows, want = ranking_oracles.sequence_values(sub, k)
+                _, got_rows, _, value = _sequence_values(sub, k, MEASURES)
+                assert np.array_equal(got_rows, rows)
+                assert all(np.array_equal(value[m](), want[m]) for m in MEASURES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 6))
+    def test_codes_number_the_sequences_in_len_labels_order(self, paths, k):
+        ds = PathDataset(paths)
+        names = ranking_oracles.code_names(ds, k)
+        assert sorted(names) == list(range(len(names)))
+        assert [names[c] for c in sorted(names)] == sorted(names.values(), key=lambda s: (len(s), s))
+        assert ds._codes(k)[1] == len(names)
+        assert ds._codes(1)[0].tolist() == ds.encoded[1].tolist()  # level 1 is the label ids
+
+
 class TestStatesAsRows:
     """A fitted model holds label-id rows; its tuple view and ``node_index``
     equal those of the tuple fit, on corpora, their windows and split sides."""
@@ -202,13 +280,7 @@ class TestStatesAsRows:
     @given(_timestamped, st.integers(1, 6), st.integers(1, 25), st.integers(1, 25),
            st.floats(0.1, 0.9), st.integers(0, 2**16))
     def test_rows_match_the_tuple_fit(self, paths, k, length, shift, fraction, seed):
-        ds = PathDataset(paths)
-        subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
-        try:
-            subsets += split(ds, fraction, seed)
-        except DataError:
-            pass  # fewer than 2 path instances, or no non-degenerate draw
-        for sub in subsets:
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
             got, want = fit_mogen(sub, k), _tuple_fit_oracle(sub, k)
             assert_same_fit(got, want)
             assert got.labels is sub.encoded[0]  # the corpus's labels, not a copy
@@ -238,11 +310,34 @@ class TestStatesAsRows:
         assert model.rows.tolist() == [[1, 0], [2, -1], [0, -1]]
         assert model.states == (("b", "a"), ("c",), ("a",))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple), min_size=1, max_size=8),
+           st.booleans())
+    def test_repeats_are_found_in_any_row_order(self, states, ordered):
+        """Rows in ``(len, labels)`` order, as a fit gives them, skip the sort; any
+        repeat, in that order or another, is a data error."""
+        if ordered:
+            states = sorted(states, key=lambda s: (len(s), s))
+        rows = np.array([list(s) + [-1] * (3 - len(s)) for s in states], dtype=np.int32)
+        n, trans = len(states), sp.csr_matrix((len(states), len(states)))
+        if len(set(states)) < n:
+            with pytest.raises(DataError, match="distinct"):
+                MOGenModel(1, rows, np.ones(n), trans, np.ones(n), labels=["a", "b", "c"])
+        else:
+            assert MOGenModel(1, rows, np.ones(n), trans, np.ones(n), labels=["a", "b", "c"]).n_states == n
+
     def test_repeated_rows_are_data_error(self):
         trans = sp.csr_matrix((2, 2))
         with pytest.raises(DataError, match="distinct"):
             MOGenModel(1, np.array([[0, -1], [0, -1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
                        labels=["a"])
+        trans = sp.csr_matrix((3, 3))
+        for rows in ([[0, -1], [1, -1], [0, -1]], [[0, 1], [0, -1], [0, 1]], [[0, -1], [0, 1], [0, 1]]):
+            with pytest.raises(DataError, match="distinct"):  # a repeat, adjacent or not, in any order
+                MOGenModel(1, np.array(rows, dtype=np.int32), np.ones(3), trans, np.ones(3), labels=["a", "b"])
+        with pytest.raises(DataError, match="distinct"):
+            MOGenModel(1, [("a",), ("b",), ("a",)], np.ones(3), trans, np.ones(3))
+        trans = sp.csr_matrix((2, 2))
         model = MOGenModel(1, np.array([[0, -1], [0, 1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
                            labels=["a", "b"])
         assert model.states == (("a",), ("a", "b"))
@@ -444,6 +539,8 @@ class TestChainSolver:
             assert "residual" in message
 
     def test_end_search_runs_once_per_model(self, monkeypatch):
+        """A model built from counts searches once; a fitted one is absorbing by
+        construction and never searches."""
         searches = []
         search = models._closeness
 
@@ -452,13 +549,32 @@ class TestChainSolver:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(models, "_closeness", spy)
-        model = fit_mogen(generators.toy_dataset(), 2)
+        fitted = fit_mogen(generators.toy_dataset(), 2)
+        fitted.expected_visits()
+        fitted.reach_totals()
+        fundamental_matrix(fitted)
+        assert searches == []
+        model = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
         model.expected_visits()
         model.reach_totals()
         fundamental_matrix(model)
         assert len(searches) == 1
-        fundamental_matrix(fit_mogen(generators.toy_dataset(), 1))  # a new model searches again
+        rebuilt = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
+        fundamental_matrix(rebuilt)  # a new model searches again
         assert len(searches) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 6), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_every_fit_passes_the_end_search(self, paths, k, length, shift, fraction, seed):
+        """The search that fitted models skip passes on every fit: of corpora,
+        their windows and their split sides."""
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
+            model = fit_mogen(sub, k)
+            assert model._absorbing
+            model._absorbing = False
+            model.reach_totals()  # runs the search, which raises on a non-absorbing chain
+            assert model._absorbing
 
     @pytest.mark.parametrize("build", [_closed_cycle_direct], ids=["constructor"])
     @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])

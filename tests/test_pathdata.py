@@ -430,6 +430,20 @@ def _assert_same_dataset(got, want):
         assert np.array_equal(a.trans_counts.toarray(), b.trans_counts.toarray())
 
 
+def _sides(ds, fraction, seed) -> tuple:
+    """The split sides of ``ds``, or none where no draw succeeds."""
+    try:
+        return split(ds, fraction, seed)
+    except DataError:
+        return ()
+
+
+def _columns(ds) -> tuple:
+    """A dataset's columns and the figures read from them."""
+    return (ds._nodes, ds._times, ds._counts, len(ds), ds.total, ds.unique, ds.max_length,
+            ds.has_timestamps, ds.vocabulary)
+
+
 # timestamped paths whose (nodes, start_time) keys repeat, so the corpus merges them
 _timestamped = st.lists(
     st.builds(Path, st.lists(st.sampled_from("abcd"), min_size=1, max_size=6).map(tuple),
@@ -464,6 +478,30 @@ class TestDerivedDatasets:
         assert sum(side.total for side in sides) == ds.total
         for side in sides:
             _assert_same_dataset(side, PathDataset(side.paths))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_timestamped, st.integers(1, 25), st.integers(1, 25), st.floats(0.1, 0.9),
+           st.integers(0, 2**16))
+    def test_lazy_columns_equal_the_eager_ones(self, paths, length, shift, fraction, seed):
+        """A window's or split side's columns, gathered on first use, equal those
+        of a fresh dataset over its paths, and those an eager gather of its rows
+        gives; so do a split side's of a window."""
+        ds = PathDataset(paths + paths[:3])
+        windows = [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+        sides = list(_sides(ds, fraction, seed))  # hold their own counts
+        assert not any({"_nodes", "_times", "_counts", "paths"} & w.__dict__.keys() for w in windows)
+        assert not any({"_nodes", "_times", "paths"} & side.__dict__.keys() for side in sides)
+        subsets = windows + sides + [side for w in windows for side in _sides(w, fraction, seed)]
+        for sub in subsets:  # every subset, a split side of a window too, holds the corpus
+            assert sub._corpus is ds
+            rows = sub._rows.tolist()
+            counts = tuple(ds._counts[i] for i in rows) if sub in windows else sub._counts
+            want = [tuple(column[i] for i in rows) for column in (ds._nodes, ds._times)] + [counts]
+            assert [sub._nodes, sub._times, sub._counts] == want
+            assert _columns(sub) == _columns(PathDataset(sub.paths))
+            assert sub.max_length == max(map(len, sub._nodes))
+        fresh = [d for _, d in _rolling_windows_bisect(ds, length, shift) if d is not None]
+        assert list(map(_columns, windows)) == list(map(_columns, fresh))
 
     def test_encoding_is_gathered_from_the_parent(self):
         ds = PathDataset([Path(("b", "c"), 2, 0), Path(("a",), 1, 5), Path(("c", "a", "c"), 3, 9)])

@@ -1,9 +1,14 @@
-"""Run the benchmark in alternating pairs, ``HEAD`` against the working tree,
-and write every result line and their summary to ``BENCH_<n>.json``.
+"""Run the benchmark, or one CLI command, in alternating pairs, ``HEAD``
+against the working tree, and write every result and their summary to
+``BENCH_<n>.json``.
 
 Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py --number N [--workload W ...] [--pairs 10] [--seconds 30]
+    python3 tools/bench_pairs.py --number N [--pairs 10] -- <command>
+
+for example ``-- experiment --input {input} --replicates 1``, which writes
+``BENCH_<n>_experiment.json``.
 
 Pair i (seed i, 1..pairs) runs, on each side and back to back,
 ``python3 bench/run.py --workload W --seed i --seconds S --trace 0``; the
@@ -11,6 +16,15 @@ side that goes first alternates from pair to pair. The parent side runs in
 a ``git archive`` export of ``HEAD`` under a temporary directory, so it has
 the committed files only; the change side runs in the working tree, whose
 uncommitted edits are the change.
+
+Given a command after ``--``, each pair instead runs ``python3 -m
+pathcent.cli <command> --output-dir <fresh dir>`` on each side, with
+``PYTHONHASHSEED=0``, ``{input}`` replaced by a file that
+``bench/corpora.random_walks`` writes once for seed (0, 0), and the result
+goes to ``BENCH_<n>_<command>.json``. A run's result
+holds its wall time, its CPU time and peak RSS from ``os.wait4`` (this script
+loads neither numpy nor scipy, so its own, smaller high-water mark does not
+show in a command's), and the SHA-256 of each file it wrote.
 
 The summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
 the median and quartiles of each side, the number of pairs in which the
@@ -20,16 +34,24 @@ interquartile range.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+
+
+#: The end-to-end metrics of a CLI command's run.
+CLI_METRICS = [{"name": "job_s", "unit": "s", "better": "lower"},
+               {"name": "cpu_s", "unit": "s", "better": "lower"},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
 
 
 def bench_command(workload: str, seed, seconds: float) -> list[str]:
@@ -83,6 +105,28 @@ def run_side(root: Path, argv: list[str]) -> dict | None:
         return None
 
 
+def run_cli(root: Path, args: list[str], out: Path) -> dict:
+    """Run ``python3 -m pathcent.cli <args> --output-dir <out>`` on the sources under
+    ``root``; a result line as ``bench/run.py`` writes one, and the outputs' hashes."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "pathcent.cli", *args, "--output-dir", str(out)],
+                            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    values = {"job_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    return {"correct": os.waitstatus_to_exitcode(status) == 0,
+            "metrics": {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in CLI_METRICS},
+            "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.glob("*")) if p.is_file()}}
+
+
+def make_corpus(path: Path) -> None:
+    """Write ``bench/corpora.random_walks((0, 0), path)`` in a child, which loads numpy."""
+    code = "import sys; sys.path.insert(0, 'bench'); import corpora; corpora.random_walks((0, 0), sys.argv[1])"
+    subprocess.run([sys.executable, "-c", code, str(path)], cwd=ROOT, check=True)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip("\n")
@@ -104,31 +148,44 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("cli", nargs="*", help="a pathcent command and its options, after --;"
+                        " writes BENCH_<number>_<command>.json")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = ([" ".join(args.cli)] if args.cli else
+                 args.workloads or [w["name"] for w in spec["workloads"]])
     base = git("rev-parse", "HEAD")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {"parent": Path(tmp) / "parent", "change": ROOT}
         export(base, roots["parent"])
+        if args.cli:
+            make_corpus(Path(tmp) / "input")
+            command = [a.replace("{input}", str(Path(tmp) / "input")) for a in args.cli]
         for workload in workloads:
             for seed in range(1, args.pairs + 1):
                 for order, side in enumerate(SIDES if seed % 2 else SIDES[::-1]):
-                    result = run_side(roots[side], bench_command(workload, seed, args.seconds))
+                    if args.cli:
+                        result = run_cli(roots[side], command, Path(tmp) / f"out-{seed}-{side}")
+                    else:
+                        result = run_side(roots[side], bench_command(workload, seed, args.seconds))
                     runs.append({"workload": workload, "seed": seed, "side": side, "order": order,
                                  "result": result})
                     print(json.dumps(runs[-1]), flush=True)
     doc = {
         "parent": {"commit": base},
         "change": {"base": base, "uncommitted": git("status", "--porcelain").splitlines()},
-        "command": "python3 " + " ".join(bench_command("<workload>", "<pair>", args.seconds)),
+        "command": ("python3 -m pathcent.cli " + " ".join(args.cli) + " --output-dir <fresh dir>"
+                    + "; {input} = bench/corpora.random_walks((0, 0), ...)" if args.cli else
+                    "python3 " + " ".join(bench_command("<workload>", "<pair>", args.seconds))),
         "invocation": " ".join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)]),
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0]},
         "runs": runs,
-        "summary": summarize(runs, spec["end_to_end"]),
+        "summary": summarize(runs, CLI_METRICS if args.cli else spec["end_to_end"]),
     }
-    out = ROOT / f"BENCH_{args.number}.json"
+    if args.cli:
+        doc["identical_outputs"] = len({json.dumps(r["result"]["outputs"]) for r in runs}) == 1
+    out = ROOT / f"BENCH_{args.number}{'_' + args.cli[0] if args.cli else ''}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(doc["summary"], indent=1, sort_keys=True))
     return 0
