@@ -55,10 +55,8 @@ def split(ds: PathDataset, fraction: float, seed):
     """Assign each path instance independently to train with ``fraction``.
 
     Multiplicities are unrolled so a repeated path can straddle the split; each
-    side is a row subset of ``ds`` that keeps a path's object in its ``paths``
-    view, where that was built, when all of its instances fall on that side.
-    Degenerate draws (either side empty) retry with the next sub-seed,
-    ``MAX_SPLIT_ATTEMPTS`` times.
+    side is a row subset of ``ds`` with the multiplicities drawn for it. Degenerate
+    draws (either side empty) retry with the next sub-seed, ``MAX_SPLIT_ATTEMPTS`` times.
     """
     counts = np.array(ds._counts)
     owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance

@@ -120,34 +120,23 @@ def _ranked(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return np.subtract(rank[keys], 1, dtype=np.int64), np.flatnonzero(present)
 
 
-def _recounted(paths: Iterable[Path], counts: Iterable[int]) -> tuple[Path, ...]:
-    """``paths`` with multiplicities ``counts``; a path is rebuilt only if its count changes."""
-    return tuple(p if p.multiplicity == c else Path(p.nodes, c, p.start_time)
-                 for p, c in zip(paths, counts))
-
-
 class PathDataset:
     """An immutable multiset of paths over a shared vocabulary, sorted by key.
 
-    Built from :class:`Path` objects, or from a mapping ``{(nodes, start_time):
-    multiplicity}``, which is checked as a ``Path`` is, each distinct label
-    once. The distinct paths are kept as parallel columns. ``paths`` views them
-    as ``Path`` objects, built on first use; a dataset built from ``Path``
-    objects keeps an input path whose key occurs once as it is, and a key that
-    merges gets one new ``Path`` with the summed multiplicity.
+    Built from a mapping ``{(nodes, start_time): multiplicity}``, or from
+    :class:`Path` objects, which are summed into one. The mapping is checked as
+    a ``Path`` is, each distinct label once, and its distinct paths are kept as
+    parallel columns; ``paths`` views them as ``Path`` objects.
     """
 
     _corpus = _rows = _at = None  # a subset's corpus, and its rows and node positions there
 
     def __init__(self, paths: Iterable[Path] | dict[tuple[tuple[str, ...], int | None], int]):
-        if isinstance(paths, dict):
-            merged, given = paths, None
-        else:
-            merged, given = {}, {}
+        merged = paths
+        if not isinstance(paths, dict):
+            merged = Counter()
             for p in paths:
-                key = (p.nodes, p.start_time)
-                given.setdefault(key, p)
-                merged[key] = merged.get(key, 0) + p.multiplicity
+                merged[p.nodes, p.start_time] += p.multiplicity
         if not merged:
             raise DataError("empty dataset")
         try:  # a key's start times are compared only when its nodes are equal
@@ -158,10 +147,7 @@ class PathDataset:
         self._times = tuple(map(itemgetter(1), keys))
         self._counts = tuple(map(merged.__getitem__, keys))
         self._vocabulary = frozenset(chain.from_iterable(self._nodes))
-        if given is None:
-            _check_columns(self._nodes, self._counts, self._times, self._vocabulary)
-        else:
-            self.paths = _recounted(map(given.__getitem__, keys), self._counts)
+        _check_columns(self._nodes, self._counts, self._times, self._vocabulary)
 
     # a subset gathers these columns from its corpus's on first use; a corpus sets its own
     _nodes, _times, _counts = (
@@ -170,10 +156,7 @@ class PathDataset:
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
-        """The distinct paths as :class:`Path` objects, in key order; built on first
-        use. A subset keeps its corpus's objects where the corpus built them."""
-        if self._corpus is not None and "paths" in self._corpus.__dict__:
-            return _recounted(map(self._corpus.paths.__getitem__, self._rows.tolist()), self._counts)
+        """The distinct paths as :class:`Path` objects in key order, built from the columns."""
         return tuple(map(Path, self._nodes, self._counts, self._times))
 
     @property
@@ -210,10 +193,12 @@ class PathDataset:
         root = self if self._corpus is None else self._corpus
         labels, ids, lengths, _ = root.encoded
         levels, ends = root.__dict__.setdefault("_ranking", ([ids], [len(labels)]))
+        if len(levels) < min(k, root.max_length):  # each node's position in its path, once
+            dtype = np.int32 if len(ids) < 2**31 else np.int64
+            pos = np.arange(len(ids), dtype=dtype) - np.repeat((np.cumsum(lengths) - lengths).astype(dtype), lengths)
         for m in range(len(levels) + 1, min(k, root.max_length) + 1):
-            pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            at = np.flatnonzero(pos >= m - 1)
-            rank, codes = _ranked(levels[-1][at - 1] * np.int64(len(labels)) + ids[at], ends[-1] * len(labels))
+            at = pos >= m - 1  # the nodes with at least m - 1 nodes before them
+            rank, codes = _ranked(levels[-1][:-1][at[1:]] * np.int64(len(labels)) + ids[at], ends[-1] * len(labels))
             ends.append(ends[-1] + len(codes))
             # a copy, so a node with fewer than m nodes up to it keeps its state
             levels.append(levels[-1].astype(np.int32 if ends[-1] < 2**31 else np.int64))
@@ -223,8 +208,8 @@ class PathDataset:
 
     def _subset(self, rows: np.ndarray, counts: np.ndarray | None = None) -> PathDataset:
         """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
-        their own: nothing is merged, sorted or checked again, and the encoding is
-        gathered with its ids; the subset holds its corpus and reads the corpus's codes."""
+        those they have here: nothing is merged, sorted or checked again, the encoding
+        is gathered with its ids, and the subset holds its corpus and reads its codes."""
         import numpy as np
 
         labels, nodes, lengths, weights = self.encoded
@@ -238,6 +223,8 @@ class PathDataset:
         out._vocabulary = frozenset(labels[i] for i in np.unique(out.encoded[1]).tolist())
         if counts is not None:
             out._counts = tuple(counts.tolist())
+        elif self._corpus is not None:  # a split side's counts are its own, not the corpus's
+            out._counts = tuple(map(self._counts.__getitem__, rows.tolist()))
         return out
 
     @cached_property

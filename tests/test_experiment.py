@@ -113,14 +113,6 @@ class TestSplit:
         got = split(ds, fraction, seed)
         assert [side.paths for side in got] == [side.paths for side in expected]
 
-    def test_keeps_paths_that_fall_whole_on_one_side(self):
-        ds = generators.order2_families(seed=0, n_paths=200)
-        given_ids = {id(p) for p in ds.paths}
-        for side in split(ds, 0.3, seed=3):
-            for p in side.paths:
-                original = next(q for q in ds.paths if (q.nodes, q.start_time) == (p.nodes, p.start_time))
-                assert (id(p) in given_ids) == (p.multiplicity == original.multiplicity)
-
 
 def _ground_truth_oracle(test, measures, k_truth) -> dict:
     """The tuple ground truth: ``{measure: [(sequence, value), ...]}``, by value

@@ -25,6 +25,7 @@ from pathcent import (
     split,
     stats,
 )
+from pathcent.centrality import sequence_scores
 from pathcent.pathdata import read_actions, read_temporal_edges, write_paths
 
 import pathdata_oracles as oracle
@@ -99,7 +100,7 @@ class TestPathDataset:
         ds = parse_paths(io.StringIO("b,c;1;5\na,b;2;7\na,b;1;3\nc;4\n"))
         again = PathDataset(ds.paths)
         assert len(again) == len(ds)
-        assert all(p is q for p, q in zip(again.paths, ds.paths))
+        assert again.paths == ds.paths
 
     @pytest.mark.parametrize("merged, message", [
         ({(("a",), None): 0}, "multiplicity must be >= 1"),
@@ -127,8 +128,7 @@ class TestPathDataset:
         ds = PathDataset([first, alone, second])
         merged = next(p for p in ds.paths if p.nodes == ("a", "b"))
         assert merged == Path(("a", "b"), 5, 0)
-        assert merged is not first and merged is not second
-        assert next(p for p in ds.paths if p.nodes == ("c",)) is alone
+        assert next(p for p in ds.paths if p.nodes == ("c",)) == alone
 
 
 class TestParsePaths:
@@ -463,7 +463,6 @@ class TestDerivedDatasets:
         for w, (_, d) in zip(got, want):
             if d is not None:
                 _assert_same_dataset(w.dataset, d)
-                assert all(p is q for p, q in zip(w.dataset.paths, d.paths))
 
     @settings(max_examples=150, deadline=None)
     @given(_timestamped, st.floats(0.1, 0.9), st.integers(0, 2**16))
@@ -485,7 +484,8 @@ class TestDerivedDatasets:
     def test_lazy_columns_equal_the_eager_ones(self, paths, length, shift, fraction, seed):
         """A window's or split side's columns, gathered on first use, equal those
         of a fresh dataset over its paths, and those an eager gather of its rows
-        gives; so do a split side's of a window."""
+        gives; so do a split side's of a window. A window of a split side, and a
+        split side of that window, count its paths as the dataset it was cut from."""
         ds = PathDataset(paths + paths[:3])
         windows = [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
         sides = list(_sides(ds, fraction, seed))  # hold their own counts
@@ -502,6 +502,31 @@ class TestDerivedDatasets:
             assert sub.max_length == max(map(len, sub._nodes))
         fresh = [d for _, d in _rolling_windows_bisect(ds, length, shift) if d is not None]
         assert list(map(_columns, windows)) == list(map(_columns, fresh))
+        for side in sides:
+            counted = dict(zip(zip(side._nodes, side._times), side._counts))
+            for w in (w.dataset for w in rolling_windows(side, length, shift) if not w.empty):
+                assert w._counts == tuple(map(counted.__getitem__, zip(w._nodes, w._times)))
+                halves = _sides(w, fraction, seed)
+                assert sum(half.total for half in halves) in (0, w.total)
+                for sub in (w, *halves):
+                    assert sub._corpus is ds
+                    again = PathDataset(sub.paths)
+                    assert _columns(sub) == _columns(again)
+                    assert sub.encoded[3].tolist() == again.encoded[3].tolist()  # the fits' weights
+
+    def test_a_window_of_a_split_side_counts_as_the_side(self):
+        ds = parse_paths(io.StringIO("a,b;5;0\nb,c;7;10\nc,a;3;20\n"))
+        train, _ = split(ds, 0.5, 1)
+        window = rolling_windows(train, 100, 100)[0].dataset
+        assert window._rows.tolist() == [0, 1, 2]  # the whole side
+        assert window.total == stats(window).total_paths == train.total == 7
+        assert window.paths == train.paths
+        out, want = io.StringIO(), io.StringIO()
+        write_paths(window, out)
+        write_paths(train, want)
+        assert out.getvalue() == want.getvalue()
+        assert sum(sequence_scores(window, ["path_end"])["path_end"].values()) == pytest.approx(1)
+        assert sum(half.total for half in split(window, 0.5, 1)) == 7
 
     def test_encoding_is_gathered_from_the_parent(self):
         ds = PathDataset([Path(("b", "c"), 2, 0), Path(("a",), 1, 5), Path(("c", "a", "c"), 3, 9)])
@@ -549,9 +574,9 @@ class TestRollingWindows:
 
     def test_windows_keep_the_corpus_paths(self):
         ds = self._ds([0, 3, 9, 10, 14, 30])
-        ids = {id(p) for p in ds.paths}
+        paths = set(ds.paths)
         windows = rolling_windows(ds, length=10, shift=5)
-        assert all(id(p) in ids for w in windows if not w.empty for p in w.dataset.paths)
+        assert all(p in paths for w in windows if not w.empty for p in w.dataset.paths)
 
     def test_window_membership_half_open(self):
         windows = rolling_windows(self._ds([0, 9, 10]), length=10, shift=10)
