@@ -18,10 +18,10 @@ searched per node and per state over bit sets of target groups
 (:func:`pathcent.models._closeness`). A breadth-first search serves Brandes
 betweenness and the edge report's closeness from its selected states.
 
-Path-model values (and the experiment's ground truth) are counted over every
-sub-path occurrence up to a maximum length, keyed by the corpus's sequence codes.
-Closeness sums, exactly per sequence, 1/d over the fewest transitions d from an
-occurrence of it to a later occurrence of another on the same path.
+Path-model values and the experiment's ground truth are arrays over the corpus's
+sequence codes (:func:`sequence_scores`; level-1 codes are label ids), counted over
+every sub-path occurrence up to a maximum length. Closeness sums, exactly per sequence,
+1/d over the fewest transitions d along one path from it to a later other sequence.
 """
 from __future__ import annotations
 
@@ -49,28 +49,20 @@ class CentralityVector:
 # ---------------------------------------------------------------------------
 # sequence statistics on raw path data (path model and ground-truth rankings)
 
-def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> dict:
-    """Path-data centralities of every node sequence up to ``max_len``:
-    ``{measure: {sequence: value}}`` for each of ``measures``, in the order of
-    the sequences' codes, counted by ``np.bincount`` over their occurrences.
-    With ``max_len=1`` these are the path-model node centralities. Closeness of
-    s sums 1/d over every other sequence t, where d is the fewest transitions
-    from an occurrence of s to a later occurrence of t on one path (between
-    occurrence end positions)."""
-    labels, rows, _, value = _sequence_values(ds, max_len, measures)
-    seqs = _state_tuples(labels, rows)
-    return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}
-
-
-def _sequence_values(ds: PathDataset, max_len: int, measures=()):
-    """The labels, :func:`sequence_scores`' sequences as rows of ids into them and
-    one node of ``ds.encoded`` where each ends, and per measure a function of
-    their values; ``measures`` are checked."""
+def sequence_scores(ds: PathDataset, measures, max_len: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Path-data centralities of every node sequence up to ``max_len``, counted by
+    ``np.bincount`` over their occurrences: the sequences' distinct codes in the
+    corpus ranking, ascending (with ``max_len=1`` the label ids, so these are the
+    path-model node centralities); their rows of label ids; one node of
+    ``ds.encoded`` where each ends; and per measure a function of their values.
+    ``measures`` are checked. Closeness of s sums 1/d over every other sequence t,
+    where d is the fewest transitions from an occurrence of s to a later
+    occurrence of t on one path (between occurrence end positions)."""
     for m in measures:
         if m not in MEASURES:
             raise DataError(f"unknown measure {m!r}")
     n_codes = ds._codes(max_len)[1]  # which checks max_len
-    labels, ids, lengths, weights = ds.encoded
+    _, ids, lengths, weights = ds.encoded
     path = np.repeat(np.arange(len(lengths)), lengths)
     pos = np.arange(len(path)) - (np.cumsum(lengths) - lengths)[path]
     # one occurrence per (end node, length), level-major and by node within a level
@@ -78,11 +70,11 @@ def _sequence_values(ds: PathDataset, max_len: int, measures=()):
     code = np.concatenate([ds._codes(m)[0][a] for m, a in enumerate(at, 1)])
     size = np.repeat(np.arange(1, len(at) + 1), list(map(len, at)))
     at = np.concatenate(at)
-    sid, _, seen, rows = _keyed_rows(ids, code, n_codes, at, size)
+    sid, codes, seen, rows = _keyed_rows(ids, code, n_codes, at, size)
     n, j, last, w = len(rows), pos[at], lengths[path[at]] - 1, weights[path[at]]
     occ = np.bincount(sid, w, n)
     end_occ = np.bincount(sid, w * (j == last), n)
-    return labels, rows, at[seen], {
+    return codes, rows, at[seen], {
         "betweenness": lambda: np.bincount(sid, w * ((j >= size) & (j < last)), n),
         "closeness": lambda: _sequence_closeness(sid, at, at + last - j, n),
         "path_end": lambda: end_occ / ds.total,
@@ -209,8 +201,9 @@ def compute(model, measure: str) -> CentralityVector:
             vals = _closeness(model.counts, np.arange(len(model.nodes)))
         return CentralityVector(dict(zip(model.nodes, vals.tolist())))
     if isinstance(model, PathModel):
-        labels, rows, _, value = model._nodes  # counted once for every measure
-        return CentralityVector(dict(zip([labels[i] for i in rows[:, 0].tolist()], value[measure]().tolist())))
+        codes, _, _, value = model._nodes  # counted once for every measure; codes are label ids
+        labels = model.dataset.encoded[0]
+        return CentralityVector(dict(zip([labels[i] for i in codes.tolist()], value[measure]().tolist())))
     if isinstance(model, MOGenModel):
         if measure == "closeness":  # a node's group holds the states ending in it
             state_vals, vals = None, _closeness(model.trans_p, model.node_index[1], by_group=True)
@@ -246,6 +239,6 @@ def edge_centralities(
         columns["closeness"] = close = np.zeros(len(rows))
         for lo, dist, level in _first_reached(model.trans_p, sp.identity(model.n_states, format="csr")[rows]):
             close[lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
-    selected = [model.states[i] for i in rows]
+    selected = _state_tuples(model.labels, model.rows[rows])
     values = {s: {m: float(columns[m][j]) for m in measures} for j, s in enumerate(selected)}
     return EdgeCentralityReport(dict(zip(selected, shares[rows].tolist())), values)

@@ -4,10 +4,11 @@ most influential nodes and node sequences in held-out test paths?
 Pipeline per replicate: instance-level train/test split, ground-truth ranking
 from the test paths, model predictions projected upward onto the ground-truth
 states, and top-decile AUC scoring with midrank tie handling. Results are
-averaged over replicates. Targets and a model's keys are codes of the split
-corpus's sequences, and labels, suffixes and scores are arrays over the targets
-in lexicographic order. The truth breaks ties lexicographically; the AUC ties
-predicted scores within :data:`~pathcent.models.TIE_TOL` of the largest.
+averaged over replicates. Targets and a model's keys are codes of the split corpus's
+sequences, and labels, suffixes and scores are arrays over the targets in
+lexicographic order; the truth and the path model read them from
+:func:`~pathcent.centrality.sequence_scores`. The truth breaks ties lexicographically;
+the AUC ties predicted scores within :data:`~pathcent.models.TIE_TOL` of the largest.
 """
 from __future__ import annotations
 
@@ -58,7 +59,9 @@ def split(ds: PathDataset, fraction: float, seed):
     side is a row subset of ``ds`` with the multiplicities drawn for it. Degenerate
     draws (either side empty) retry with the next sub-seed, ``MAX_SPLIT_ATTEMPTS`` times.
     """
-    counts = np.array(ds._counts)
+    if max(ds._counts, default=0) >= 2**63:  # numpy would hold it as uint64, float64 or object
+        raise DataError("a multiplicity must be below 2**63 to be split")
+    counts = np.array(ds._counts, np.int64)
     owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance
     if len(owner) < 2:
         raise DataError("need at least 2 path instances to split")
@@ -77,7 +80,7 @@ def ground_truth(test: PathDataset, measures, k_truth: int) -> tuple[np.ndarray,
     """All sequences up to length ``k_truth`` in the test set, in lexicographic order,
     as rows of their suffix codes (:func:`project_up`), and per measure their indices
     ranked by value, descending, ties broken lexicographically."""
-    labels, rows, at, value = centrality._sequence_values(test, k_truth, measures)
+    _, rows, at, value = centrality.sequence_scores(test, measures, k_truth)
     order = np.lexsort(rows.T[::-1])  # a -1 pad sorts a prefix first
     at, size = at[order], (rows[order] >= 0).sum(axis=1)
     targets = np.stack([np.where(size >= m, test._codes(m)[0][at], -1)
@@ -131,11 +134,8 @@ def _predictions(model, measures, nodes: np.ndarray) -> tuple[np.ndarray, dict]:
     keys = np.concatenate([nodes, model.codes[higher]]) if mogen else nodes
     scores = {}
     for m in measures:
-        vec = centrality.compute(model, m)
-        state = vec.state_scores
-        if mogen and state is None:  # closeness reports no per-state values from compute
-            state = centrality.mogen_state_scores(model, m)
-        scores[m] = np.concatenate([list(vec.scores.values()), state[higher] if mogen else []])
+        state = centrality.mogen_state_scores(model, m)[higher] if mogen else []
+        scores[m] = np.concatenate([list(centrality.compute(model, m).scores.values()), state])
     return keys, scores
 
 
@@ -169,10 +169,9 @@ def evaluate(
         for label, kind, k, wanted in parsed:
             if not wanted:
                 continue
-            if kind == "path":  # every measure's dict holds the sequences in code order
-                keys = np.unique(np.concatenate([train._codes(m)[0] for m in range(1, k_truth + 1)]))
-                by_measure = centrality.sequence_scores(train, wanted, k_truth)
-                preds = {m: np.fromiter(v.values(), float, len(keys)) for m, v in by_measure.items()}
+            if kind == "path":
+                keys, _, _, value = centrality.sequence_scores(train, wanted, k_truth)
+                preds = {m: value[m]() for m in wanted}
             else:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
                 keys, preds = _predictions(model, wanted, nodes)

@@ -91,9 +91,9 @@ class PathModel:
     dataset: PathDataset
 
     @cached_property
-    def _nodes(self):  # node sequences and per-measure value functions: one occurrence pass
-        from .centrality import _sequence_values
-        return _sequence_values(self.dataset, 1)
+    def _nodes(self):  # the nodes' sequence statistics: one occurrence pass
+        from .centrality import sequence_scores
+        return sequence_scores(self.dataset, ())
 
 
 class MOGenModel:

@@ -1,12 +1,14 @@
 """The per-call ranking of node sequences that ``PathDataset._codes`` replaced
-with one ranking per corpus, kept as test oracles, and the label tuple of each
-code of a corpus ranking, read back from the corpus's own node sequences."""
+with one ranking per corpus, kept as test oracles, the label tuple of each
+code of a corpus ranking, read back from the corpus's own node sequences, and
+``sequence_scores`` viewed as label-tuple dicts."""
 from __future__ import annotations
 
 import numpy as np
 
 from pathcent import DataError
-from pathcent.centrality import MEASURES, _sequence_closeness
+from pathcent.centrality import MEASURES, _sequence_closeness, sequence_scores
+from pathcent.models import _state_tuples
 
 
 def sequence_levels(ds, k):
@@ -77,3 +79,11 @@ def code_names(ds, max_len) -> dict:
                 seq = nodes[j - m + 1 : j + 1]
                 assert out.setdefault(codes[end - len(nodes) + j], seq) == seq
     return out
+
+
+def scored_sequences(ds, measures, max_len=1) -> dict:
+    """``sequence_scores`` as ``{measure: {label tuple: value}}``, each dict in the
+    order of the sequences' codes."""
+    _, rows, _, value = sequence_scores(ds, measures, max_len)
+    seqs = _state_tuples(ds.encoded[0], rows)
+    return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}

@@ -28,6 +28,7 @@ from pathcent.centrality import (
 )
 
 import generators
+from ranking_oracles import scored_sequences
 
 
 def brute_force(ds, measure):
@@ -121,14 +122,14 @@ class TestBruteForceAgreement:
 class TestSequenceScores:
     def test_order2_betweenness_counts_interior_occurrences(self):
         ds = PathDataset([Path(("a", "b", "c", "d"), 3)])
-        scores = sequence_scores(ds, ("betweenness",), max_len=2)["betweenness"]
+        scores = scored_sequences(ds, ("betweenness",), max_len=2)["betweenness"]
         assert scores[("b", "c")] == 3  # starts at 1, ends before the last
         assert scores[("a", "b")] == 0  # touches the first position
         assert scores[("c", "d")] == 0  # touches the last position
 
     def test_order2_path_end(self):
         ds = PathDataset([Path(("a", "b"), 1), Path(("c", "b"), 3)])
-        scores = sequence_scores(ds, ("path_end",), max_len=2)["path_end"]
+        scores = scored_sequences(ds, ("path_end",), max_len=2)["path_end"]
         assert scores[("c", "b")] == pytest.approx(0.75)
         assert scores[("b",)] == pytest.approx(1.0)
 
@@ -143,22 +144,22 @@ class TestSequenceScores:
 
     def test_one_scan_returns_every_requested_measure(self):
         ds = generators.random_small_dataset(3)
-        scores = sequence_scores(ds, MEASURES, max_len=3)
+        scores = scored_sequences(ds, MEASURES, max_len=3)
         assert list(scores) == list(MEASURES)
         assert len({frozenset(v) for v in scores.values()}) == 1
-        assert sequence_scores(ds, ("path_reach", "visitation"), 3) == {
+        assert scored_sequences(ds, ("path_reach", "visitation"), 3) == {
             m: scores[m] for m in ("path_reach", "visitation")
         }
 
     def test_closeness_takes_the_nearest_earlier_occurrence(self):
         # a occurs at 0 and 2, c at 3: the a -> c distance is 1, not 3
         ds = PathDataset([Path(("a", "b", "a", "c"))])
-        scores = sequence_scores(ds, ("closeness",))["closeness"]
+        scores = scored_sequences(ds, ("closeness",))["closeness"]
         assert scores == {("a",): 1 / 1 + 1 / 1, ("b",): 1 / 1 + 1 / 2, ("c",): 0.0}
 
     def test_closeness_minimum_across_paths_and_orders(self):
         ds = PathDataset([Path(("a", "x", "x", "b")), Path(("a", "b"), 4)])
-        scores = sequence_scores(ds, ("closeness",), max_len=2)["closeness"]
+        scores = scored_sequences(ds, ("closeness",), max_len=2)["closeness"]
         # a reaches b in 1 (second path), x in 1, (a, x) in 1, (x, x) in 2,
         # (x, b) in 3, (a, b) in 1
         assert scores[("a",)] == pytest.approx(1 + 1 + 1 + 1 / 2 + 1 / 3 + 1)
@@ -280,7 +281,7 @@ class TestSequenceScoresOracle:
     )
     def test_matches_pair_scan(self, paths, max_len, measures):
         ds = PathDataset(Path(nodes, w) for nodes, w in paths)
-        got = sequence_scores(ds, measures, max_len)
+        got = scored_sequences(ds, measures, max_len)
         assert list(got) == measures
         for m in measures:
             want = _sequence_scores_oracle(ds, m, max_len)
@@ -296,21 +297,21 @@ class TestSequenceScoresOracle:
     def test_equals_latest_occurrence_scan(self, paths, max_len, times):
         # start times split a node sequence over several rows
         ds = PathDataset(Path(nodes, w, t) for (nodes, w), t in zip(paths, times))
-        assert sequence_scores(ds, MEASURES, max_len) == _sequence_scores_scan(ds, MEASURES, max_len)
+        assert scored_sequences(ds, MEASURES, max_len) == _sequence_scores_scan(ds, MEASURES, max_len)
 
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_batches_do_not_change_results(self, monkeypatch, cells):
         corpora = [generators.random_small_dataset(3),
                    generators.first_order_walks(4, n_paths=60, n_nodes=3, stop_p=0.05, max_len=30)]
-        want = [sequence_scores(ds, MEASURES, 4) for ds in corpora]
+        want = [scored_sequences(ds, MEASURES, 4) for ds in corpora]
         monkeypatch.setattr(centrality, "_PAIR_CELLS", cells)
-        assert [sequence_scores(ds, MEASURES, 4) for ds in corpora] == want
+        assert [scored_sequences(ds, MEASURES, 4) for ds in corpora] == want
 
     def test_derived_datasets_score_like_fresh_ones(self):
         ds = generators.order2_families(seed=5, n_paths=300)
         for side in experiment.split(ds, 0.4, seed=2):
             fresh = PathDataset(side.paths)
-            assert sequence_scores(side, MEASURES, 3) == sequence_scores(fresh, MEASURES, 3)
+            assert scored_sequences(side, MEASURES, 3) == scored_sequences(fresh, MEASURES, 3)
 
 
 class TestNetworkModel:
@@ -483,6 +484,12 @@ class TestEdgeCentralities:
         assert [model.states.index(s) for s in report.values] == rows
         full = mogen_state_scores(model, "closeness")
         assert [v["closeness"] for v in report.values.values()] == full[rows].tolist()
+
+    def test_names_only_the_selected_states(self):
+        model = fit_mogen(generators.order2_families(seed=0), 2)  # 5 of 713 states selected
+        report = edge_centralities(model, min_visitation=0.02)
+        assert report.values and "states" not in model.__dict__  # no state tuple built
+        assert list(report.values) == [s for s in model.states if s in report.shares]
 
     def test_measures_read_at_selected_rows(self):
         model = fit_mogen(generators.order2_families(seed=1, n_paths=200), 3)

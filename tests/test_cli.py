@@ -30,6 +30,7 @@ from pathcent.models import fit_mogen, fit_network, fit_path
 from pathcent.pathdata import rolling_windows, write_paths
 
 import generators
+from ranking_oracles import scored_sequences
 
 
 @pytest.fixture()
@@ -435,7 +436,7 @@ class TestPathModelOnePass:
         ds = load_dataset(order2_file)
         model = fit_path(ds)
         for measure in reversed(MEASURES):
-            expected = cent.sequence_scores(ds, (measure,))[measure]
+            expected = scored_sequences(ds, (measure,))[measure]
             assert cent.compute(model, measure).scores == {s[0]: v for s, v in expected.items()}
 
 
@@ -583,6 +584,15 @@ class TestCentralityCommand:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("count", [2**63, 2**64])
+    def test_multiplicity_past_int64_is_data_error(self, tmp_path, capsys, count):
+        src = tmp_path / "huge.paths"
+        src.write_text(f"a,b,c;{count}\nb,c;2\n")
+        code = main(["experiment", "--input", str(src), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "data error" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_runs_and_reports(self, order2_file, tmp_path):
         out = tmp_path / "exp"
         code = main([

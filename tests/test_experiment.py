@@ -23,12 +23,13 @@ from pathcent import (
     split,
 )
 from pathcent import centrality, experiment, models
-from pathcent.centrality import MEASURES, PATH_MEASURES, mogen_state_scores, sequence_scores
+from pathcent.centrality import MEASURES, PATH_MEASURES, mogen_state_scores
 from pathcent.experiment import _predictions, _scored, parse_model_label
 from pathcent.models import TIE_TOL
 
 import generators
 import ranking_oracles
+from ranking_oracles import scored_sequences
 
 
 def _split_oracle(ds, fraction, seed, max_attempts=100):
@@ -83,6 +84,12 @@ class TestSplit:
         with pytest.raises(DataError):
             split(PathDataset([Path(("a", "b"))]), 0.5, seed=0)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64])
+    def test_multiplicity_past_int64_is_data_error(self, count):
+        ds = PathDataset([Path(("a", "b", "c"), count), Path(("b", "c"), 2)])
+        with pytest.raises(DataError, match="below 2"):
+            split(ds, 0.5, seed=0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -117,7 +124,7 @@ class TestSplit:
 def _ground_truth_oracle(test, measures, k_truth) -> dict:
     """The tuple ground truth: ``{measure: [(sequence, value), ...]}``, by value
     descending, ties broken lexicographically on the sequence."""
-    scores = sequence_scores(test, measures, max_len=k_truth)
+    scores = scored_sequences(test, measures, max_len=k_truth)
     return {m: sorted(v.items(), key=lambda kv: (-kv[1], kv[0])) for m, v in scores.items()}
 
 
@@ -150,7 +157,7 @@ def _evaluate_oracle(ds, spec, models, measures, k_truth) -> dict:
         for label in models:
             kind, k = parse_model_label(label)
             if kind == "path":
-                scored = sequence_scores(train, measures, k_truth)
+                scored = scored_sequences(train, measures, k_truth)
             else:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
                 scored = {}
@@ -201,7 +208,7 @@ def _ranked(ds, measures, k_truth) -> dict:
     """``ground_truth``'s rankings as ``{measure: [(sequence, value), ...]}``."""
     targets, rankings = ground_truth(ds, measures, k_truth)
     seqs = _target_tuples(ds, targets)
-    values = sequence_scores(ds, measures, max_len=k_truth)
+    values = scored_sequences(ds, measures, max_len=k_truth)
     return {m: [(seqs[i], values[m][seqs[i]]) for i in r.tolist()] for m, r in rankings.items()}
 
 
@@ -313,7 +320,7 @@ class TestProjectUp:
             kind, k = parse_model_label(label)
             if kind == "path":
                 keys = np.unique(np.concatenate([train._codes(m)[0] for m in range(1, k_truth + 1)]))
-                want = list(sequence_scores(train, ("visitation",), k_truth)["visitation"])
+                want = list(scored_sequences(train, ("visitation",), k_truth)["visitation"])
             else:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
                 keys, _ = _predictions(model, ("closeness",), np.unique(train.encoded[1]))

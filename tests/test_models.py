@@ -26,13 +26,14 @@ from pathcent import (
     select_order,
 )
 from pathcent import models
-from pathcent.centrality import MEASURES, _sequence_values, compute, sequence_scores
+from pathcent.centrality import MEASURES, compute, sequence_scores
 from pathcent.experiment import split
 from pathcent import pathdata
 from pathcent.pathdata import END, START, _ranked, rolling_windows
 
 import generators
 import ranking_oracles
+from ranking_oracles import scored_sequences
 from test_pathdata import _timestamped
 
 
@@ -196,14 +197,18 @@ def _node_index_oracle(states) -> tuple:
     return list(ids), [ids[v] for v in ends], [len(s) for s in states]
 
 
+def _sides(ds, fraction, seed) -> tuple:
+    """The split sides of ``ds``, or none where no draw succeeds."""
+    try:
+        return split(ds, fraction, seed)
+    except DataError:
+        return ()  # fewer than 2 path instances, or no non-degenerate draw
+
+
 def _subsets(ds, length, shift, fraction, seed) -> list:
     """``ds``, its non-empty windows and, where a draw succeeds, its split sides."""
-    subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
-    try:
-        subsets += split(ds, fraction, seed)
-    except DataError:
-        pass  # fewer than 2 path instances, or no non-degenerate draw
-    return subsets
+    windows = [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+    return [ds, *windows, *_sides(ds, fraction, seed)]
 
 
 class TestOneRankingPerCorpus:
@@ -226,17 +231,38 @@ class TestOneRankingPerCorpus:
                 names = ranking_oracles.code_names(sub, k)
                 assert [names[c] for c in got.codes.tolist()] == list(got.states)
                 seqs, rows, want = ranking_oracles.sequence_values(sub, k)
-                labels, got_rows, at, value = _sequence_values(sub, k, MEASURES)
+                _, got_rows, at, value = sequence_scores(sub, MEASURES, k)
                 assert np.array_equal(got_rows, rows)
                 assert all(np.array_equal(value[m](), want[m]) for m in MEASURES)
                 # one node where each sequence ends
-                _, ids, _, _ = sub.encoded
+                labels, ids, _, _ = sub.encoded
                 assert [tuple(labels[i] for i in ids[a - len(s) + 1 : a + 1]) for a, s in
                         zip(at.tolist(), seqs)] == seqs
         levels, ends = ds.__dict__["_ranking"]
         assert len(levels) == min(k_max, ds.max_length)  # ranked once, to the highest order asked
         assert all(level.dtype == np.int32 for level in levels)
         assert not any("_ranking" in sub.__dict__ for sub in subsets[1:])  # subsets hold no copy
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 5), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_sequence_codes_list_every_level(self, paths, k, length, shift, fraction, seed):
+        """``sequence_scores`` keys the sequences by the distinct codes of levels 1..k
+        at the nodes (the path model's key listing), on corpora, windows, split sides
+        and split sides of windows; its rows and end nodes name what the codes name."""
+        ds = PathDataset(paths)
+        subsets = _subsets(ds, length, shift, fraction, seed)
+        subsets += [side for w in rolling_windows(ds, length, shift) if not w.empty
+                    for side in _sides(w.dataset, fraction, seed)]
+        for sub in subsets:
+            codes, rows, at, _ = sequence_scores(sub, (), k)
+            listing = np.unique(np.concatenate([sub._codes(m)[0] for m in range(1, k + 1)]))
+            assert codes.tolist() == listing.tolist()
+            names, (labels, ids, _, _) = ranking_oracles.code_names(sub, k), sub.encoded
+            seqs = [names[c] for c in codes.tolist()]
+            assert [tuple(labels[i] for i in r if i >= 0) for r in rows.tolist()] == seqs
+            assert [tuple(labels[i] for i in ids[a - len(s) + 1 : a + 1]) for a, s in
+                    zip(at.tolist(), seqs)] == seqs
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 300), max_size=60), st.integers(0, 3000))
@@ -257,7 +283,7 @@ class TestOneRankingPerCorpus:
             for k in (3, 1, 2):
                 assert_same_fit(fit_mogen(sub, k), _tuple_fit_oracle(sub, k))
                 _, rows, want = ranking_oracles.sequence_values(sub, k)
-                _, got_rows, _, value = _sequence_values(sub, k, MEASURES)
+                _, got_rows, _, value = sequence_scores(sub, MEASURES, k)
                 assert np.array_equal(got_rows, rows)
                 assert all(np.array_equal(value[m](), want[m]) for m in MEASURES)
 
@@ -681,8 +707,8 @@ class TestOrdersAboveTheLongestPath:
         assert _within_a_second(select_order, ds, self.HUGE) == select_order(ds, ds.max_length)
 
     def test_sequence_scores(self, ds):
-        got = _within_a_second(sequence_scores, ds, MEASURES, self.HUGE)
-        assert got == sequence_scores(ds, MEASURES, ds.max_length)
+        got = _within_a_second(scored_sequences, ds, MEASURES, self.HUGE)
+        assert got == scored_sequences(ds, MEASURES, ds.max_length)
 
 
 def _toy_args() -> list:

@@ -25,10 +25,10 @@ from pathcent import (
     split,
     stats,
 )
-from pathcent.centrality import sequence_scores
 from pathcent.pathdata import read_actions, read_temporal_edges, write_paths
 
 import pathdata_oracles as oracle
+from ranking_oracles import scored_sequences
 
 
 class TestPath:
@@ -525,7 +525,7 @@ class TestDerivedDatasets:
         write_paths(window, out)
         write_paths(train, want)
         assert out.getvalue() == want.getvalue()
-        assert sum(sequence_scores(window, ["path_end"])["path_end"].values()) == pytest.approx(1)
+        assert sum(scored_sequences(window, ["path_end"])["path_end"].values()) == pytest.approx(1)
         assert sum(half.total for half in split(window, 0.5, 1)) == 7
 
     def test_encoding_is_gathered_from_the_parent(self):
