@@ -12,8 +12,7 @@ _NAMES = {
     "errors": "DataError NumericError UnsupportedMeasureError",
     "pathdata": "END MEASURES START ActionRecord DatasetStats Path PathDataset TemporalEdge "
                 "WindowSlice extract_paths parse_paths paths_from_actions rolling_windows stats",
-    "models": "MOGenModel NetworkModel PathModel encode_path fit_mogen fit_network fit_path "
-              "fundamental_matrix select_order",
+    "models": "MOGenModel NetworkModel PathModel encode_path fit_mogen fit_network fit_path select_order",
     "centrality": "CentralityVector EdgeCentralityReport compute edge_centralities",
     "experiment": "AUCResult SplitSpec auc_score evaluate ground_truth project_up split",
     "smells": "DeviationScore PlatformSeries SmellEvidence deviation_scores evidence "

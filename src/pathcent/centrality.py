@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, UnsupportedMeasureError
 from .models import (MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows,
@@ -129,6 +128,8 @@ def _network_betweenness(adj) -> np.ndarray:
     with σ_d the shortest-path counts of level d, the dependencies are
     δ_d = σ_d ⊙ (((1 + δ_{d+1}) / σ_{d+1}) @ adjᵀ), summed backward over the
     levels of each batch of sources."""
+    import scipy.sparse as sp
+
     out = np.zeros(adj.shape[0])
     levels = []
     for _, _, sigma in _first_reached(adj, sp.identity(adj.shape[0], format="csr")):
@@ -167,7 +168,7 @@ def mogen_state_scores(model: MOGenModel, measure: str) -> np.ndarray:
     elif measure == "visitation":
         vals = sf / sf.sum()
     elif measure == "closeness":
-        vals = _closeness(model.trans_p, np.arange(model.n_states))
+        vals = _closeness((model.indptr, model.indices), np.arange(model.n_states))
     else:
         raise DataError(f"unknown measure {measure!r}")
     return vals
@@ -198,7 +199,7 @@ def compute(model, measure: str) -> CentralityVector:
         if measure == "betweenness":
             vals = _network_betweenness(model.counts != 0)
         else:
-            vals = _closeness(model.counts, np.arange(len(model.nodes)))
+            vals = _closeness((model.counts.indptr, model.counts.indices), np.arange(len(model.nodes)))
         return CentralityVector(dict(zip(model.nodes, vals.tolist())))
     if isinstance(model, PathModel):
         codes, _, _, value = model._nodes  # counted once for every measure; codes are label ids
@@ -206,7 +207,8 @@ def compute(model, measure: str) -> CentralityVector:
         return CentralityVector(dict(zip([labels[i] for i in codes.tolist()], value[measure]().tolist())))
     if isinstance(model, MOGenModel):
         if measure == "closeness":  # a node's group holds the states ending in it
-            state_vals, vals = None, _closeness(model.trans_p, model.node_index[1], by_group=True)
+            state_vals = None
+            vals = _closeness((model.indptr, model.indices), model.node_index[1], by_group=True)
         else:
             state_vals = mogen_state_scores(model, measure)
             vals = _project_first_order(model, measure, state_vals)
@@ -231,6 +233,8 @@ def edge_centralities(
     closeness is searched only from the selected states."""
     if model.order < 2:
         raise DataError("edge centralities require a model of order >= 2")
+    import scipy.sparse as sp
+
     sf = model.expected_visits()
     shares = sf / sf.sum()
     rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))

@@ -104,8 +104,8 @@ def _meta(inputs: list[str], **resolved) -> dict:
 #: Rows of a per-state column formatted and joined at a time; 2**10 to 2**16 rows
 #: wrote a 57k-state model alike, and fewer rows hold fewer strings at once.
 _CHUNK = 1 << 12
-#: Per-state values, written as the JSON object of their pairs: ``keys``
-#: sorted and ``values`` a float64 array aligned with them.
+#: Per-state values, written as the JSON object of their pairs: ``keys`` sorted
+#: and already JSON-encoded, and ``values`` a float64 array aligned with them.
 _Column = dataclasses.make_dataclass("_Column", ["keys", "values"], frozen=True)
 
 
@@ -130,7 +130,7 @@ def _write_value(fh, obj, newline: str) -> None:
     inner = newline + "  "
     if isinstance(obj, _Column):
         for i, (keys, texts) in enumerate(_chunks(obj.keys, obj.values, _json_float)):
-            rows = map(": ".join, zip(map(_encode, keys), texts))
+            rows = map(": ".join, zip(keys, texts))
             fh.write(("," if i else "{") + inner + ("," + inner).join(rows))
         fh.write(newline + "}" if obj.keys else "{}")
     elif isinstance(obj, dict) and obj:
@@ -240,7 +240,7 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
         fitted = fits.get(k) or fit_mogen(ds, k)
         keys = ["|".join(s) for s in fitted.states]  # in row order, as the CSV writes them
         order = sorted(range(len(keys)), key=keys.__getitem__)  # shared by every JSON column
-        sorted_keys = [keys[i] for i in order]
+        sorted_keys = [_encode(keys[i]) for i in order]
 
     results: dict = {}
     state_rows: dict = {}  # measure -> per-state values in row order

@@ -134,8 +134,11 @@ def _predictions(model, measures, nodes: np.ndarray) -> tuple[np.ndarray, dict]:
     keys = np.concatenate([nodes, model.codes[higher]]) if mogen else nodes
     scores = {}
     for m in measures:
-        state = centrality.mogen_state_scores(model, m)[higher] if mogen else []
-        scores[m] = np.concatenate([list(centrality.compute(model, m).scores.values()), state])
+        vec = centrality.compute(model, m)
+        state = vec.state_scores
+        if mogen and state is None:  # closeness: compute searches by node only
+            state = centrality.mogen_state_scores(model, m)
+        scores[m] = np.concatenate([list(vec.scores.values()), state[higher] if mogen else []])
     return keys, scores
 
 

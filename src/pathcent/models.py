@@ -8,12 +8,19 @@ Three representations of the same path dataset:
 * :class:`MOGenModel` -- multi-order transition structure over states that
   remember up to K previous nodes, with an explicit start distribution and an
   absorbing end state. As an absorbing Markov chain, its fundamental matrix
-  F = (I - Q)^-1 = sum Q^n gives expected state visits: S.F, F.1 and F are
-  solved by the fixed point x <- b + A x, or by sparse LU where that does not
-  converge, with a checked residual; a chain with a state that never reaches
-  the end, or that still fails, raises :class:`NumericError` (CLI exit 3).
-  Each solve logs one DEBUG record. That end check and closeness run the bit-set
-  search :func:`_closeness`; betweenness and the edge report run :func:`_first_reached`.
+  F = (I - Q)^-1 = sum Q^n gives expected state visits (Kemeny & Snell, 1960).
+  Where the counts conserve flow, as every fit's do, S.F is the row totals over
+  the number of paths; otherwise S.F, and always F.1, are solved by the fixed
+  point x <- b + A x, or by sparse LU where that does not converge, with a
+  checked residual; a chain with a state that never reaches the end, or that
+  still fails, raises :class:`NumericError` (CLI exit 3). Each S.F and F.1 logs
+  one DEBUG record. That end check and closeness run the bit-set search
+  :func:`_closeness`; betweenness and the edge report run :func:`_first_reached`.
+
+A model keeps its transitions as one sorted CSR layout of numpy arrays, and the
+solves and :func:`_closeness` run on it with numpy alone. scipy is loaded only
+by the ``trans_counts`` and ``trans_p`` views (so by :func:`fit_network`), the
+LU fallback and :func:`_first_reached`.
 
 A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
 the integer encoding and sequence codes that a corpus computes once and its
@@ -32,7 +39,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, NumericError
 from .pathdata import END, START, PathDataset, _ranked
@@ -81,7 +87,7 @@ class NetworkModel:
     transition between them (sorted CSR, no stored zeros)."""
 
     nodes: list[str]
-    counts: sp.csr_matrix
+    counts: scipy.sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,12 @@ class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
     absorption column R, normalised in float64 from start, transition and end
     counts of ``states``: label tuples, or with ``labels`` rows of ids into them
-    padded with -1. Stored zero transition counts are dropped from a copy; an
-    order below 1, repeated states, counts not sized to the states, a negative or
-    non-finite count, or start counts summing to 0, raise :class:`DataError`.
+    padded with -1. Transition counts come as a scipy sparse matrix or as ``(data,
+    (row, col))`` arrays, and are summed per transition into one sorted CSR layout
+    (``indptr``, ``indices``, ``counts``, ``probs``), dropping a sum of 0; the
+    caller's arrays are left as they are. An order below 1, repeated states, counts
+    not sized to the states, a negative or non-finite count, or start counts summing
+    to 0, raise :class:`DataError`.
     A fit also sets ``codes``, its states' codes in its corpus's ranking."""
 
     codes: np.ndarray | None = None
@@ -112,7 +121,7 @@ class MOGenModel:
         order: int,
         states: Sequence[State] | np.ndarray,
         start_counts: np.ndarray,
-        trans_counts: sp.csr_matrix,
+        trans_counts,
         end_counts: np.ndarray,
         labels: list[str] | None = None,
     ):
@@ -136,14 +145,27 @@ class MOGenModel:
             ranked = states[np.lexsort(states.T[::-1])]  # repeats adjacent
             if (ranked[1:] == ranked[:-1]).all(axis=1).any():
                 raise DataError("states must be distinct")
-        if np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or trans_counts.shape != (n, n):
+        shape = getattr(trans_counts, "shape", (n, n))
+        if hasattr(trans_counts, "tocoo"):  # a scipy sparse matrix
+            coo = trans_counts.tocoo()
+            trans_counts = coo.data, (coo.row, coo.col)
+        data, (row, col) = trans_counts
+        row, col = np.asarray(row, np.int64), np.asarray(col, np.int64)
+        if (np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or shape != (n, n)
+                or not ((row >= 0) & (row < n) & (col >= 0) & (col < n)).all()):
             raise DataError(f"counts must match the {n} states")
-        self.start_counts = start_counts
-        self.trans_counts = trans_counts = trans_counts.tocsr(copy=True)
-        trans_counts.sum_duplicates()  # one entry per transition, sorted: trans_p shares the layout
-        trans_counts.eliminate_zeros()  # a stored zero is no observed transition
-        self.end_counts = end_counts
-        counts = np.concatenate([start_counts, trans_counts.data, end_counts])
+        key = row * n + col
+        by = np.argsort(key, kind="stable")
+        key = key[by]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.asarray(data)[by]
+        data = np.add.reduceat(data, heads, dtype=data.dtype)  # one count per transition
+        kept = data != 0  # a zero count is no observed transition
+        key = key[heads][kept]
+        self.start_counts, self.counts, self.end_counts = start_counts, data[kept], end_counts
+        self._src, self.indices = key // n, key % n  # per entry, its row and its column
+        self.indptr = np.searchsorted(self._src, np.arange(n + 1))
+        counts = np.concatenate([start_counts, self.counts, end_counts])
         if not ((counts >= 0) & (counts < np.inf)).all():  # NaN fails both
             raise DataError("counts must be finite and non-negative")
         self.n_paths = start_counts.sum(dtype=np.float64)  # every path starts exactly once
@@ -151,23 +173,56 @@ class MOGenModel:
             raise DataError("start counts must sum to more than 0")
 
         self.start_p = start_counts / self.n_paths
-        self.trans_p = trans_counts.astype(np.float64)  # a float64 copy of the sorted layout
-        row_tot = np.asarray(self.trans_p.sum(axis=1)).ravel() + end_counts  # float64 for any count dtype
-        if np.any(row_tot <= 0):
+        counts = self.counts.astype(np.float64)
+        self._totals = self._row_sums(counts) + end_counts  # float64 for any count dtype
+        if np.any(self._totals <= 0):
             raise NumericError("state with no outgoing transitions")
-        self.trans_p.data *= np.repeat(1.0 / row_tot, np.diff(trans_counts.indptr))  # each row / its total
-        self.end_p = end_counts / row_tot
+        self.probs = counts * np.repeat(1.0 / self._totals, np.diff(self.indptr))  # each row / its total
+        self.end_p = end_counts / self._totals
         self._validate()
         self._sf: np.ndarray | None = None
         self._reach: np.ndarray | None = None
-        self._absorbing = False  # set once _solve's end search passes, or by fit_mogen
+        self._absorbing = False  # set once the end search passes, or by fit_mogen
+
+    def _row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row, the sum of its entries' ``values``, added as scipy adds a CSR row."""
+        out = np.zeros(self.n_states)
+        busy = np.flatnonzero(np.diff(self.indptr))
+        out[busy] = np.add.reduceat(values, self.indptr[busy])
+        return out
 
     def _validate(self):
-        rows = np.asarray(self.trans_p.sum(axis=1)).ravel() + self.end_p
+        rows = self._row_sums(self.probs) + self.end_p
         if np.max(np.abs(rows - 1.0)) > STOCHASTIC_TOL:
             raise NumericError("transition rows are not stochastic")
         if abs(self.start_p.sum() - 1.0) > STOCHASTIC_TOL:
             raise NumericError("start distribution does not sum to 1")
+
+    def _check_absorbing(self) -> None:
+        """Raise :class:`NumericError` if a state cannot reach a state with ``end_p > 0``
+        (I - Q is then singular or nearly so); the search runs once per model."""
+        if not self._absorbing:
+            ends = self.end_p > 0
+            if not (ends | (_closeness((self.indptr, self.indices), np.where(ends, 0, -1)) > 0)).all():
+                raise NumericError("non-absorbing chain: a state never reaches the end")
+            self._absorbing = True
+
+    def _csr(self, data: np.ndarray):
+        import scipy.sparse as sp  # slow to import: only these views and the graph searches load it
+
+        m = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_states, self.n_states))
+        m.has_canonical_format = True  # sorted and summed: scipy never sorts the shared data
+        return m
+
+    @cached_property
+    def trans_counts(self):
+        """The transition counts as a scipy CSR matrix over the layout's arrays."""
+        return self._csr(self.counts)
+
+    @cached_property
+    def trans_p(self):
+        """Q as a scipy CSR matrix over the layout's arrays."""
+        return self._csr(self.probs)
 
     @property
     def n_states(self) -> int:
@@ -185,9 +240,20 @@ class MOGenModel:
         return [self.labels[i] for i in used.tolist()], last, lengths
 
     def expected_visits(self) -> np.ndarray:
-        """S . F -- expected number of visits to each state on a random path."""
+        """S . F -- expected number of visits to each state on a random path.
+
+        Where the counts conserve flow, each state's start and in-counts summing to
+        its row total as in every fit, S . F is the row totals over ``n_paths``
+        exactly, once the end search has passed: each visit starts a path or follows
+        a transition. Other counts are solved."""
         if self._sf is None:
-            self._sf = _solve(self, "S.F", self.start_p)
+            self._check_absorbing()  # a closed cycle of counts conserves flow too
+            inflow = self.start_counts + np.bincount(self.indices, self.counts, self.n_states)
+            if np.array_equal(inflow, self._totals):
+                log.debug("S.F from the counts: %d states", self.n_states)
+                self._sf = self._totals / self.n_paths
+            else:
+                self._sf = _solve(self, "S.F", self.start_p)
         return self._sf
 
     def reach_totals(self) -> np.ndarray:
@@ -199,7 +265,7 @@ class MOGenModel:
     def log_likelihood(self) -> float:
         """Log-likelihood of the training paths under the fitted probabilities."""
         ll = float(np.sum(self.start_counts * np.log(self.start_p, where=self.start_counts > 0, out=np.zeros_like(self.start_p))))
-        ll += float(np.sum(self.trans_counts.data * np.log(self.trans_p.data)))
+        ll += float(np.sum(self.counts * np.log(self.probs)))
         mask = self.end_counts > 0
         ll += float(np.sum(self.end_counts[mask] * np.log(self.end_p[mask])))
         return ll
@@ -208,7 +274,7 @@ class MOGenModel:
         """Free transition probabilities: nonzero entries minus row constraints."""
         nnz = (
             int(np.count_nonzero(self.start_counts))
-            + self.trans_counts.nnz
+            + len(self.counts)
             + int(np.count_nonzero(self.end_counts))
         )
         return nnz - (self.n_states + 1)
@@ -241,7 +307,7 @@ def fit_mogen(ds: PathDataset, k: int) -> MOGenModel:
     start = np.bincount(state[first], weights, n)
     end = np.bincount(state[first + lengths - 1], weights, n)
     step = np.flatnonzero(pos)  # every node but a path's first
-    trans = sp.csr_matrix((np.repeat(weights, lengths - 1), (state[step - 1], state[step])), shape=(n, n))
+    trans = np.repeat(weights, lengths - 1), (state[step - 1], state[step])
     model = MOGenModel(k, rows, start, trans, end, labels)
     model.codes, model._absorbing = codes, True
     return model
@@ -265,46 +331,41 @@ def _state_tuples(labels: list[str], rows: np.ndarray) -> tuple[State, ...]:
     return tuple(tuple(r[:m]) for r, m in zip(named, (rows >= 0).sum(axis=1).tolist()))
 
 
-def fundamental_matrix(model: MOGenModel) -> np.ndarray:
-    """Expected visits between transient states: F = I + Q F = (I - Q)^-1."""
-    return _solve(model, "F", np.eye(model.n_states))
-
-
 def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
-    """x = b + A x, with A = Q^T for ``system`` "S.F" and A = Q for "F.1" and "F".
+    """x = b + A x, with A = Q^T for ``system`` "S.F" and A = Q for "F.1".
 
-    The fixed point stops at the first x whose residual x - A x - b is within
-    ``_TOL`` and otherwise steps x -= residual; at ``_MAX_ITER`` sparse LU of
-    (I - A) takes over, checked on the same residual.
-    A state that cannot reach a state with ``end_p > 0`` makes the chain
-    non-absorbing (I - Q is then singular or nearly so): no solve is tried;
-    that search runs once per model.
+    A x is one ``np.bincount`` over the layout's entries, which adds each row's
+    products in the order scipy's CSR product adds them. The fixed point stops at
+    the first x whose residual x - A x - b is within ``_TOL`` and otherwise steps
+    x -= residual; at ``_MAX_ITER`` sparse LU of (I - A) takes over, checked on the
+    same residual. A non-absorbing chain raises before any solve
+    (:meth:`MOGenModel._check_absorbing`).
     """
     n = model.n_states
-    if not model._absorbing:
-        ends = model.end_p > 0
-        if not (ends | (_closeness(model.trans_p, np.where(ends, 0, -1)) > 0)).all():
-            raise NumericError("non-absorbing chain: a state never reaches the end")
-        model._absorbing = True
-    a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
+    model._check_absorbing()
+    to, by = (model._src, model.indices) if system == "S.F" else (model.indices, model._src)
+    p = model.probs
     x, method = np.zeros_like(b), "fixed point"
     with np.errstate(over="ignore", invalid="ignore"):  # the residual checks catch overflow
         for iterations in range(1, _MAX_ITER + 1):
-            r = x - a @ x - b
+            r = x - np.bincount(by, p * x[to], n) - b
             residual = np.abs(r).max()
             if residual <= _TOL * np.abs(x).max():
                 break
             x -= r
         else:
             method = "LU fallback"
-            import scipy.sparse.linalg as spla  # slow to import, and needed only here
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
+            a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
             try:
                 x = spla.splu((sp.identity(n, format="csc") - a).tocsc()).solve(b)
             except RuntimeError as exc:
                 raise NumericError(f"non-absorbing chain: {exc}") from exc
-            residual = np.abs(x - a @ x - b).max()
+            residual = np.abs(x - np.bincount(by, p * x[to], n) - b).max()
     log.debug("solved %s: %d states, %d nnz, %s, %d iterations, residual %.3g",
-              system, n, a.nnz, method, iterations, residual)
+              system, n, len(p), method, iterations, residual)
     if not residual <= _TOL * np.abs(x).max():
         raise NumericError(f"non-absorbing chain: {system} residual {residual:.3g}")
     return x
@@ -316,6 +377,8 @@ def _first_reached(adj, start):
     level)`` per level and batch of start rows from ``lo``: ``level`` (batch rows
     x states) counts the shortest paths to each state first seen at ``dist`` >= 1
     hops. A batch's last level is empty."""
+    import scipy.sparse as sp
+
     adj = (adj != 0).astype(float).tocsr()
     n = adj.shape[0]
     batch = max(1, _BFS_CELLS // n)
@@ -335,15 +398,19 @@ def _first_reached(adj, start):
 
 
 def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
-    """Per row of ``adj``, or per group if ``by_group``, the sum of 1/d over the
-    groups first reached at d >= 1 hops: row i is in group ``group[i]`` (in none
-    if negative), and a row's own group never counts. A multi-source search
-    (Then et al., PVLDB 2014): rows keep the groups they reach as uint64 bit sets,
-    ``_BATCH_WORDS`` per batch (rows x words), and at each hop the rows that grew
-    OR their new bits into their predecessors, and groups their rows' new bits.
-    Counts per hop, over every batch, are summed as count / d, d ascending."""
-    pred = (adj != 0).T.tocsr()
-    n, n_groups = adj.shape[0], int(group.max(initial=-1)) + 1
+    """Per row of the CSR pattern ``adj``, its ``(indptr, indices)``, or per group
+    if ``by_group``, the sum of 1/d over the groups first reached at d >= 1 hops:
+    row i is in group ``group[i]`` (in none if negative), and a row's own group
+    never counts. A multi-source search (Then et al., PVLDB 2014): rows keep the
+    groups they reach as uint64 bit sets, ``_BATCH_WORDS`` per batch (rows x words),
+    and at each hop the rows that grew OR their new bits into their predecessors,
+    and groups their rows' new bits. Counts per hop, over every batch, are summed
+    as count / d, d ascending."""
+    indptr, indices = adj
+    n, n_groups = len(indptr) - 1, int(group.max(initial=-1)) + 1
+    by = np.argsort(indices, kind="stable")  # the transposed pattern: each row's predecessors
+    pred = np.repeat(np.arange(n), np.diff(indptr))[by]
+    pred_ptr = np.searchsorted(indices[by], np.arange(n + 1))
     n_out = n_groups if by_group else n
     words = max(1, min(_BATCH_WORDS // max(n, 1), -(-n_groups // 64)))
     counts: dict[int, np.ndarray] = {}  # per hop: the groups first reached, per row or group
@@ -355,9 +422,9 @@ def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
         d = 0
         while len(rows):
             d += 1
-            size = pred.indptr[rows + 1] - pred.indptr[rows]  # the predecessors of the grown rows
-            at = np.repeat(pred.indptr[rows] - np.cumsum(size) + size, size) + np.arange(size.sum())
-            rows, new = _gains(pred.indices[at], new[np.repeat(np.arange(len(rows)), size)], reach)
+            size = pred_ptr[rows + 1] - pred_ptr[rows]  # the predecessors of the grown rows
+            at = np.repeat(pred_ptr[rows] - np.cumsum(size) + size, size) + np.arange(size.sum())
+            rows, new = _gains(pred[at], new[np.repeat(np.arange(len(rows)), size)], reach)
             own, gained = _gains(group[rows], new, seen) if by_group else (rows, new)
             counts.setdefault(d, np.zeros(n_out))[own] += np.bitwise_count(gained).sum(axis=1)
     return sum((counts[d] / d for d in sorted(counts)), np.zeros(n_out))

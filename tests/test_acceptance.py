@@ -14,7 +14,7 @@ import pytest
 from pathcent import centrality, experiment, smells
 from pathcent.centrality import MEASURES
 from pathcent.cli import main
-from pathcent.models import encode_path, fit_mogen, fit_path, fundamental_matrix, select_order
+from pathcent.models import encode_path, fit_mogen, fit_path, select_order
 from pathcent.pathdata import rolling_windows, write_paths
 
 import generators
@@ -60,10 +60,11 @@ class TestCriterion2FundamentalMatrix:
         for m in self._fitted_suite():
             Q = np.asarray(m.trans_p.todense())
             r = m.end_p
-            F = fundamental_matrix(m)
             n = m.n_states
-            # (I - Q) F = I
-            assert np.abs((np.eye(n) - Q) @ F - np.eye(n)).max() < 1e-9
+            F = np.linalg.inv(np.eye(n) - Q)  # dense, for these small models
+            # S.F and F.1 are the start-weighted rows and the row sums of F
+            assert np.abs(m.expected_visits() - m.start_p @ F).max() < 1e-9
+            assert np.abs(m.reach_totals() - F.sum(axis=1)).max() < 1e-9
             assert np.all(np.diag(F) >= 1.0 - 1e-12)
             # each state's outgoing mass (transitions + termination) is 1
             assert np.abs(Q.sum(axis=1) + r - 1.0).max() < 1e-12

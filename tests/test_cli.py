@@ -401,7 +401,7 @@ class TestJsonWriter:
            first=st.dictionaries(_KEYS, _FLOATS, max_size=3))
     def test_column_matches_the_dict_of_its_pairs(self, tmp_path_factory, pairs, chunk, first):
         keys = sorted(pairs)
-        column = _Column(keys, np.array([pairs[k] for k in keys], dtype=float))
+        column = _Column([cli._encode(k) for k in keys], np.array([pairs[k] for k in keys], dtype=float))
         path = tmp_path_factory.getbasetemp() / "column.json"
         with mock.patch.object(cli, "_CHUNK", chunk):
             _write_json(path, {}, {"m": {"first_order": first, "states": column}, "z": column})
@@ -979,12 +979,18 @@ class TestFreshInterpreter:
             delta = ["--delta", "10s"] if fmt == "temporal-edges" else []
             steps.append(["ingest", "--input", str(tmp_path / fmt), "--format", fmt, *delta,
                           "--output-dir", str(tmp_path / f"ingest-{fmt}")])
-        steps.append(["centrality", "--input", str(tmp_path / "ingest-paths" / "dataset.paths"),
-                      "--model", "mogen", "--output-dir", str(tmp_path / "mogen")])
+        paths = str(tmp_path / "ingest-paths" / "dataset.paths")
+        steps += [["centrality", "--input", paths, "--model", "mogen", "--k", "2",
+                   "--output-dir", str(tmp_path / "mogen")],
+                  ["smells", "--platform", f"p={paths}", "--window", "10", "--shift", "5",
+                   "--output-dir", str(tmp_path / "smells")],
+                  ["centrality", "--input", paths, "--model", "mogen", "--k", "2", "--edges",
+                   "--output-dir", str(tmp_path / "edges")]]
         seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
-        # the import, --help, six usage errors, three ingests; then the mogen control
+        # the import, --help, six usage errors, three ingests; then mogen centralities and
+        # smells, which load numpy only; then the edge report's search, which loads scipy
         assert seen == [[0, []], [0, []], *[[1, []]] * 6, [0, []], [0, []], [0, []],
-                        [0, ["numpy", "scipy"]]]
+                        [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy", "scipy"]]]
         assert not os.path.exists(out)
 
 
@@ -999,7 +1005,7 @@ class TestLazyExports:
         "SmellEvidence", "SplitSpec", "TemporalEdge", "UnsupportedMeasureError", "WindowSlice",
         "auc_score", "centrality", "compute", "deviation_scores", "edge_centralities",
         "encode_path", "errors", "evaluate", "evidence", "experiment", "extract_paths",
-        "fit_mogen", "fit_network", "fit_path", "fundamental_matrix", "ground_truth", "models",
+        "fit_mogen", "fit_network", "fit_path", "ground_truth", "models",
         "parse_paths", "pathdata", "paths_from_actions", "project_up", "rank_members",
         "rolling_windows", "select_order", "smells", "split", "stats", "windowed_centralities",
     ]

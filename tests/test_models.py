@@ -22,7 +22,6 @@ from pathcent import (
     fit_mogen,
     fit_network,
     fit_path,
-    fundamental_matrix,
     select_order,
 )
 from pathcent import models
@@ -33,6 +32,7 @@ from pathcent.pathdata import END, START, _ranked, rolling_windows
 
 import generators
 import ranking_oracles
+import solver_oracles
 from ranking_oracles import scored_sequences
 from test_pathdata import _timestamped
 
@@ -475,25 +475,40 @@ class TestFitMOGen:
             fit_mogen(generators.toy_dataset(), 0)
 
 
+def _dense_fundamental(model: MOGenModel) -> np.ndarray:
+    """F = (I - Q)^-1, inverted densely: an oracle for small models."""
+    return np.linalg.inv(np.eye(model.n_states) - model.trans_p.toarray())
+
+
 class TestFundamentalMatrix:
+    """S.F and F.1 against the rows and row sums of a dense F."""
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_identity_and_diagonal(self, k):
         model = fit_mogen(generators.order2_families(seed=5, n_paths=300), k)
-        f = fundamental_matrix(model)
+        f = _dense_fundamental(model)
         q = model.trans_p.toarray()
         assert np.max(np.abs(f - (np.eye(model.n_states) + q @ f))) < 1e-9
         assert np.all(np.diag(f) >= 1.0)
+        assert np.max(np.abs(model.expected_visits() - model.start_p @ f)) < 1e-9
+        assert np.max(np.abs(model.reach_totals() - f.sum(axis=1))) < 1e-9
 
     def test_sparse_path_agrees_with_dense(self):
         model = fit_mogen(generators.order2_families(seed=5, n_paths=300), 2)
-        dense = np.linalg.inv(np.eye(model.n_states) - model.trans_p.toarray())
-        assert np.max(np.abs(fundamental_matrix(model) - dense)) < 1e-9
+        rebuilt = MOGenModel(2, model.states, 2 * model.start_counts, model.trans_counts,
+                             model.end_counts)  # counts that do not conserve flow: S.F is solved
+        dense = _dense_fundamental(model)
+        for m in (model, rebuilt):
+            assert np.max(np.abs(m.expected_visits() - m.start_p @ dense)) < 1e-9
+            assert np.max(np.abs(m.reach_totals() - dense.sum(axis=1))) < 1e-9
 
     def test_cyclic_paths_still_absorbing(self):
         ds = PathDataset([Path(("a", "b", "a", "b", "a"))])
         model = fit_mogen(ds, 1)
-        f = fundamental_matrix(model)
-        assert np.all(np.isfinite(f))
+        f = _dense_fundamental(model)
+        assert np.all(np.isfinite(model.expected_visits())) and np.all(np.isfinite(model.reach_totals()))
+        assert np.max(np.abs(model.expected_visits() - model.start_p @ f)) < 1e-9
+        assert np.max(np.abs(model.reach_totals() - f.sum(axis=1))) < 1e-9
 
 
 def _closed_cycle_direct() -> MOGenModel:
@@ -517,8 +532,10 @@ def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
 
 def _slow_chain() -> MOGenModel:
     """End probability 1e-3 after every "b": spectral radius ~0.9995, so the
-    fixed point cannot converge within the iteration cap."""
-    return fit_mogen(PathDataset([Path(tuple("ab" * 1000))]), 1)
+    fixed point cannot converge within the iteration cap. The fit's start count
+    is doubled, so the counts do not conserve flow and S.F is solved."""
+    fit = fit_mogen(PathDataset([Path(tuple("ab" * 1000))]), 1)
+    return MOGenModel(1, fit.states, 2 * fit.start_counts, fit.trans_counts, fit.end_counts)
 
 
 #: Corpus makers of ``generators``, each a function of one integer seed.
@@ -552,16 +569,22 @@ class TestChainSolver:
             model.expected_visits()
 
     def test_one_debug_record_per_solve(self, caplog):
-        model = fit_mogen(generators.toy_dataset(), 2)
+        """A fit's S.F is read off its counts, and counts that do not conserve flow
+        are solved; each S.F and F.1 logs one record."""
+        fitted = fit_mogen(generators.toy_dataset(), 2)
+        rebuilt = MOGenModel(2, fitted.states, 2 * fitted.start_counts, fitted.trans_counts,
+                             fitted.end_counts)
         with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
-            model.expected_visits()
-            model.expected_visits()  # cached: no second solve
-            model.reach_totals()
-            fundamental_matrix(model)
+            for model in (fitted, rebuilt):
+                model.expected_visits()
+                model.expected_visits()  # cached: no second solve
+                model.reach_totals()
         messages = [r.getMessage() for r in caplog.records]
-        assert [m.split(":")[0] for m in messages] == ["solved S.F", "solved F.1", "solved F"]
-        for message in messages:
-            assert f"{model.n_states} states, {model.trans_p.nnz} nnz, fixed point" in message
+        assert [m.split(":")[0] for m in messages] == ["S.F from the counts", "solved F.1",
+                                                       "solved S.F", "solved F.1"]
+        assert messages[0] == f"S.F from the counts: {fitted.n_states} states"
+        for message in messages[1:]:
+            assert f"{fitted.n_states} states, {fitted.trans_p.nnz} nnz, fixed point" in message
             assert "residual" in message
 
     def test_end_search_runs_once_per_model(self, monkeypatch):
@@ -578,15 +601,13 @@ class TestChainSolver:
         fitted = fit_mogen(generators.toy_dataset(), 2)
         fitted.expected_visits()
         fitted.reach_totals()
-        fundamental_matrix(fitted)
         assert searches == []
         model = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
-        model.expected_visits()
+        model.expected_visits()  # from the counts, once the search has passed
         model.reach_totals()
-        fundamental_matrix(model)
         assert len(searches) == 1
         rebuilt = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
-        fundamental_matrix(rebuilt)  # a new model searches again
+        rebuilt.reach_totals()  # a new model searches again
         assert len(searches) == 2
 
     @settings(max_examples=100, deadline=None)
@@ -616,13 +637,14 @@ class TestChainSolver:
         with pytest.raises(NumericError, match="never reaches the end"):
             getattr(_closed_ring(seed, n), solve)()
 
-    def test_closed_class_beside_an_absorbing_state_is_numeric_error(self):
+    @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])
+    def test_closed_class_beside_an_absorbing_state_is_numeric_error(self, solve):
         # a ends half the time; b <-> c, entered from a, never end
         trans = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
         model = MOGenModel(1, [("a",), ("b",), ("c",)], np.array([1.0, 0.0, 0.0]), trans,
                            np.array([1.0, 0.0, 0.0]))
         with pytest.raises(NumericError, match="never reaches the end"):
-            fundamental_matrix(model)
+            getattr(model, solve)()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(SOLVER_CORPORA)), st.integers(0, 2**16), st.data())
@@ -786,6 +808,14 @@ class TestConstructor:
         assert b.dof() == a.dof() == 0
         assert b.trans_p.nnz == a.trans_p.nnz == 1
         assert zeros.nnz == 2  # the caller's matrix keeps its entries
+
+    @pytest.mark.parametrize("row, col", [([0, 2], [1, 0]), ([0, -1], [1, 0]), ([0, 1], [1, 2])])
+    def test_transition_arrays_outside_the_states_are_data_error(self, row, col):
+        start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        model = MOGenModel(1, [("a",), ("b",)], start, ([2.0, 0.0], ([0, 1], [1, 0])), end)
+        assert model.trans_counts.nnz == 1
+        with pytest.raises(DataError, match="counts must match"):
+            MOGenModel(1, [("a",), ("b",)], start, ([2.0, 1.0], (row, col)), end)
 
     def test_zero_start_counts_are_data_error(self):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
@@ -967,3 +997,80 @@ class TestFitPath:
         ds = generators.toy_dataset()
         model = fit_path(ds)
         assert model.dataset is ds
+
+
+def _conserves_flow(model: MOGenModel) -> bool:
+    """Whether each state's start and in-counts sum to its out- and end counts."""
+    counts = model.trans_counts
+    return np.array_equal(model.start_counts + np.asarray(counts.sum(axis=0)).ravel(),
+                          np.asarray(counts.sum(axis=1)).ravel() + model.end_counts)
+
+
+def _occurrences(ds: PathDataset, k: int, states) -> np.ndarray:
+    """Each state's occurrences on the paths of ``ds``, over their order-``k`` walks."""
+    occ = Counter()
+    for path in ds.paths:
+        for state in encode_path(path.nodes, k)[1:-1]:
+            occ[state] += path.multiplicity
+    return np.array([occ[s] for s in states], dtype=float)
+
+
+def _with_cycle(model: MOGenModel, length: int, count: int) -> MOGenModel:
+    """``model`` rebuilt from its counts, given as ``(data, (row, col))`` arrays, plus
+    a closed cycle of ``length`` new states with ``count`` on each transition: counts
+    that conserve flow in a chain that is not absorbing."""
+    n, coo = model.n_states, model.trans_counts.tocoo()
+    ring, pad = np.arange(n, n + length), np.zeros(length)
+    trans = (np.concatenate([coo.data, np.full(length, float(count))]),
+             (np.concatenate([coo.row, ring]), np.concatenate([coo.col, np.roll(ring, -1)])))
+    return MOGenModel(model.order, [*model.states, *((f"~{i}",) for i in range(length))],
+                      np.concatenate([model.start_counts, pad]), trans,
+                      np.concatenate([model.end_counts, pad]))
+
+
+class TestExpectedVisitsFromCounts:
+    """A fit's S.F is its occurrence counts over its number of paths, with no solve;
+    F.1, and S.F of counts that do not conserve flow, are solved bit for bit as the
+    scipy solve of ``solver_oracles`` solves them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 5), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_fits_read_their_counts(self, paths, k, length, shift, fraction, seed):
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
+            model = fit_mogen(sub, k)
+            assert _conserves_flow(model)
+            sf = model.expected_visits()
+            assert np.array_equal(sf, _occurrences(sub, k, model.states) / sub.total)
+            oracle = solver_oracles.solve(model, "S.F", model.start_p)
+            assert np.max(np.abs(sf - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+            ones = np.ones(model.n_states)
+            assert np.array_equal(model.reach_totals(), solver_oracles.solve(model, "F.1", ones))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 5), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_other_counts_are_solved_as_scipy_solved_them(self, paths, k, length, shift,
+                                                          fraction, seed):
+        rng = np.random.default_rng(seed)
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
+            fit = fit_mogen(sub, k)
+            end = fit.end_counts * rng.integers(2, 5, fit.n_states)  # more ends than starts
+            coo = fit.trans_counts.tocoo()
+            shuffled = rng.permutation(coo.nnz)
+            for trans in (fit.trans_counts, (coo.data[shuffled], (coo.row[shuffled], coo.col[shuffled]))):
+                model = MOGenModel(k, fit.states, fit.start_counts, trans, end)
+                assert not _conserves_flow(model)
+                assert np.array_equal(model.expected_visits(),
+                                      solver_oracles.solve(model, "S.F", model.start_p))
+                assert np.array_equal(model.reach_totals(),
+                                      solver_oracles.solve(model, "F.1", np.ones(model.n_states)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(labelled_corpora(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3))
+    def test_a_closed_cycle_that_conserves_flow_is_numeric_error(self, ds, k, length, count):
+        model = _with_cycle(fit_mogen(ds, k), length, count)
+        assert _conserves_flow(model)
+        for solve in ("expected_visits", "reach_totals"):
+            with pytest.raises(NumericError, match="never reaches the end"):
+                getattr(model, solve)()
