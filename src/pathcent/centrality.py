@@ -9,9 +9,9 @@ Multi-order values are computed analytically from the model's start
 distribution and fundamental matrix and can be projected to first order:
 betweenness / path end / visitation project by summation over states sharing a
 final node, continuation and reach by visitation-weighted averaging.
-Per-state values are arrays aligned with ``model.states``; the edge report
-reads them at the rows of its order-2 states and searches closeness from those
-rows only.
+A vector holds the sorted first-order labels, a float64 array aligned with them and
+per-state values aligned with ``model.states``; the edge report holds its order-2 rows,
+ascending, and arrays read at them, and searches closeness from those rows only.
 
 Closeness is out-direction harmonic closeness over unweighted hop distances,
 searched per node and per state over bit sets of target groups
@@ -31,17 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import (MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows,
-                     _state_tuples)
+from .models import MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows
 from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
 _PAIR_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on an array raises
 class CentralityVector:
-    scores: dict  # first-order node -> value
+    nodes: list[str]  # the sorted first-order node labels
+    values: np.ndarray  # float64, aligned with nodes
     state_scores: np.ndarray | None = None  # aligned with model.states (mogen, not closeness)
 
 
@@ -200,11 +200,11 @@ def compute(model, measure: str) -> CentralityVector:
             vals = _network_betweenness(model.counts != 0)
         else:
             vals = _closeness((model.counts.indptr, model.counts.indices), np.arange(len(model.nodes)))
-        return CentralityVector(dict(zip(model.nodes, vals.tolist())))
+        return CentralityVector(model.nodes, vals)
     if isinstance(model, PathModel):
         codes, _, _, value = model._nodes  # counted once for every measure; codes are label ids
         labels = model.dataset.encoded[0]
-        return CentralityVector(dict(zip([labels[i] for i in codes.tolist()], value[measure]().tolist())))
+        return CentralityVector([labels[i] for i in codes.tolist()], value[measure]())
     if isinstance(model, MOGenModel):
         if measure == "closeness":  # a node's group holds the states ending in it
             state_vals = None
@@ -212,16 +212,17 @@ def compute(model, measure: str) -> CentralityVector:
         else:
             state_vals = mogen_state_scores(model, measure)
             vals = _project_first_order(model, measure, state_vals)
-        return CentralityVector(dict(zip(model.node_index[0], vals.tolist())), state_vals)
+        return CentralityVector(model.node_index[0], vals, state_vals)
     raise DataError(f"unsupported model type {type(model).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeCentralityReport:
     """Centralities of order-2 states above a visitation-share threshold."""
 
-    shares: dict  # order-2 state -> visitation share
-    values: dict  # order-2 state -> {measure: value}
+    rows: np.ndarray  # the selected order-2 rows of the model, ascending
+    shares: np.ndarray  # visitation share, aligned with rows
+    values: dict  # measure -> array aligned with rows
 
 
 def edge_centralities(
@@ -238,11 +239,8 @@ def edge_centralities(
     sf = model.expected_visits()
     shares = sf / sf.sum()
     rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))
-    columns = {m: mogen_state_scores(model, m)[rows] for m in measures if m != "closeness"}
-    if "closeness" in measures and len(rows):  # summed as _closeness sums, d ascending
-        columns["closeness"] = close = np.zeros(len(rows))
+    columns = {m: np.zeros(len(rows)) if m == "closeness" else mogen_state_scores(model, m)[rows] for m in measures}
+    if "closeness" in columns and len(rows):  # summed as _closeness sums, d ascending
         for lo, dist, level in _first_reached(model.trans_p, sp.identity(model.n_states, format="csr")[rows]):
-            close[lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
-    selected = _state_tuples(model.labels, model.rows[rows])
-    values = {s: {m: float(columns[m][j]) for m in measures} for j, s in enumerate(selected)}
-    return EdgeCentralityReport(dict(zip(selected, shares[rows].tolist())), values)
+            columns["closeness"][lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
+    return EdgeCentralityReport(rows, shares[rows], columns)

@@ -243,36 +243,35 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
         sorted_keys = [_encode(keys[i]) for i in order]
 
     results: dict = {}
-    state_rows: dict = {}  # measure -> per-state values in row order
+    csv_rows: dict = {}  # measure -> (keys, values) of its CSV blocks: first order, then states
     for measure in measures:
         try:
             vec = cent.compute(fitted, measure)
         except UnsupportedMeasureError as err:
             click.echo(f"warning: {err}", err=True)
             continue
-        results[measure] = {"first_order": vec.scores}
+        results[measure] = {"first_order": _Column(list(map(_encode, vec.nodes)), vec.values)}
+        csv_rows[measure] = [(vec.nodes, vec.values)]
         if vec.state_scores is not None:
-            state_rows[measure] = vec.state_scores
+            csv_rows[measure].append((keys, vec.state_scores))
             results[measure]["states"] = _Column(sorted_keys, vec.state_scores[order])
     if not results:
         raise DataError("no requested measure is supported by this model")
-    computed = list(results)
 
     if edges:
-        report = cent.edge_centralities(fitted, measures=computed, min_visitation=min_visitation)
-        results["edges"] = {"|".join(s): {"visitation_share": report.shares[s], **values}
-                            for s, values in report.values.items()}
+        report = cent.edge_centralities(fitted, measures=list(csv_rows), min_visitation=min_visitation)
+        names = ["visitation_share", *report.values]
+        columns = zip(report.rows.tolist(), *(c.tolist() for c in (report.shares, *report.values.values())))
+        results["edges"] = {keys[r]: dict(zip(names, row)) for r, *row in columns}
 
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta([input_path], k=k)
     with open(out / "centrality.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write("measure,model,state,score\n")
-        for measure in computed:
+        for measure, blocks in csv_rows.items():
             head = f"{measure},{model},"
-            fh.writelines(f"{head}{node},{_fmt(score)}\n"
-                          for node, score in sorted(results[measure]["first_order"].items()))
-            for chunk in _chunks(keys, state_rows[measure], _fmt) if measure in state_rows else ():
+            for chunk in (chunk for block in blocks for chunk in _chunks(*block, _fmt)):
                 fh.write(head + ("\n" + head).join(map(",".join, zip(*chunk))) + "\n")
     _write_json(out / "centrality.json", meta, results)
 

@@ -62,7 +62,10 @@ def split(ds: PathDataset, fraction: float, seed):
     if max(ds._counts, default=0) >= 2**63:  # numpy would hold it as uint64, float64 or object
         raise DataError("a multiplicity must be below 2**63 to be split")
     counts = np.array(ds._counts, np.int64)
-    owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance
+    try:
+        owner = np.repeat(np.arange(len(counts)), counts)  # the path of each instance
+    except MemoryError:
+        raise DataError(f"{sum(ds._counts)} path instances are too many to split one by one") from None
     if len(owner) < 2:
         raise DataError("need at least 2 path instances to split")
     base = seed if isinstance(seed, (list, tuple)) else [seed]
@@ -138,7 +141,7 @@ def _predictions(model, measures, nodes: np.ndarray) -> tuple[np.ndarray, dict]:
         state = vec.state_scores
         if mogen and state is None:  # closeness: compute searches by node only
             state = centrality.mogen_state_scores(model, m)
-        scores[m] = np.concatenate([list(vec.scores.values()), state[higher] if mogen else []])
+        scores[m] = np.concatenate([vec.values, state[higher]]) if mogen else vec.values
     return keys, scores
 
 

@@ -77,7 +77,7 @@ def windowed_centralities(
     if not non_empty:
         raise DataError("all windows are empty")
     members = tuple(sorted(frozenset().union(*(w.dataset.vocabulary for w in non_empty))))
-    column = {m: j for j, m in enumerate(members)}
+    index = np.array(members, dtype=object)  # compared as str: a U array drops a trailing NUL
     shape = (len(non_empty), len(members))
     values = {m: np.zeros(shape) for m in MEASURES}
     active = np.zeros(shape, dtype=bool)
@@ -86,10 +86,10 @@ def windowed_centralities(
         fits: dict = {}  # the window's fits by order, freed before the next window
         orders.append(k if k is not None else select_order(w.dataset, k_max, fits))
         model = fits.get(orders[-1]) or fit_mogen(w.dataset, orders[-1])
-        active[i, [column[v] for v in w.dataset.vocabulary]] = True
+        at = np.searchsorted(index, np.array(model.node_index[0], dtype=object))  # its vocabulary
+        active[i, at] = True
         for m in MEASURES:
-            scores = compute(model, m).scores
-            values[m][i, [column[v] for v in scores]] = list(scores.values())
+            values[m][i, at] = compute(model, m).values
     return PlatformSeries(platform, tuple(w.start for w in non_empty), members, values, active, tuple(orders))
 
 

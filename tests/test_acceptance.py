@@ -20,6 +20,7 @@ from pathcent.pathdata import rolling_windows, write_paths
 import generators
 from test_centrality import brute_force
 from test_models import _fit_network_oracle
+from vector_dicts import as_dict
 
 
 class TestCriterion1LosslessOracle:
@@ -36,8 +37,8 @@ class TestCriterion1LosslessOracle:
             pm = fit_path(ds)
             mm = fit_mogen(ds, ds.max_length)
             for measure in MEASURES:
-                want = centrality.compute(pm, measure).scores
-                got = centrality.compute(mm, measure).scores
+                want = as_dict(centrality.compute(pm, measure))
+                got = as_dict(centrality.compute(mm, measure))
                 assert set(want) == set(got), (seed, measure)
                 for node in want:
                     assert got[node] == pytest.approx(want[node], abs=1e-9), (
@@ -90,7 +91,7 @@ class TestCriterion3ToyCentralities:
     @pytest.mark.parametrize("measure", MEASURES)
     def test_against_derivation_and_brute_force(self, measure):
         ds = generators.toy_dataset()
-        got = centrality.compute(fit_path(ds), measure).scores
+        got = as_dict(centrality.compute(fit_path(ds), measure))
         oracle = brute_force(ds, measure)
         for node, value in self.EXPECTED[measure].items():
             assert got[node] == pytest.approx(value, abs=1e-9)

@@ -17,10 +17,12 @@ from pathcent import (
     fit_mogen,
     fit_network,
     fit_path,
+    rolling_windows,
 )
 from pathcent import centrality, experiment, models
 from pathcent.centrality import (
     MEASURES,
+    PATH_MEASURES,
     compute,
     edge_centralities,
     mogen_state_scores,
@@ -29,6 +31,7 @@ from pathcent.centrality import (
 
 import generators
 from ranking_oracles import scored_sequences
+from vector_dicts import as_dict, edge_dicts
 
 
 def brute_force(ds, measure):
@@ -95,7 +98,7 @@ class TestToyValues:
     @pytest.mark.parametrize("measure", MEASURES)
     def test_path_model(self, measure):
         vec = compute(fit_path(self.ds), measure)
-        assert vec.scores == pytest.approx(self.expect(measure))
+        assert as_dict(vec) == pytest.approx(self.expect(measure))
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_matches_brute_force(self, measure):
@@ -107,7 +110,7 @@ class TestToyValues:
     def test_lossless_mogen_projection(self, measure):
         model = fit_mogen(self.ds, self.ds.max_length)
         vec = compute(model, measure)
-        assert vec.scores == pytest.approx(self.expect(measure), abs=1e-9)
+        assert as_dict(vec) == pytest.approx(self.expect(measure), abs=1e-9)
 
 
 class TestBruteForceAgreement:
@@ -116,7 +119,7 @@ class TestBruteForceAgreement:
     def test_path_model_matches_brute_force(self, seed, measure):
         ds = generators.random_small_dataset(seed)
         vec = compute(fit_path(ds), measure)
-        assert vec.scores == pytest.approx(brute_force(ds, measure))
+        assert as_dict(vec) == pytest.approx(brute_force(ds, measure))
 
 
 class TestSequenceScores:
@@ -316,18 +319,18 @@ class TestSequenceScoresOracle:
 
 class TestNetworkModel:
     def test_betweenness_on_toy(self):
-        vec = compute(fit_network(generators.toy_dataset()), "betweenness")
+        scores = as_dict(compute(fit_network(generators.toy_dataset()), "betweenness"))
         # C and D each lie inside 6 of the shortest paths between other
         # node pairs of the toy graph: {A,B} x {D,E,F} through C, and
         # {A,B,C} x {E,F} through D  [DERIVED]
-        assert vec.scores["C"] == pytest.approx(6.0)
-        assert vec.scores["D"] == pytest.approx(6.0)
-        assert vec.scores["A"] == pytest.approx(0.0)
+        assert scores["C"] == pytest.approx(6.0)
+        assert scores["D"] == pytest.approx(6.0)
+        assert scores["A"] == pytest.approx(0.0)
 
     def test_closeness_on_toy(self):
-        vec = compute(fit_network(generators.toy_dataset()), "closeness")
-        assert vec.scores["A"] == pytest.approx(1 + 1 / 2 + 1 / 3 + 1 / 3)
-        assert vec.scores["E"] == pytest.approx(0.0)
+        scores = as_dict(compute(fit_network(generators.toy_dataset()), "closeness"))
+        assert scores["A"] == pytest.approx(1 + 1 / 2 + 1 / 3 + 1 / 3)
+        assert scores["E"] == pytest.approx(0.0)
 
     @pytest.mark.parametrize(
         "measure", ["path_end", "path_continuation", "path_reach", "visitation"]
@@ -408,7 +411,7 @@ class TestProjection:
             "walks": lambda: generators.first_order_walks(seed, n_paths=100, max_len=6),
         }[corpus]()
         model = fit_mogen(ds, data.draw(st.integers(1, ds.max_length), label="k"))
-        got = compute(model, measure).scores
+        got = as_dict(compute(model, measure))
         expected = _project_first_order_oracle(model, measure)
         assert list(got) == sorted(expected)
         if measure == "visitation":  # sums per-state shares, not visits over their total
@@ -421,35 +424,35 @@ class TestProjection:
     def test_lossless_projection_matches_path_model(self, measure, seed):
         ds = generators.random_small_dataset(seed)
         model = fit_mogen(ds, ds.max_length)
-        projected = compute(model, measure).scores
-        direct = compute(fit_path(ds), measure).scores
+        projected = as_dict(compute(model, measure))
+        direct = as_dict(compute(fit_path(ds), measure))
         assert projected == pytest.approx(direct, abs=1e-9)
 
     def test_underfit_projection_differs(self):
         # the first-order graph admits A->C->D->F, which no path realizes
         ds = generators.toy_dataset()
-        k1 = compute(fit_mogen(ds, 1), "closeness").scores
-        full = compute(fit_path(ds), "closeness").scores
+        k1 = as_dict(compute(fit_mogen(ds, 1), "closeness"))
+        full = as_dict(compute(fit_path(ds), "closeness"))
         assert k1["A"] > full["A"]
 
 
 class TestEdgeCentralities:
     def test_toy_report(self):
         model = fit_mogen(generators.toy_dataset(), 2)
-        report = edge_centralities(model, min_visitation=0.02)
-        assert ("C", "D") in report.shares
+        shares, values = edge_dicts(model, edge_centralities(model, min_visitation=0.02))
+        assert ("C", "D") in shares
         # (C,D) is visited once per path; the seven states total 4
         # expected visits  [DERIVED]
-        assert report.shares[("C", "D")] == pytest.approx(0.25)
-        assert report.values[("C", "D")]["betweenness"] == pytest.approx(2.0)
+        assert shares[("C", "D")] == pytest.approx(0.25)
+        assert values[("C", "D")]["betweenness"] == pytest.approx(2.0)
 
     def test_threshold_filters(self):
         ds = generators.order2_families(seed=0)
         model = fit_mogen(ds, 2)
-        report = edge_centralities(model, min_visitation=0.02)
-        assert report.shares
-        assert all(v >= 0.02 for v in report.shares.values())
-        assert all(len(s) == 2 for s in report.shares)
+        shares, _ = edge_dicts(model, edge_centralities(model, min_visitation=0.02))
+        assert shares
+        assert all(v >= 0.02 for v in shares.values())
+        assert all(len(s) == 2 for s in shares)
 
     def test_requires_order2(self):
         model = fit_mogen(generators.toy_dataset(), 1)
@@ -481,24 +484,26 @@ class TestEdgeCentralities:
         assert all(starts)  # 1.1 selects nothing, and nothing is searched
         assert not searches  # no state's closeness outside the selected rows
         monkeypatch.undo()
-        assert [model.states.index(s) for s in report.values] == rows
+        _, values = edge_dicts(model, report)
+        assert [model.states.index(s) for s in values] == rows
         full = mogen_state_scores(model, "closeness")
-        assert [v["closeness"] for v in report.values.values()] == full[rows].tolist()
+        assert [v["closeness"] for v in values.values()] == full[rows].tolist()
 
     def test_names_only_the_selected_states(self):
         model = fit_mogen(generators.order2_families(seed=0), 2)  # 5 of 713 states selected
         report = edge_centralities(model, min_visitation=0.02)
-        assert report.values and "states" not in model.__dict__  # no state tuple built
-        assert list(report.values) == [s for s in model.states if s in report.shares]
+        assert len(report.rows) and "states" not in model.__dict__  # no state tuple built
+        shares, values = edge_dicts(model, report)
+        assert list(values) == [s for s in model.states if s in shares]
 
     def test_measures_read_at_selected_rows(self):
         model = fit_mogen(generators.order2_families(seed=1, n_paths=200), 3)
-        report = edge_centralities(model, min_visitation=0.0)
-        rows = [model.states.index(s) for s in report.values]
+        _, values = edge_dicts(model, edge_centralities(model, min_visitation=0.0))
+        rows = [model.states.index(s) for s in values]
         assert rows and all(len(model.states[i]) == 2 for i in rows)
         for measure in MEASURES:
             full = mogen_state_scores(model, measure)
-            assert [v[measure] for v in report.values.values()] == full[rows].tolist()
+            assert [v[measure] for v in values.values()] == full[rows].tolist()
 
 
 class TestNodeIndexOnce:
@@ -514,3 +519,53 @@ class TestNodeIndexOnce:
         experiment._predictions(model, MEASURES, nodes)
         edge_centralities(model, min_visitation=0.0)
         assert derived == [model]
+
+
+#: Labels of the generated corpora: one ends in NUL, which a numpy str array drops.
+ARRAY_LABELS = ("Z", "a", "a\x00", "b", "c", "é")
+
+
+@st.composite
+def timed_corpora(draw):
+    """Paths of 1-6 nodes over ``ARRAY_LABELS``, multiplicities 1-3, start times 0-29."""
+    paths = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(ARRAY_LABELS), min_size=1, max_size=6),
+                  st.integers(1, 3), st.integers(0, 29)),
+        min_size=1, max_size=12,
+    ))
+    return PathDataset([Path(tuple(nodes), m, t) for nodes, m, t in paths])
+
+
+class TestVectorArrays:
+    """A vector is the sorted first-order labels and a float64 array aligned with
+    them; an edge report is its order-2 rows and arrays read at them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(timed_corpora(), st.sampled_from(["N", "P", "M1", "M2", "M3"]))
+    def test_nodes_are_the_sorted_vocabulary_of_every_side(self, ds, label):
+        fit = {"N": fit_network, "P": fit_path}.get(label) or (lambda d: fit_mogen(d, int(label[1])))
+        # the corpus, and its windows: row subsets that keep the corpus's labels
+        for side in [ds, *(w.dataset for w in rolling_windows(ds, 10, 5) if not w.empty)]:
+            model = fit(side)
+            for measure in MEASURES:
+                try:
+                    vec = compute(model, measure)
+                except UnsupportedMeasureError:
+                    assert label == "N" and measure in PATH_MEASURES
+                    continue
+                assert vec.nodes == sorted(side.vocabulary)  # one list for every measure
+                assert vec.values.dtype == np.float64 and vec.values.shape == (len(vec.nodes),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(timed_corpora(), st.integers(2, 3), st.sampled_from([0.0, 0.05, 0.2]))
+    def test_edge_report_reads_state_scores_at_its_rows(self, ds, k, min_visitation):
+        model = fit_mogen(ds, k)
+        report = edge_centralities(model, min_visitation=min_visitation)
+        sf = model.expected_visits()
+        shares = sf / sf.sum()
+        rows = [i for i, s in enumerate(model.states) if len(s) == 2 and shares[i] >= min_visitation]
+        assert report.rows.tolist() == rows  # ascending, of length 2
+        assert np.array_equal(report.shares, shares[rows])
+        assert list(report.values) == list(MEASURES)
+        for measure in MEASURES:
+            assert np.array_equal(report.values[measure], mogen_state_scores(model, measure)[rows])

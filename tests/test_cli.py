@@ -31,6 +31,7 @@ from pathcent.pathdata import rolling_windows, write_paths
 
 import generators
 from ranking_oracles import scored_sequences
+from vector_dicts import as_dict, edge_dicts
 
 
 @pytest.fixture()
@@ -196,9 +197,10 @@ def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitati
         except UnsupportedMeasureError:
             skipped.append(measure)
             continue
-        for node in sorted(vec.scores):
-            rows.append((measure, model, node, vec.scores[node]))
-        json_results[measure] = {"first_order": {n: vec.scores[n] for n in sorted(vec.scores)}}
+        scores = as_dict(vec)
+        for node in sorted(scores):
+            rows.append((measure, model, node, scores[node]))
+        json_results[measure] = {"first_order": {n: scores[n] for n in sorted(scores)}}
         if vec.state_scores is not None:
             vals = vec.state_scores.tolist()
             rows.extend((measure, model, key, v) for key, v in zip(keys, vals))
@@ -206,9 +208,10 @@ def _centrality_oracle(input_path, model, k, measures, edge_report, min_visitati
     if edge_report:
         report = cent.edge_centralities(fitted, measures=[m for m in measures if m not in skipped],
                                         min_visitation=min_visitation)
+        shares, values = edge_dicts(fitted, report)
         json_results["edges"] = {
-            "|".join(s): {"visitation_share": report.shares[s], **report.values[s]}
-            for s in sorted(report.values)
+            "|".join(s): {"visitation_share": shares[s], **values[s]}
+            for s in sorted(values)
         }
     out.mkdir(parents=True)
     meta = _meta_oracle(config, input_path)
@@ -437,7 +440,7 @@ class TestPathModelOnePass:
         model = fit_path(ds)
         for measure in reversed(MEASURES):
             expected = scored_sequences(ds, (measure,))[measure]
-            assert cent.compute(model, measure).scores == {s[0]: v for s, v in expected.items()}
+            assert as_dict(cent.compute(model, measure)) == {s[0]: v for s, v in expected.items()}
 
 
 class TestNotUtf8:
@@ -591,6 +594,14 @@ class TestExperimentCommand:
         code = main(["experiment", "--input", str(src), "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2 and "data error" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_instances_past_memory_are_data_error(self, tmp_path, capsys):
+        src = tmp_path / "unrolled.paths"  # 2**40 instances: an 8 TiB unroll
+        src.write_text("a,b,c;1099511627776\nb,c;2\n")
+        code = main(["experiment", "--input", str(src), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "data error: 1099511627778 path instances" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_runs_and_reports(self, order2_file, tmp_path):

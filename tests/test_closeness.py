@@ -23,6 +23,7 @@ from pathcent.centrality import compute, mogen_state_scores
 
 import generators
 from test_models import _fit_network_oracle, assert_network_matches_oracle
+from vector_dicts import as_dict
 
 REL = 1e-12
 
@@ -159,7 +160,7 @@ def test_network(name):
     nodes = model.nodes
     got = searched(model.counts, identity(len(nodes)))
     assert {(nodes[r], nodes[c]): d for (r, c), d in got.items()} == expected
-    scores = compute(model, "closeness").scores
+    scores = as_dict(compute(model, "closeness"))
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
 
 
@@ -177,7 +178,7 @@ def test_multi_order(name, k):
     nodes, start, last = first_order_start(model)
     got = searched(model.trans_p, start, last)
     assert {(nodes[r], nodes[g]): d for (r, g), d in got.items()} == expected
-    scores = compute(model, "closeness").scores
+    scores = as_dict(compute(model, "closeness"))
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
 
 
@@ -185,14 +186,14 @@ def test_multi_order(name, k):
 def test_batches_do_not_change_results(monkeypatch, cells):
     model = fit_mogen(CORPORA["order2"](), 3)
     per_state = mogen_state_scores(model, "closeness")
-    first_order = compute(model, "closeness").scores
+    first_order = as_dict(compute(model, "closeness"))
     network = fit_network(CORPORA["walks"]())
-    betweenness = compute(network, "betweenness").scores
+    betweenness = as_dict(compute(network, "betweenness"))
     monkeypatch.setattr(models, "_BFS_CELLS", cells)
     monkeypatch.setattr(models, "_BATCH_WORDS", cells)
     assert np.array_equal(mogen_state_scores(model, "closeness"), per_state)
-    assert compute(model, "closeness").scores == first_order
-    assert compute(network, "betweenness").scores == pytest.approx(betweenness, rel=REL, abs=0)
+    assert as_dict(compute(model, "closeness")) == first_order
+    assert as_dict(compute(network, "betweenness")) == pytest.approx(betweenness, rel=REL, abs=0)
 
 
 @pytest.mark.parametrize("words", [1, 2, 3, 8])
@@ -209,7 +210,7 @@ def test_closeness_over_batch_sizes(monkeypatch, name, words):
         assert scores == pytest.approx(np.array(list(oracle.values())), rel=REL, abs=0)
         nodes = model.node_index[0]
         oracle = harmonic(oracle_first_order_distances(model), nodes)
-        assert compute(model, "closeness").scores == pytest.approx(oracle, rel=REL, abs=0)
+        assert as_dict(compute(model, "closeness")) == pytest.approx(oracle, rel=REL, abs=0)
 
 
 @pytest.mark.parametrize("words", [1, 2, 4])
@@ -222,7 +223,7 @@ def test_network_closeness_over_batch_sizes(monkeypatch, words):
     model = fit_network(ds)
     monkeypatch.setattr(models, "_BATCH_WORDS", words * len(model.nodes))
     expected = harmonic(oracle_network_distances(ds), model.nodes)
-    assert compute(model, "closeness").scores == pytest.approx(expected, rel=REL, abs=0)
+    assert as_dict(compute(model, "closeness")) == pytest.approx(expected, rel=REL, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def oracle_betweenness(ds) -> dict:
 @pytest.mark.parametrize("name", CORPORA)
 def test_network_betweenness(name):
     ds = CORPORA[name]()
-    scores = compute(fit_network(ds), "betweenness").scores
+    scores = as_dict(compute(fit_network(ds), "betweenness"))
     assert scores == pytest.approx(oracle_betweenness(ds), rel=REL, abs=0)
 
 
@@ -259,7 +260,7 @@ def test_network_betweenness_on_random_digraphs(ds, cells):
     # cells=1 searches one source row per batch
     model = fit_network(ds)
     with mock.patch.object(models, "_BFS_CELLS", cells):
-        scores = compute(model, "betweenness").scores
+        scores = as_dict(compute(model, "betweenness"))
     assert scores == pytest.approx(oracle_betweenness(ds), rel=REL, abs=0)
 
 
@@ -268,6 +269,6 @@ def test_network_betweenness_on_random_digraphs(ds, cells):
 def test_network_closeness_on_random_digraphs(ds, words):
     model = fit_network(ds)
     with mock.patch.object(models, "_BATCH_WORDS", words):
-        scores = compute(model, "closeness").scores
+        scores = as_dict(compute(model, "closeness"))
     expected = harmonic(oracle_network_distances(ds), model.nodes)
     assert scores == pytest.approx(expected, rel=REL, abs=0)

@@ -30,6 +30,7 @@ from pathcent.models import TIE_TOL
 import generators
 import ranking_oracles
 from ranking_oracles import scored_sequences
+from vector_dicts import as_dict
 
 
 def _split_oracle(ds, fraction, seed, max_attempts=100):
@@ -88,6 +89,12 @@ class TestSplit:
     def test_multiplicity_past_int64_is_data_error(self, count):
         ds = PathDataset([Path(("a", "b", "c"), count), Path(("b", "c"), 2)])
         with pytest.raises(DataError, match="below 2"):
+            split(ds, 0.5, seed=0)
+
+    def test_instances_past_memory_are_data_error(self):
+        # 2**40 instances would unroll into an 8 TiB array, which numpy refuses to allocate
+        ds = PathDataset([Path(("a", "b", "c"), 2**40), Path(("b", "c"), 2)])
+        with pytest.raises(DataError, match="1099511627778 path instances"):
             split(ds, 0.5, seed=0)
 
     @settings(max_examples=100, deadline=None)
@@ -162,7 +169,7 @@ def _evaluate_oracle(ds, spec, models, measures, k_truth) -> dict:
                 model = fit_network(train) if kind == "network" else fit_mogen(train, k)
                 scored = {}
                 for m in measures if kind == "mogen" else [m for m in measures if m not in PATH_MEASURES]:
-                    scored[m] = {(v,): x for v, x in compute(model, m).scores.items()}
+                    scored[m] = {(v,): x for v, x in as_dict(compute(model, m)).items()}
                     if kind == "mogen":
                         values = mogen_state_scores(model, m).tolist()
                         scored[m].update((s, x) for s, x in zip(model.states, values) if len(s) >= 2)
@@ -532,7 +539,7 @@ class TestEvaluate:
             keys = _named(train, keys)
             for m in measures:
                 vec = compute(model, m)
-                expected = {(v,): s for v, s in vec.scores.items()}
+                expected = {(v,): s for v, s in as_dict(vec).items()}
                 if isinstance(model, MOGenModel):
                     state = mogen_state_scores(model, m)
                     expected.update((s, v) for s, v in zip(model.states, state.tolist()) if len(s) >= 2)

@@ -28,6 +28,7 @@ from pathcent import models, smells
 from pathcent.smells import MAX_ROLE_MEMBERS, MEAN_EPS
 
 import generators
+from vector_dicts import as_dict
 
 
 def make_series(seed=0, platform="p1", k=2, **kwargs):
@@ -208,7 +209,7 @@ def _windowed_oracle(windows, k=None, k_max=3, platform=""):
         model = fit_mogen(w.dataset, k if k is not None else select_order(w.dataset, k_max))
         active[w.start] = frozenset(w.dataset.vocabulary)
         for m in MEASURES:
-            values[m][w.start] = dict(compute(model, m).scores)
+            values[m][w.start] = as_dict(compute(model, m))
     return _DictSeries(platform, tuple(w.start for w in non_empty), values, active)
 
 
@@ -284,6 +285,12 @@ class TestMatchesDictOracle:
         windows = {f"p{seed}": rolling_windows(generators.smell_corpus(seed=seed), 100, 50)
                    for seed in seeds}
         _assert_matches_dict_oracle(windows, k)
+
+    def test_labels_that_a_str_array_would_merge(self):
+        # a numpy str array holds "a" and "a\x00" as one value; the columns keep them apart
+        ds = PathDataset([Path(("a", "a\x00", "b"), 1, 0), Path(("a\x00", "é"), 2, 5),
+                          Path(("b", "a"), 1, 12), Path(("é", "a\x00", "a"), 1, 14)])
+        _assert_matches_dict_oracle({"p": rolling_windows(ds, 10, 5)}, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(
