@@ -16,7 +16,8 @@ ascending, and arrays read at them, and searches closeness from those rows only.
 Closeness is out-direction harmonic closeness over unweighted hop distances,
 searched per node and per state over bit sets of target groups
 (:func:`pathcent.models._closeness`). A breadth-first search serves Brandes
-betweenness and the edge report's closeness from its selected states.
+betweenness and the edge report's closeness from its selected states; both searches
+read a model's ``(indptr, indices)`` alone, so this module imports no scipy.
 
 Path-model values and the experiment's ground truth are arrays over the corpus's
 sequence codes (:func:`sequence_scores`; level-1 codes are label ids), counted over
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows
+from .models import MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows, _pattern
 from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
@@ -124,21 +125,22 @@ def _sequence_closeness(sid, at, stop, n: int) -> np.ndarray:
 # network model
 
 def _network_betweenness(adj) -> np.ndarray:
-    """Brandes betweenness (unnormalised) from the BFS levels of every source:
-    with σ_d the shortest-path counts of level d, the dependencies are
+    """Brandes betweenness (unnormalised) over the CSR pattern ``adj``, its
+    ``(indptr, indices)``, from the BFS levels of every source: with σ_d the
+    shortest-path counts of level d, the dependencies are
     δ_d = σ_d ⊙ (((1 + δ_{d+1}) / σ_{d+1}) @ adjᵀ), summed backward over the
     levels of each batch of sources."""
-    import scipy.sparse as sp
-
-    out = np.zeros(adj.shape[0])
+    n = len(adj[0]) - 1
+    adj_t = _pattern(adj, n).T.tocsr()  # built once per call
+    out = np.zeros(n)
     levels = []
-    for _, _, sigma in _first_reached(adj, sp.identity(adj.shape[0], format="csr")):
+    for _, _, sigma in _first_reached(adj, np.arange(n)):
         if sigma.nnz:
             levels.append(sigma)
             continue
         coef = sigma  # the batch's last level is empty
         for sigma in reversed(levels):
-            delta = sigma.multiply(coef @ adj.T)
+            delta = sigma.multiply(coef @ adj_t)
             out += delta.sum(axis=0).A1
             inv = sigma.power(-1)
             coef = inv + inv.multiply(delta)
@@ -196,10 +198,8 @@ def compute(model, measure: str) -> CentralityVector:
             raise UnsupportedMeasureError(
                 f"{measure} cannot be computed for a network model"
             )
-        if measure == "betweenness":
-            vals = _network_betweenness(model.counts != 0)
-        else:
-            vals = _closeness((model.counts.indptr, model.counts.indices), np.arange(len(model.nodes)))
+        adj = (model.indptr, model.indices)
+        vals = _network_betweenness(adj) if measure == "betweenness" else _closeness(adj, np.arange(len(model.nodes)))
         return CentralityVector(model.nodes, vals)
     if isinstance(model, PathModel):
         codes, _, _, value = model._nodes  # counted once for every measure; codes are label ids
@@ -234,13 +234,11 @@ def edge_centralities(
     closeness is searched only from the selected states."""
     if model.order < 2:
         raise DataError("edge centralities require a model of order >= 2")
-    import scipy.sparse as sp
-
     sf = model.expected_visits()
     shares = sf / sf.sum()
     rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))
     columns = {m: np.zeros(len(rows)) if m == "closeness" else mogen_state_scores(model, m)[rows] for m in measures}
     if "closeness" in columns and len(rows):  # summed as _closeness sums, d ascending
-        for lo, dist, level in _first_reached(model.trans_p, sp.identity(model.n_states, format="csr")[rows]):
+        for lo, dist, level in _first_reached((model.indptr, model.indices), rows):
             columns["closeness"][lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
     return EdgeCentralityReport(rows, shares[rows], columns)

@@ -3,7 +3,7 @@
 Three representations of the same path dataset:
 
 * :class:`NetworkModel` -- first-order topology: :func:`fit_network` keeps the
-  order-1 fit's sorted node labels and transition counts.
+  order-1 fit's sorted node labels and its ``indptr``, ``indices`` and ``counts``.
 * :class:`PathModel` -- the path multiset itself (lossless).
 * :class:`MOGenModel` -- multi-order transition structure over states that
   remember up to K previous nodes, with an explicit start distribution and an
@@ -19,16 +19,16 @@ Three representations of the same path dataset:
 
 A model keeps its transitions as one sorted CSR layout of numpy arrays, and the
 solves and :func:`_closeness` run on it with numpy alone. scipy is loaded only
-by the ``trans_counts`` and ``trans_p`` views (so by :func:`fit_network`), the
-LU fallback and :func:`_first_reached`.
+by the ``trans_p`` view, the LU fallback and :func:`_pattern`, the scipy matrix
+that :func:`_first_reached` and Brandes betweenness multiply by.
 
 A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
 the integer encoding and sequence codes that a corpus computes once and its
 windows and split sides read, and keys each state by its code, in ``(len,
-labels)`` order; or from its constructor over such counts; no file format.
-A model holds its states as rows of label ids; ``model.states[i]``, a tuple view
-built on first use, is the only state-to-row key. Later layers hold per-state
-arrays over the rows and read ``model.node_index``.
+labels)`` order; or from its constructor over such rows of label ids and COO
+counts; no file format. ``model.states[i]``, a tuple view built from the rows on
+first use, is the only state-to-row key. Later layers hold per-state arrays over
+the rows and read ``model.node_index``.
 """
 from __future__ import annotations
 
@@ -81,13 +81,15 @@ def encode_path(nodes: Sequence[str], k: int) -> list:
     return walk
 
 
-@dataclass(frozen=True, eq=False)  # == on a sparse matrix raises
+@dataclass(frozen=True, eq=False)  # == on an array raises
 class NetworkModel:
-    """First-order topology: sorted node labels and the counts of each observed
-    transition between them (sorted CSR, no stored zeros)."""
+    """First-order topology: the order-1 fit's sorted CSR arrays under
+    :class:`MOGenModel`'s names, over the sorted node labels; no count is 0."""
 
     nodes: list[str]
-    counts: scipy.sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,14 @@ class PathModel:
 class MOGenModel:
     """Multi-order model with start distribution S, transient block Q and
     absorption column R, normalised in float64 from start, transition and end
-    counts of ``states``: label tuples, or with ``labels`` rows of ids into them
-    padded with -1. Transition counts come as a scipy sparse matrix or as ``(data,
-    (row, col))`` arrays, and are summed per transition into one sorted CSR layout
-    (``indptr``, ``indices``, ``counts``, ``probs``), dropping a sum of 0; the
-    caller's arrays are left as they are. An order below 1, repeated states, counts
-    not sized to the states, a negative or non-finite count, or start counts summing
-    to 0, raise :class:`DataError`.
+    counts of states given as ``rows``: a 2-D int array of ids into the strictly
+    ascending ``labels``, one row per state, its nodes first and padded with -1.
+    Transition counts come as ``(data, (row, col))`` arrays, and are summed per
+    transition into one sorted CSR layout (``indptr``, ``indices``, ``counts``,
+    ``probs``), dropping a sum of 0; the caller's arrays are left as they are. An
+    order below 1, malformed labels or rows, repeated states, counts not sized to
+    the states, a negative or non-finite count, or start counts summing to 0, raise
+    :class:`DataError`.
     A fit also sets ``codes``, its states' codes in its corpus's ranking."""
 
     codes: np.ndarray | None = None
@@ -119,39 +122,35 @@ class MOGenModel:
     def __init__(
         self,
         order: int,
-        states: Sequence[State] | np.ndarray,
+        rows: np.ndarray,
         start_counts: np.ndarray,
-        trans_counts,
+        transitions: tuple,
         end_counts: np.ndarray,
-        labels: list[str] | None = None,
+        labels: list[str],
     ):
-        self.order = order
-        if labels is None:  # the tuples are the view; the rows are derived from them
-            self.states = tuple(states)
-            labels = sorted({v for s in self.states for v in s})
-            ids, width = {v: i for i, v in enumerate(labels)}, max(map(len, self.states), default=1)
-            states = np.array([[ids[v] for v in s] + [-1] * (width - len(s)) for s in self.states],
-                              dtype=np.int32).reshape(-1, width)
-        self.labels, self.rows = labels, states
-        n = len(states)
         if not (isinstance(order, int) and order >= 1):
             raise DataError("order must be >= 1")
-        size = (states >= 0).sum(axis=1)  # a fit's rows ascend in (len, labels) order: no sort
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise DataError("labels must be strictly ascending")
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i"):
+            raise DataError("rows must be a 2-D int array")
+        node, n = rows >= 0, len(rows)
+        size = node.sum(axis=1)  # a fit's rows ascend in (len, labels) order: no sort
+        if not (((rows >= -1) & (rows < len(labels))).all() and (size > 0).all()
+                and (node[:, :-1] | ~node[:, 1:]).all()):
+            raise DataError("a row must hold one or more label ids, then only -1 pads")
+        self.order, self.labels, self.rows = order, labels, rows
         later, tied = size[1:] > size[:-1], size[1:] == size[:-1]
-        for before, after in zip(states[:-1].T, states[1:].T):
+        for before, after in zip(rows[:-1].T, rows[1:].T):
             later |= tied & (after > before)
             tied &= after == before
         if not later.all():
-            ranked = states[np.lexsort(states.T[::-1])]  # repeats adjacent
+            ranked = rows[np.lexsort(rows.T[::-1])]  # repeats adjacent
             if (ranked[1:] == ranked[:-1]).all(axis=1).any():
                 raise DataError("states must be distinct")
-        shape = getattr(trans_counts, "shape", (n, n))
-        if hasattr(trans_counts, "tocoo"):  # a scipy sparse matrix
-            coo = trans_counts.tocoo()
-            trans_counts = coo.data, (coo.row, coo.col)
-        data, (row, col) = trans_counts
+        data, (row, col) = transitions
         row, col = np.asarray(row, np.int64), np.asarray(col, np.int64)
-        if (np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,) or shape != (n, n)
+        if (np.shape(start_counts) != (n,) or np.shape(end_counts) != (n,)
                 or not ((row >= 0) & (row < n) & (col >= 0) & (col < n)).all()):
             raise DataError(f"counts must match the {n} states")
         key = row * n + col
@@ -207,22 +206,14 @@ class MOGenModel:
                 raise NumericError("non-absorbing chain: a state never reaches the end")
             self._absorbing = True
 
-    def _csr(self, data: np.ndarray):
-        import scipy.sparse as sp  # slow to import: only these views and the graph searches load it
-
-        m = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_states, self.n_states))
-        m.has_canonical_format = True  # sorted and summed: scipy never sorts the shared data
-        return m
-
-    @cached_property
-    def trans_counts(self):
-        """The transition counts as a scipy CSR matrix over the layout's arrays."""
-        return self._csr(self.counts)
-
     @cached_property
     def trans_p(self):
         """Q as a scipy CSR matrix over the layout's arrays."""
-        return self._csr(self.probs)
+        import scipy.sparse as sp  # slow to import: only this view, _pattern and the LU fallback load it
+
+        m = sp.csr_matrix((self.probs, self.indices, self.indptr), shape=(self.n_states, self.n_states))
+        m.has_canonical_format = True  # sorted and summed: scipy never sorts the shared data
+        return m
 
     @property
     def n_states(self) -> int:
@@ -283,7 +274,7 @@ class MOGenModel:
 def fit_network(ds: PathDataset) -> NetworkModel:
     """The order-1 fit's transition counts: every consecutive node pair."""
     m = fit_mogen(ds, 1)
-    return NetworkModel(m.node_index[0], m.trans_counts)
+    return NetworkModel(m.node_index[0], m.indptr, m.indices, m.counts)
 
 
 def fit_path(ds: PathDataset) -> PathModel:
@@ -371,29 +362,38 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _first_reached(adj, start):
-    """Level-synchronous BFS over ``adj`` from the rows of the CSR matrix
-    ``start``, each row a set of states at distance 0. Yields ``(lo, dist,
-    level)`` per level and batch of start rows from ``lo``: ``level`` (batch rows
-    x states) counts the shortest paths to each state first seen at ``dist`` >= 1
-    hops. A batch's last level is empty."""
+def _pattern(adj, n: int):
+    """The CSR pattern ``adj``, its ``(indptr, indices)``, as a scipy CSR matrix of
+    ones with ``n`` columns."""
     import scipy.sparse as sp
 
-    adj = (adj != 0).astype(float).tocsr()
-    n = adj.shape[0]
+    indptr, indices = adj
+    m = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, n))
+    m.has_canonical_format = True  # sorted and summed
+    return m
+
+
+def _first_reached(adj, sources: np.ndarray):
+    """Level-synchronous BFS over the CSR pattern ``adj``, its ``(indptr,
+    indices)``, from each of the rows ``sources`` at distance 0. Yields ``(lo,
+    dist, level)`` per level and batch of sources from ``lo``: ``level``, a scipy
+    CSR matrix (batch sources x rows), counts the shortest paths to each row first
+    seen at ``dist`` >= 1 hops. A batch's last level is empty."""
+    n = len(adj[0]) - 1
+    adj = _pattern(adj, n)
     batch = max(1, _BFS_CELLS // n)
-    for lo in range(0, start.shape[0], batch):
-        frontier = start[lo : lo + batch].astype(float)
-        b, dist = frontier.shape[0], 0
+    for lo in range(0, len(sources), batch):
+        at = sources[lo : lo + batch]
+        b, dist = len(at), 0
+        frontier = _pattern((np.arange(b + 1), at), n)
         seen = np.zeros(b * n, dtype=bool)
         while frontier.nnz:
             seen[np.repeat(np.arange(b) * n, np.diff(frontier.indptr)) + frontier.indices] = True
             dist += 1
-            paths = frontier @ adj
-            cells = np.repeat(np.arange(b) * n, np.diff(paths.indptr)) + paths.indices
-            new = ~seen[cells]
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(cells[new] // n, minlength=b))])
-            frontier = sp.csr_matrix((paths.data[new], paths.indices[new], indptr), shape=(b, n))
+            frontier = frontier @ adj
+            cells = np.repeat(np.arange(b) * n, np.diff(frontier.indptr)) + frontier.indices
+            frontier.data[seen[cells]] = 0  # path counts are positive: only the seen are 0
+            frontier.eliminate_zeros()
             yield lo, dist, frontier
 
 

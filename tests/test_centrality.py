@@ -468,9 +468,9 @@ class TestEdgeCentralities:
         starts, searches = [], []
         search, closeness = models._first_reached, models._closeness
 
-        def spy(adj, start):
-            starts.append(start.shape[0])
-            return search(adj, start)
+        def spy(adj, sources):
+            starts.append(len(sources))
+            return search(adj, sources)
 
         def every_state(*args):
             searches.append(args)

@@ -995,13 +995,16 @@ class TestFreshInterpreter:
                    "--output-dir", str(tmp_path / "mogen")],
                   ["smells", "--platform", f"p={paths}", "--window", "10", "--shift", "5",
                    "--output-dir", str(tmp_path / "smells")],
+                  ["centrality", "--input", paths, "--model", "network", "--measure", "closeness",
+                   "--output-dir", str(tmp_path / "network")],
                   ["centrality", "--input", paths, "--model", "mogen", "--k", "2", "--edges",
                    "--output-dir", str(tmp_path / "edges")]]
         seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
-        # the import, --help, six usage errors, three ingests; then mogen centralities and
-        # smells, which load numpy only; then the edge report's search, which loads scipy
+        # the import, --help, six usage errors, three ingests; then mogen centralities,
+        # smells and network closeness, which load numpy only; then the edge report's
+        # search, which loads scipy
         assert seen == [[0, []], [0, []], *[[1, []]] * 6, [0, []], [0, []], [0, []],
-                        [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy", "scipy"]]]
+                        [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy", "scipy"]]]
         assert not os.path.exists(out)
 
 

@@ -6,6 +6,9 @@ Hop distances from the breadth-first search must match exactly; harmonic
 sums and betweenness are compared at a relative tolerance of 1e-12, because
 the searches add level by level rather than in the oracles' order. The
 bit-set search behind every closeness runs over batches of 1 word and up.
+Start sets of several states run through the search over scipy start rows
+that ``model_oracles`` keeps; Brandes betweenness and the edge report's
+closeness equal that search's results bit for bit.
 """
 from collections import defaultdict, deque
 from unittest import mock
@@ -19,9 +22,10 @@ from hypothesis import strategies as st
 
 from pathcent import Path, PathDataset, fit_mogen, fit_network
 from pathcent import models
-from pathcent.centrality import compute, mogen_state_scores
+from pathcent.centrality import compute, edge_centralities, mogen_state_scores
 
 import generators
+import model_oracles
 from test_models import _fit_network_oracle, assert_network_matches_oracle
 from vector_dicts import as_dict
 
@@ -110,10 +114,19 @@ def harmonic(distances: dict, sources) -> dict:
 
 def searched(adj, start, groups=None) -> dict:
     """(start row, group) -> the fewest hops from the row to a state of the group,
-    read off the breadth-first search's levels; a row's own states never count."""
-    groups = np.arange(adj.shape[0]) if groups is None else groups
+    read off the breadth-first search's levels over the CSR pattern ``adj``; a row's
+    own states never count. ``start`` is an int array of source rows, searched by
+    the library, or a scipy matrix whose rows are sets of states, searched by the
+    oracle."""
+    indptr, indices = adj
+    n = len(indptr) - 1
+    groups = np.arange(n) if groups is None else groups
+    if isinstance(start, np.ndarray):
+        levels = models._first_reached(adj, start)
+    else:
+        levels = model_oracles.first_reached(pattern_matrix(adj), start)
     out, seen = {}, set()
-    for lo, dist, level in models._first_reached(adj, start):
+    for lo, dist, level in levels:
         coo = level.tocoo()
         for r, c in zip((coo.row + lo).tolist(), coo.col.tolist()):
             assert (r, c) not in seen  # each state is first seen once
@@ -124,6 +137,13 @@ def searched(adj, start, groups=None) -> dict:
 
 def identity(n):
     return sp.identity(n, dtype=bool, format="csr")
+
+
+def pattern_matrix(adj) -> sp.csr_matrix:
+    """The CSR pattern ``adj``, its ``(indptr, indices)``, as a scipy matrix of ones."""
+    indptr, indices = adj
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def first_order_start(model):
@@ -157,9 +177,10 @@ def test_network(name):
     model = fit_network(ds)
     assert_network_matches_oracle(model, ds)
     expected = oracle_network_distances(ds)
-    nodes = model.nodes
-    got = searched(model.counts, identity(len(nodes)))
-    assert {(nodes[r], nodes[c]): d for (r, c), d in got.items()} == expected
+    nodes, adj = model.nodes, (model.indptr, model.indices)
+    for start in (np.arange(len(nodes)), identity(len(nodes))):
+        got = searched(adj, start)
+        assert {(nodes[r], nodes[c]): d for (r, c), d in got.items()} == expected
     scores = as_dict(compute(model, "closeness"))
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
 
@@ -169,14 +190,16 @@ def test_multi_order(name, k):
     model = fit_mogen(CORPORA[name](), k)
 
     expected = oracle_state_distances(model)
-    assert searched(model.trans_p, identity(model.n_states)) == expected
+    adj = (model.indptr, model.indices)
+    assert searched(adj, np.arange(model.n_states)) == expected
+    assert searched(adj, identity(model.n_states)) == expected
     scores = mogen_state_scores(model, "closeness")
     oracle = harmonic(expected, range(model.n_states))
     assert scores == pytest.approx(np.array(list(oracle.values())), rel=REL, abs=0)
 
     expected = oracle_first_order_distances(model)
     nodes, start, last = first_order_start(model)
-    got = searched(model.trans_p, start, last)
+    got = searched(adj, start, last)
     assert {(nodes[r], nodes[g]): d for (r, g), d in got.items()} == expected
     scores = as_dict(compute(model, "closeness"))
     assert scores == pytest.approx(harmonic(expected, nodes), rel=REL, abs=0)
@@ -272,3 +295,38 @@ def test_network_closeness_on_random_digraphs(ds, words):
         scores = as_dict(compute(model, "closeness"))
     expected = harmonic(oracle_network_distances(ds), model.nodes)
     assert scores == pytest.approx(expected, rel=REL, abs=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_network_betweenness_is_the_matrix_search_bit_for_bit(ds):
+    """Brandes over ``(indptr, indices)`` gives the values of Brandes over the scipy
+    count matrix and its start sets, at every batch size."""
+    model = fit_network(ds)
+    adj = model_oracles.trans_counts(model) != 0
+    for cells in (1, 7, 64, models._BFS_CELLS):
+        with mock.patch.object(models, "_BFS_CELLS", cells):
+            got = compute(model, "betweenness").values
+            assert np.array_equal(got, model_oracles.network_betweenness(adj))
+
+
+def oracle_edge_closeness(model, rows) -> np.ndarray:
+    """The edge report's closeness as it was summed over the scipy search from the
+    identity rows of ``rows``."""
+    out = np.zeros(len(rows))
+    start = sp.identity(model.n_states, format="csr")[rows]
+    for lo, dist, level in model_oracles.first_reached(model.trans_p, start):
+        out[lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, models._BFS_CELLS])
+@pytest.mark.parametrize("name", ["toy", "random3", "order2", "walks", "cycle", "self_loop"])
+def test_edge_closeness_is_the_matrix_search_bit_for_bit(monkeypatch, name, cells):
+    monkeypatch.setattr(models, "_BFS_CELLS", cells)
+    ds = CORPORA[name]()
+    for k in range(2, min(ds.max_length, 4) + 1):
+        model = fit_mogen(ds, k)
+        for min_visitation in (0.0, 0.01):
+            report = edge_centralities(model, ("closeness",), min_visitation)
+            assert np.array_equal(report.values["closeness"], oracle_edge_closeness(model, report.rows))

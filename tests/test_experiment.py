@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
@@ -408,7 +407,7 @@ def _sequential_closeness(model) -> np.ndarray:
     """Per-state closeness summed as the breadth-first search once summed it:
     1/d added once per state first reached at d."""
     out = np.zeros(model.n_states)
-    for lo, dist, level in models._first_reached(model.trans_p, sp.identity(model.n_states, format="csr")):
+    for lo, dist, level in models._first_reached((model.indptr, model.indices), np.arange(model.n_states)):
         reached = np.diff(level.indptr)
         np.add.at(out, lo + np.repeat(np.arange(len(reached)), reached), 1.0 / dist)
     return out

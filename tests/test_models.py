@@ -25,7 +25,7 @@ from pathcent import (
     select_order,
 )
 from pathcent import models
-from pathcent.centrality import MEASURES, compute, sequence_scores
+from pathcent.centrality import MEASURES, compute, mogen_state_scores, sequence_scores
 from pathcent.experiment import split
 from pathcent import pathdata
 from pathcent.pathdata import END, START, _ranked, rolling_windows
@@ -33,6 +33,7 @@ from pathcent.pathdata import END, START, _ranked, rolling_windows
 import generators
 import ranking_oracles
 import solver_oracles
+from model_oracles import build, trans_counts
 from ranking_oracles import scored_sequences
 from test_pathdata import _timestamped
 
@@ -69,6 +70,10 @@ class TestEncodePath:
             encode_path(["A"], 0)
 
 
+#: No transition counts, as ``(data, (row, col))`` arrays.
+NO_TRANSITIONS = (np.zeros(0), (np.zeros(0, np.int64), np.zeros(0, np.int64)))
+
+
 def _fit_network_oracle(ds):
     """The network fit as a ``Counter`` over label pairs: the sorted labels of
     ``ds.paths`` and ``{(source, target): count}`` of every consecutive pair."""
@@ -80,15 +85,16 @@ def _fit_network_oracle(ds):
 
 
 def assert_network_matches_oracle(model, ds):
-    """``model.nodes`` and ``model.counts`` hold the oracle's labels and counts,
-    as a sorted CSR matrix without stored zeros."""
+    """``model.nodes``, ``indptr``, ``indices`` and ``counts`` hold the oracle's labels
+    and counts in sorted CSR order, without zeros."""
     nodes, edges = _fit_network_oracle(ds)
     assert model.nodes == nodes
-    counts = model.counts
-    assert counts.format == "csr" and counts.shape == (len(nodes), len(nodes))
-    assert counts.has_sorted_indices and np.all(counts.data != 0)
-    rows = np.repeat(np.arange(len(nodes)), np.diff(counts.indptr))
-    got = {(nodes[i], nodes[j]): c for i, j, c in zip(rows, counts.indices, counts.data.tolist())}
+    assert len(model.indptr) == len(nodes) + 1 and model.indptr[0] == 0
+    assert len(model.indices) == len(model.counts) == model.indptr[-1]
+    rows = np.repeat(np.arange(len(nodes)), np.diff(model.indptr))
+    assert np.all(np.diff(rows * len(nodes) + model.indices) > 0)  # sorted within rows, no repeat
+    assert np.all(model.counts != 0)
+    got = {(nodes[i], nodes[j]): c for i, j, c in zip(rows, model.indices, model.counts.tolist())}
     assert got == edges
 
 
@@ -97,7 +103,7 @@ class TestFitNetwork:
         ds = PathDataset([Path(("a", "b", "c"), 2), Path(("b", "c"), 1)])
         model = fit_network(ds)
         assert model.nodes == ["a", "b", "c"]
-        assert model.counts.toarray().tolist() == [[0, 2, 0], [0, 0, 3], [0, 0, 0]]
+        assert trans_counts(model).toarray().tolist() == [[0, 2, 0], [0, 0, 3], [0, 0, 0]]
         assert_network_matches_oracle(model, ds)
 
     @settings(max_examples=100, deadline=None)
@@ -117,10 +123,25 @@ class TestFitNetwork:
             assert model.nodes == sorted(sub.vocabulary)
             assert_network_matches_oracle(model, sub)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 25), st.integers(1, 25), st.floats(0.1, 0.9),
+           st.integers(0, 2**16))
+    def test_network_is_the_order_1_fit(self, paths, length, shift, fraction, seed):
+        """The network holds the order-1 fit's arrays, and its closeness is that fit's
+        per-state closeness and its first-order closeness, bit for bit."""
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
+            network, fit = fit_network(sub), fit_mogen(sub, 1)
+            for name in ("indptr", "indices", "counts"):
+                got, want = getattr(network, name), getattr(fit, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            closeness = compute(network, "closeness").values
+            assert np.array_equal(closeness, mogen_state_scores(fit, "closeness"))
+            assert np.array_equal(closeness, compute(fit, "closeness").values)
+
     def test_hub_with_many_successors(self):
         ds = PathDataset([Path(("hub", f"v{i}")) for i in range(20_000)])
         model = fit_network(ds)
-        assert model.counts.getrow(model.nodes.index("hub")).nnz == 20_000
+        assert np.diff(model.indptr)[model.nodes.index("hub")] == 20_000
         assert_network_matches_oracle(model, ds)
 
 
@@ -146,14 +167,14 @@ def _fit_mogen_oracle(ds, k):
     rows = [index[a] for a, _ in trans_c]
     cols = [index[b] for _, b in trans_c]
     trans = sp.csr_matrix((list(map(float, trans_c.values())), (rows, cols)), shape=(n, n))
-    return MOGenModel(k, states, start, trans, end)
+    return build(k, states, start, trans, end)
 
 
 def assert_same_fit(got, want):
     assert got.states == want.states
     assert np.array_equal(got.start_counts, want.start_counts)
     assert np.array_equal(got.end_counts, want.end_counts)
-    assert np.array_equal(got.trans_counts.toarray(), want.trans_counts.toarray())
+    assert np.array_equal(trans_counts(got).toarray(), trans_counts(want).toarray())
     assert got.log_likelihood() == want.log_likelihood()
     assert got.dof() == want.dof()
 
@@ -186,8 +207,8 @@ def _tuple_fit_oracle(ds, k):
     n = len(states)
     step = np.flatnonzero(pos)
     trans = sp.csr_matrix((weights[path[step]], (state[step - 1], state[step])), shape=(n, n))
-    return MOGenModel(k, states, np.bincount(state[first], weights, n),
-                      trans, np.bincount(state[first + lengths - 1], weights, n))
+    return build(k, states, np.bincount(state[first], weights, n),
+                 trans, np.bincount(state[first + lengths - 1], weights, n))
 
 
 def _node_index_oracle(states) -> tuple:
@@ -329,9 +350,9 @@ class TestStatesAsRows:
             assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(want.states)
 
     def test_constructor_rows_follow_the_given_tuples(self):
-        model = MOGenModel(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]),
-                           sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 1])), shape=(3, 3)),
-                           np.array([1.0, 1.0, 0.0]))
+        model = build(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]),
+                      sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 1])), shape=(3, 3)),
+                      np.array([1.0, 1.0, 0.0]))
         assert model.labels == ["a", "b", "c"]
         assert model.rows.tolist() == [[1, 0], [2, -1], [0, -1]]
         assert model.states == (("b", "a"), ("c",), ("a",))
@@ -345,7 +366,7 @@ class TestStatesAsRows:
         if ordered:
             states = sorted(states, key=lambda s: (len(s), s))
         rows = np.array([list(s) + [-1] * (3 - len(s)) for s in states], dtype=np.int32)
-        n, trans = len(states), sp.csr_matrix((len(states), len(states)))
+        n, trans = len(states), NO_TRANSITIONS
         if len(set(states)) < n:
             with pytest.raises(DataError, match="distinct"):
                 MOGenModel(1, rows, np.ones(n), trans, np.ones(n), labels=["a", "b", "c"])
@@ -353,17 +374,15 @@ class TestStatesAsRows:
             assert MOGenModel(1, rows, np.ones(n), trans, np.ones(n), labels=["a", "b", "c"]).n_states == n
 
     def test_repeated_rows_are_data_error(self):
-        trans = sp.csr_matrix((2, 2))
+        trans = NO_TRANSITIONS
         with pytest.raises(DataError, match="distinct"):
             MOGenModel(1, np.array([[0, -1], [0, -1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
                        labels=["a"])
-        trans = sp.csr_matrix((3, 3))
         for rows in ([[0, -1], [1, -1], [0, -1]], [[0, 1], [0, -1], [0, 1]], [[0, -1], [0, 1], [0, 1]]):
             with pytest.raises(DataError, match="distinct"):  # a repeat, adjacent or not, in any order
                 MOGenModel(1, np.array(rows, dtype=np.int32), np.ones(3), trans, np.ones(3), labels=["a", "b"])
         with pytest.raises(DataError, match="distinct"):
-            MOGenModel(1, [("a",), ("b",), ("a",)], np.ones(3), trans, np.ones(3))
-        trans = sp.csr_matrix((2, 2))
+            build(1, [("a",), ("b",), ("a",)], np.ones(3), trans, np.ones(3))
         model = MOGenModel(1, np.array([[0, -1], [0, 1]], dtype=np.int32), np.ones(2), trans, np.ones(2),
                            labels=["a", "b"])
         assert model.states == (("a",), ("a", "b"))
@@ -495,8 +514,8 @@ class TestFundamentalMatrix:
 
     def test_sparse_path_agrees_with_dense(self):
         model = fit_mogen(generators.order2_families(seed=5, n_paths=300), 2)
-        rebuilt = MOGenModel(2, model.states, 2 * model.start_counts, model.trans_counts,
-                             model.end_counts)  # counts that do not conserve flow: S.F is solved
+        rebuilt = build(2, model.states, 2 * model.start_counts, trans_counts(model),
+                        model.end_counts)  # counts that do not conserve flow: S.F is solved
         dense = _dense_fundamental(model)
         for m in (model, rebuilt):
             assert np.max(np.abs(m.expected_visits() - m.start_p @ dense)) < 1e-9
@@ -514,7 +533,7 @@ class TestFundamentalMatrix:
 def _closed_cycle_direct() -> MOGenModel:
     """a <-> b with no end counts: no path is ever absorbed."""
     trans = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return MOGenModel(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2))
+    return build(1, [("a",), ("b",)], np.array([1.0, 0.0]), trans, np.zeros(2))
 
 
 def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
@@ -527,7 +546,7 @@ def _closed_ring(seed: int, n: int = 21) -> MOGenModel:
     trans = sp.csr_matrix((rng.random(len(rows)) + 0.1, (rows, cols)), shape=(n, n))
     start = np.zeros(n)
     start[0] = 1.0
-    return MOGenModel(1, [(f"s{i}",) for i in range(n)], start, trans, np.zeros(n))
+    return build(1, [(f"s{i}",) for i in range(n)], start, trans, np.zeros(n))
 
 
 def _slow_chain() -> MOGenModel:
@@ -535,7 +554,7 @@ def _slow_chain() -> MOGenModel:
     fixed point cannot converge within the iteration cap. The fit's start count
     is doubled, so the counts do not conserve flow and S.F is solved."""
     fit = fit_mogen(PathDataset([Path(tuple("ab" * 1000))]), 1)
-    return MOGenModel(1, fit.states, 2 * fit.start_counts, fit.trans_counts, fit.end_counts)
+    return build(1, fit.states, 2 * fit.start_counts, trans_counts(fit), fit.end_counts)
 
 
 #: Corpus makers of ``generators``, each a function of one integer seed.
@@ -572,8 +591,8 @@ class TestChainSolver:
         """A fit's S.F is read off its counts, and counts that do not conserve flow
         are solved; each S.F and F.1 logs one record."""
         fitted = fit_mogen(generators.toy_dataset(), 2)
-        rebuilt = MOGenModel(2, fitted.states, 2 * fitted.start_counts, fitted.trans_counts,
-                             fitted.end_counts)
+        rebuilt = build(2, fitted.states, 2 * fitted.start_counts, trans_counts(fitted),
+                        fitted.end_counts)
         with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
             for model in (fitted, rebuilt):
                 model.expected_visits()
@@ -602,11 +621,11 @@ class TestChainSolver:
         fitted.expected_visits()
         fitted.reach_totals()
         assert searches == []
-        model = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
+        model = build(2, fitted.states, fitted.start_counts, trans_counts(fitted), fitted.end_counts)
         model.expected_visits()  # from the counts, once the search has passed
         model.reach_totals()
         assert len(searches) == 1
-        rebuilt = MOGenModel(2, fitted.states, fitted.start_counts, fitted.trans_counts, fitted.end_counts)
+        rebuilt = build(2, fitted.states, fitted.start_counts, trans_counts(fitted), fitted.end_counts)
         rebuilt.reach_totals()  # a new model searches again
         assert len(searches) == 2
 
@@ -641,8 +660,8 @@ class TestChainSolver:
     def test_closed_class_beside_an_absorbing_state_is_numeric_error(self, solve):
         # a ends half the time; b <-> c, entered from a, never end
         trans = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
-        model = MOGenModel(1, [("a",), ("b",), ("c",)], np.array([1.0, 0.0, 0.0]), trans,
-                           np.array([1.0, 0.0, 0.0]))
+        model = build(1, [("a",), ("b",), ("c",)], np.array([1.0, 0.0, 0.0]), trans,
+                      np.array([1.0, 0.0, 0.0]))
         with pytest.raises(NumericError, match="never reaches the end"):
             getattr(model, solve)()
 
@@ -736,17 +755,15 @@ class TestOrdersAboveTheLongestPath:
 def _toy_args() -> list:
     """Constructor arguments of the toy dataset's order-2 fit."""
     m = fit_mogen(generators.toy_dataset(), 2)
-    return [m.order, list(m.states), m.start_counts, m.trans_counts, m.end_counts]
-
-
-def _resized(matrix: sp.csr_matrix, shape: tuple) -> sp.csr_matrix:
-    out = matrix.copy()
-    out.resize(shape)
-    return out
+    return [m.order, list(m.states), m.start_counts, trans_counts(m), m.end_counts]
 
 
 def _replace(args: list, pos: int, value) -> list:
     return [value if i == pos else a for i, a in enumerate(args)]
+
+
+def _id_rows(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int32)
 
 
 class TestConstructor:
@@ -754,8 +771,8 @@ class TestConstructor:
         ds = generators.order2_families(seed=4, n_paths=200)
         model = fit_mogen(ds, 2)
         assert model.n_paths == ds.total  # every path starts exactly once
-        again = MOGenModel(model.order, model.states, model.start_counts, model.trans_counts,
-                           model.end_counts)
+        again = build(model.order, model.states, model.start_counts, trans_counts(model),
+                      model.end_counts)
         assert again.states == model.states
         assert np.array_equal(again.start_p, model.start_p)
         assert np.array_equal(again.end_p, model.end_p)
@@ -771,39 +788,35 @@ class TestConstructor:
         lambda a: _replace(a, 2, a[2][:-1]),
         lambda a: _replace(a, 4, a[4][:-1]),
         lambda a: _replace(a, 2, a[2][:, None]),
-        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]) - 1, len(a[1]) - 1))),
-        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]) + 1, len(a[1]) + 1))),
-        lambda a: _replace(a, 3, _resized(a[3], (len(a[1]), len(a[1]) + 1))),
         lambda a: _replace(a, 3, a[3] * -1.0),
         lambda a: _replace(a, 2, np.array([-1.0, *a[2][1:]])),
         lambda a: _replace(a, 4, np.array([np.nan, *a[4][1:]])),
     ], ids=["order_zero", "order_string", "repeated_state", "short_start_counts",
-            "short_end_counts", "column_start_counts", "small_trans", "trans_beyond_states",
-            "non_square_trans", "negative_transition_count", "negative_start_count",
-            "nan_end_count"])
+            "short_end_counts", "column_start_counts", "negative_transition_count",
+            "negative_start_count", "nan_end_count"])
     def test_malformed_counts_are_data_error(self, mangle):
         args = _toy_args()
-        MOGenModel(*args)
+        build(*args)
         with pytest.raises(DataError):
-            MOGenModel(*mangle(args))
+            build(*mangle(args))
 
     @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
     def test_constructor_rejects_bad_counts(self, bad):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        MOGenModel(1, [("a",), ("b",)], start, trans, end)
+        build(1, [("a",), ("b",)], start, trans, end)
         with pytest.raises(DataError, match="finite and non-negative"):
-            MOGenModel(1, [("a",), ("b",)], np.array([1.0, bad]), trans, end)
+            build(1, [("a",), ("b",)], np.array([1.0, bad]), trans, end)
         with pytest.raises(DataError, match="finite and non-negative"):
-            MOGenModel(1, [("a",), ("b",)], start, trans * bad, end)
+            build(1, [("a",), ("b",)], start, trans * bad, end)
 
     def test_stored_zero_counts_are_no_transitions(self):
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         plain = sp.csr_matrix(([2.0], ([0], [1])), shape=(2, 2))
         zeros = sp.csr_matrix(([2.0, 0.0], ([0, 1], [1, 0])), shape=(2, 2))
         assert zeros.nnz == 2
-        a = MOGenModel(1, [("a",), ("b",)], start, plain, end)
-        b = MOGenModel(1, [("a",), ("b",)], start, zeros, end)
+        a = build(1, [("a",), ("b",)], start, plain, end)
+        b = build(1, [("a",), ("b",)], start, zeros, end)
         assert b.log_likelihood() == a.log_likelihood() == 0.0
         assert b.dof() == a.dof() == 0
         assert b.trans_p.nnz == a.trans_p.nnz == 1
@@ -812,15 +825,37 @@ class TestConstructor:
     @pytest.mark.parametrize("row, col", [([0, 2], [1, 0]), ([0, -1], [1, 0]), ([0, 1], [1, 2])])
     def test_transition_arrays_outside_the_states_are_data_error(self, row, col):
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        model = MOGenModel(1, [("a",), ("b",)], start, ([2.0, 0.0], ([0, 1], [1, 0])), end)
-        assert model.trans_counts.nnz == 1
+        model = build(1, [("a",), ("b",)], start, ([2.0, 0.0], ([0, 1], [1, 0])), end)
+        assert trans_counts(model).nnz == 1
         with pytest.raises(DataError, match="counts must match"):
-            MOGenModel(1, [("a",), ("b",)], start, ([2.0, 1.0], (row, col)), end)
+            build(1, [("a",), ("b",)], start, ([2.0, 1.0], (row, col)), end)
+
+    @pytest.mark.parametrize("rows, labels, match", [
+        (_id_rows([0], [1]), ["a", "a"], "strictly ascending"),
+        (_id_rows([0], [1]), ["b", "a"], "strictly ascending"),
+        (_id_rows([0], [5]), ["a", "b"], "label ids"),
+        (_id_rows([0], [-2]), ["a", "b"], "label ids"),
+        (_id_rows([0, -1], [-1, 1]), ["a", "b"], "label ids"),
+        (_id_rows([0, -1], [-1, -1]), ["a", "b"], "label ids"),
+        (np.zeros((2, 0), np.int32), ["a", "b"], "label ids"),
+        (np.array([0, 1], np.int32), ["a", "b"], "2-D int array"),
+        (np.array([[0.0], [1.0]]), ["a", "b"], "2-D int array"),
+        ([[0], [1]], ["a", "b"], "2-D int array"),
+    ], ids=["repeated_label", "descending_labels", "id_past_the_labels", "id_below_the_pad",
+            "pad_before_a_node", "all_pad_row", "no_columns", "one_dimensional", "float_rows",
+            "list_rows"])
+    def test_malformed_rows_and_labels_are_data_error(self, rows, labels, match):
+        """Rows and labels are the only form of the states: each malformed one is a
+        data error, not a wrong state, an unsorted node list or an IndexError."""
+        args = np.ones(2), NO_TRANSITIONS, np.ones(2)
+        assert MOGenModel(1, _id_rows([0], [1]), *args, ["a", "b"]).states == (("a",), ("b",))
+        with pytest.raises(DataError, match=match):
+            MOGenModel(1, rows, *args, labels)
 
     def test_zero_start_counts_are_data_error(self):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
         with pytest.raises(DataError, match="start counts must sum to more than 0"):
-            MOGenModel(1, [("a",), ("b",)], np.zeros(2), trans, np.array([0.0, 1.0]))
+            build(1, [("a",), ("b",)], np.zeros(2), trans, np.array([0.0, 1.0]))
 
 
 #: Labels whose sort order differs from their length or first letter.
@@ -841,8 +876,8 @@ def labelled_corpora(draw):
 def _shuffled(model: MOGenModel, seed: int) -> MOGenModel:
     """The model rebuilt by its constructor with its rows in a random order."""
     perm = np.random.default_rng(seed).permutation(model.n_states)
-    return MOGenModel(model.order, [model.states[i] for i in perm], model.start_counts[perm],
-                      model.trans_counts[perm][:, perm], model.end_counts[perm])
+    return build(model.order, [model.states[i] for i in perm], model.start_counts[perm],
+                 trans_counts(model)[perm][:, perm], model.end_counts[perm])
 
 
 class TestNodeIndex:
@@ -859,19 +894,19 @@ class TestNodeIndex:
 
     def test_constructor_states_in_any_order(self):
         trans = sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 1])), shape=(3, 3))
-        model = MOGenModel(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]), trans,
-                           np.array([1.0, 1.0, 0.0]))
+        model = build(2, [("b", "a"), ("c",), ("a",)], np.array([1.0, 0.0, 1.0]), trans,
+                      np.array([1.0, 1.0, 0.0]))
         nodes, last, lengths = model.node_index
         assert (nodes, last.tolist(), lengths.tolist()) == (["a", "c"], [0, 1, 0], [2, 1, 1])
 
 
-def _log_likelihood_oracle(model: MOGenModel, trans_counts: sp.csr_matrix) -> float:
-    """The log-likelihood that looked up each of ``trans_counts``' entries, in their
+def _log_likelihood_oracle(model: MOGenModel, counts: sp.csr_matrix) -> float:
+    """The log-likelihood that looked up each of ``counts``' entries, in their
     stored order, in ``trans_p`` by (row, column)."""
     start = model.start_counts * np.log(model.start_p, where=model.start_counts > 0,
                                         out=np.zeros_like(model.start_p))
     ll = float(np.sum(start))
-    coo = trans_counts.tocoo()
+    coo = counts.tocoo()
     if coo.nnz:  # scipy indexes no entries as a sparse matrix
         probs = np.asarray(model.trans_p[coo.row, coo.col]).ravel()
         ll += float(np.sum(coo.data * np.log(probs)))
@@ -888,16 +923,17 @@ def _reversed_rows(m: sp.csr_matrix) -> sp.csr_matrix:
 
 def _rebuilt_unsorted(model: MOGenModel) -> tuple[MOGenModel, sp.csr_matrix]:
     """The model rebuilt by its constructor from counts in reversed row order, and those counts."""
-    counts = _reversed_rows(model.trans_counts)
-    return MOGenModel(model.order, model.states, model.start_counts, counts, model.end_counts), counts
+    counts = _reversed_rows(trans_counts(model))
+    return build(model.order, model.states, model.start_counts, counts, model.end_counts), counts
 
 
 def _matrix_arrays(model: MOGenModel) -> list[np.ndarray]:
-    return [a.copy() for m in (model.trans_counts, model.trans_p) for a in (m.data, m.indices, m.indptr)]
+    layout = [model.indptr, model.indices, model.counts, model.probs]
+    return [a.copy() for a in layout + [model.trans_p.data, model.trans_p.indices, model.trans_p.indptr]]
 
 
 class TestMatrixLayout:
-    """``trans_counts`` and ``trans_p`` share one sorted layout, and no call changes it."""
+    """``trans_p`` views the one sorted layout, and no call changes it."""
 
     @settings(max_examples=100, deadline=None)
     @given(labelled_corpora(), st.integers(1, 4))
@@ -905,11 +941,13 @@ class TestMatrixLayout:
         fitted = fit_mogen(ds, k)
         rebuilt, counts = _rebuilt_unsorted(fitted)
         for model in (fitted, rebuilt):
-            assert model.trans_p.has_sorted_indices and model.trans_counts.has_sorted_indices
-            assert np.array_equal(model.trans_p.indices, model.trans_counts.indices)
-            assert np.array_equal(model.trans_p.indptr, model.trans_counts.indptr)
+            assert model.trans_p.has_sorted_indices and trans_counts(model).has_sorted_indices
+            assert np.array_equal(model.trans_p.indices, model.indices)
+            assert np.array_equal(model.trans_p.indptr, model.indptr)
+            assert np.array_equal(model.trans_p.data, model.probs)
         assert np.array_equal(rebuilt.trans_p.data, fitted.trans_p.data)
-        assert fitted.log_likelihood() == _log_likelihood_oracle(fitted, fitted.trans_counts)
+        assert np.array_equal(rebuilt.indices, fitted.indices) and np.array_equal(rebuilt.counts, fitted.counts)
+        assert fitted.log_likelihood() == _log_likelihood_oracle(fitted, trans_counts(fitted))
         assert rebuilt.log_likelihood() == pytest.approx(_log_likelihood_oracle(rebuilt, counts),
                                                          rel=1e-12, abs=0)
 
@@ -919,7 +957,7 @@ class TestMatrixLayout:
         given = [counts.data.copy(), counts.indices.copy()]
         assert not counts.has_sorted_indices
         assert rebuilt.trans_p.has_sorted_indices
-        assert np.array_equal(rebuilt.trans_p.indices, fitted.trans_counts.indices)
+        assert np.array_equal(rebuilt.trans_p.indices, fitted.indices)
         assert rebuilt.log_likelihood() == pytest.approx(_log_likelihood_oracle(rebuilt, counts),
                                                          rel=1e-12, abs=0)
         assert np.array_equal(counts.data, given[0]) and np.array_equal(counts.indices, given[1])
@@ -927,16 +965,16 @@ class TestMatrixLayout:
     def test_duplicate_counts_are_summed(self):
         start, end = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         twice = sp.csr_matrix(([1.0, 1.0], [1, 1], [0, 2, 2]), shape=(2, 2))
-        model = MOGenModel(1, [("a",), ("b",)], start, twice, end)
-        assert model.trans_counts.nnz == model.trans_p.nnz == 1 and model.dof() == 0
-        assert model.trans_counts[0, 1] == 2.0 and model.trans_p[0, 1] == 1.0
+        model = build(1, [("a",), ("b",)], start, twice, end)
+        assert trans_counts(model).nnz == model.trans_p.nnz == 1 and model.dof() == 0
+        assert trans_counts(model)[0, 1] == 2.0 and model.trans_p[0, 1] == 1.0
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_integer_counts_give_float64_probabilities(self, dtype):
         fitted = fit_mogen(generators.order2_families(seed=4, n_paths=300), 2)
         start, end = fitted.start_counts.astype(dtype), fitted.end_counts.astype(dtype)
-        model = MOGenModel(2, fitted.states, start, fitted.trans_counts.astype(dtype), end)
-        assert model.trans_counts.dtype == dtype and model.trans_p.dtype == np.float64
+        model = build(2, fitted.states, start, trans_counts(fitted).astype(dtype), end)
+        assert model.counts.dtype == dtype and model.trans_p.dtype == np.float64
         assert np.array_equal(model.trans_p.data, fitted.trans_p.data)
         assert np.array_equal(model.trans_p.indices, fitted.trans_p.indices)
         assert np.array_equal(model.end_p, fitted.end_p) and np.array_equal(model.start_p, fitted.start_p)
@@ -944,8 +982,8 @@ class TestMatrixLayout:
 
     def test_count_dtypes_give_equal_probabilities(self):
         fitted = fit_mogen(generators.order2_families(seed=4, n_paths=300), 2)
-        got = [MOGenModel(2, fitted.states, fitted.start_counts.astype(dtype),
-                          fitted.trans_counts.astype(dtype), fitted.end_counts.astype(dtype))
+        got = [build(2, fitted.states, fitted.start_counts.astype(dtype),
+                     trans_counts(fitted).astype(dtype), fitted.end_counts.astype(dtype))
                for dtype in (np.int64, np.float32, np.float64)]
         want = got[0]
         for model in got:
@@ -962,10 +1000,10 @@ class TestMatrixLayout:
         rng = np.random.default_rng(0)
         start = fitted.start_counts * rng.uniform(0.1, 3, fitted.n_states)
         end = fitted.end_counts * rng.uniform(0.1, 3, fitted.n_states)
-        trans = fitted.trans_counts.copy()
+        trans = trans_counts(fitted)
         trans.data *= rng.uniform(0.1, 3, trans.nnz)
-        MOGenModel(2, fitted.states, start.astype(np.float32), trans.astype(np.float32), end.astype(np.float32))
-        model = MOGenModel(2, fitted.states, start, trans, end)
+        build(2, fitted.states, start.astype(np.float32), trans.astype(np.float32), end.astype(np.float32))
+        model = build(2, fitted.states, start, trans, end)
         row_tot = np.asarray(trans.sum(axis=1)).ravel() + end
         assert np.array_equal(model.start_p, start / start.sum())
         assert np.array_equal(model.end_p, end / row_tot)
@@ -983,13 +1021,15 @@ class TestMatrixLayout:
             after = _matrix_arrays(model)
             assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
-    def test_search_leaves_its_matrix_unchanged(self):
+    def test_search_leaves_its_arrays_unchanged(self):
         model = fit_mogen(generators.order2_families(seed=2, n_paths=300), 2)
-        for adj in (model.trans_p, model.trans_p.T):
-            before = [adj.data.copy(), adj.indices.copy(), adj.indptr.copy()]
-            list(models._first_reached(adj, sp.identity(model.n_states, format="csr")))
-            after = [adj.data, adj.indices, adj.indptr]
-            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        layout, transposed = _matrix_arrays(model), model.trans_p.T.tocsr()
+        for adj in ((model.indptr, model.indices), (transposed.indptr, transposed.indices)):
+            sources = np.arange(model.n_states)
+            before = [a.copy() for a in (*adj, sources)]
+            list(models._first_reached(adj, sources))
+            assert all(np.array_equal(a, b) for a, b in zip((*adj, sources), before))
+        assert all(np.array_equal(a, b) for a, b in zip(_matrix_arrays(model), layout))
 
 
 class TestFitPath:
@@ -1001,7 +1041,7 @@ class TestFitPath:
 
 def _conserves_flow(model: MOGenModel) -> bool:
     """Whether each state's start and in-counts sum to its out- and end counts."""
-    counts = model.trans_counts
+    counts = trans_counts(model)
     return np.array_equal(model.start_counts + np.asarray(counts.sum(axis=0)).ravel(),
                           np.asarray(counts.sum(axis=1)).ravel() + model.end_counts)
 
@@ -1019,13 +1059,13 @@ def _with_cycle(model: MOGenModel, length: int, count: int) -> MOGenModel:
     """``model`` rebuilt from its counts, given as ``(data, (row, col))`` arrays, plus
     a closed cycle of ``length`` new states with ``count`` on each transition: counts
     that conserve flow in a chain that is not absorbing."""
-    n, coo = model.n_states, model.trans_counts.tocoo()
+    n, coo = model.n_states, trans_counts(model).tocoo()
     ring, pad = np.arange(n, n + length), np.zeros(length)
     trans = (np.concatenate([coo.data, np.full(length, float(count))]),
              (np.concatenate([coo.row, ring]), np.concatenate([coo.col, np.roll(ring, -1)])))
-    return MOGenModel(model.order, [*model.states, *((f"~{i}",) for i in range(length))],
-                      np.concatenate([model.start_counts, pad]), trans,
-                      np.concatenate([model.end_counts, pad]))
+    return build(model.order, [*model.states, *((f"~{i}",) for i in range(length))],
+                 np.concatenate([model.start_counts, pad]), trans,
+                 np.concatenate([model.end_counts, pad]))
 
 
 class TestExpectedVisitsFromCounts:
@@ -1056,10 +1096,10 @@ class TestExpectedVisitsFromCounts:
         for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
             fit = fit_mogen(sub, k)
             end = fit.end_counts * rng.integers(2, 5, fit.n_states)  # more ends than starts
-            coo = fit.trans_counts.tocoo()
+            coo = trans_counts(fit).tocoo()
             shuffled = rng.permutation(coo.nnz)
-            for trans in (fit.trans_counts, (coo.data[shuffled], (coo.row[shuffled], coo.col[shuffled]))):
-                model = MOGenModel(k, fit.states, fit.start_counts, trans, end)
+            for trans in (trans_counts(fit), (coo.data[shuffled], (coo.row[shuffled], coo.col[shuffled]))):
+                model = build(k, fit.states, fit.start_counts, trans, end)
                 assert not _conserves_flow(model)
                 assert np.array_equal(model.expected_visits(),
                                       solver_oracles.solve(model, "S.F", model.start_p))

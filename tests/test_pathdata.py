@@ -28,6 +28,7 @@ from pathcent import (
 from pathcent.pathdata import read_actions, read_temporal_edges, write_paths
 
 import pathdata_oracles as oracle
+from model_oracles import trans_counts
 from ranking_oracles import scored_sequences
 
 
@@ -427,7 +428,7 @@ def _assert_same_dataset(got, want):
         assert a.states == b.states
         assert np.array_equal(a.start_counts, b.start_counts)
         assert np.array_equal(a.end_counts, b.end_counts)
-        assert np.array_equal(a.trans_counts.toarray(), b.trans_counts.toarray())
+        assert np.array_equal(trans_counts(a).toarray(), trans_counts(b).toarray())
 
 
 def _sides(ds, fraction, seed) -> tuple:
