@@ -15,9 +15,9 @@ ascending, and arrays read at them, and searches closeness from those rows only.
 
 Closeness is out-direction harmonic closeness over unweighted hop distances,
 searched per node and per state over bit sets of target groups
-(:func:`pathcent.models._closeness`). A breadth-first search serves Brandes
-betweenness and the edge report's closeness from its selected states; both searches
-read a model's ``(indptr, indices)`` alone, so this module imports no scipy.
+(:func:`pathcent.models._closeness`). A breadth-first search over a model's
+``(indptr, indices)`` serves Brandes betweenness and the edge report's closeness from
+its selected states, so no measure loads scipy: only ``trans_p`` and the LU fallback do.
 
 Path-model values and the experiment's ground truth are arrays over the corpus's
 sequence codes (:func:`sequence_scores`; level-1 codes are label ids), counted over
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UnsupportedMeasureError
-from .models import MOGenModel, NetworkModel, PathModel, _closeness, _first_reached, _keyed_rows, _pattern
+from .models import MOGenModel, NetworkModel, PathModel, _closeness, _entries, _first_reached, _keyed_rows
 from .pathdata import MEASURES, PATH_MEASURES, PathDataset
 
 #: Cells of one batch of sequence closeness pairs; bounds their memory on long paths.
@@ -126,24 +126,24 @@ def _sequence_closeness(sid, at, stop, n: int) -> np.ndarray:
 
 def _network_betweenness(adj) -> np.ndarray:
     """Brandes betweenness (unnormalised) over the CSR pattern ``adj``, its
-    ``(indptr, indices)``, from the BFS levels of every source: with σ_d the
-    shortest-path counts of level d, the dependencies are
-    δ_d = σ_d ⊙ (((1 + δ_{d+1}) / σ_{d+1}) @ adjᵀ), summed backward over the
-    levels of each batch of sources."""
-    n = len(adj[0]) - 1
-    adj_t = _pattern(adj, n).T.tocsr()  # built once per call
-    out = np.zeros(n)
-    levels = []
-    for _, _, sigma in _first_reached(adj, np.arange(n)):
-        if sigma.nnz:
-            levels.append(sigma)
+    ``(indptr, indices)``, from the BFS levels of every source. Backward over a
+    batch's levels, a cell v gets δ_v = σ_v · Σ_w c_w over its successors w one level
+    deeper, ascending, with c_w = 1/σ_w + (1/σ_w)·δ_w per cell of the batch (0
+    elsewhere); each level adds its δ, summed per row over the batch's sources in
+    ascending order, to the row's total."""
+    (indptr, indices), n = adj, len(adj[0]) - 1
+    out, levels = np.zeros(n), []
+    for _, _, src, row, sigma in _first_reached(adj, np.arange(n)):
+        if len(row):
+            levels.append((src * n + row, row, sigma))
             continue
-        coef = sigma  # the batch's last level is empty
-        for sigma in reversed(levels):
-            delta = sigma.multiply(coef @ adj_t)
-            out += delta.sum(axis=0).A1
-            inv = sigma.power(-1)
-            coef = inv + inv.multiply(delta)
+        coef = np.zeros(n * max((int(c[-1]) // n + 1 for c, _, _ in levels), default=0))
+        for cell, row, sigma in reversed(levels):  # an empty level ends the batch's levels
+            of, at = _entries(indptr, row)
+            delta = sigma * np.bincount(of, coef[(cell - row)[of] + indices[at]], len(row))
+            out += np.bincount(row, delta, n)
+            inv = 1.0 / sigma
+            coef[cell] = inv + inv * delta
         levels = []
     return out
 
@@ -239,6 +239,7 @@ def edge_centralities(
     rows = np.flatnonzero((shares >= min_visitation) & (model.node_index[2] == 2))
     columns = {m: np.zeros(len(rows)) if m == "closeness" else mogen_state_scores(model, m)[rows] for m in measures}
     if "closeness" in columns and len(rows):  # summed as _closeness sums, d ascending
-        for lo, dist, level in _first_reached((model.indptr, model.indices), rows):
-            columns["closeness"][lo : lo + level.shape[0]] += np.diff(level.indptr) / dist
+        for lo, dist, src, _, _ in _first_reached((model.indptr, model.indices), rows):
+            reached = np.bincount(src)  # per source of the batch, up to its last that reached a row
+            columns["closeness"][lo : lo + len(reached)] += reached / dist
     return EdgeCentralityReport(rows, shares[rows], columns)

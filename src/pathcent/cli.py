@@ -225,7 +225,7 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
     if edges and (model != "mogen" or k == 1):
         raise click.UsageError("--edges requires --model mogen and --k auto or at least 2")
     from . import centrality as cent
-    from .models import fit_mogen, fit_network, fit_path, select_order
+    from .models import _state_keys, fit_mogen, fit_network, fit_path, select_order
 
     ds = load_dataset(input_path)
     if model == "network":
@@ -238,7 +238,7 @@ def centrality_cmd(input_path, model, k, k_max, measures, edges, min_visitation,
             k = select_order(ds, k_max, fits)
             click.echo(f"selected order K={k}")
         fitted = fits.get(k) or fit_mogen(ds, k)
-        keys = ["|".join(s) for s in fitted.states]  # in row order, as the CSV writes them
+        keys = _state_keys(fitted.labels, fitted.rows, "|")  # in row order, as the CSV writes them
         order = sorted(range(len(keys)), key=keys.__getitem__)  # shared by every JSON column
         sorted_keys = [_encode(keys[i]) for i in order]
 

@@ -17,10 +17,8 @@ Three representations of the same path dataset:
   one DEBUG record. That end check and closeness run the bit-set search
   :func:`_closeness`; betweenness and the edge report run :func:`_first_reached`.
 
-A model keeps its transitions as one sorted CSR layout of numpy arrays, and the
-solves and :func:`_closeness` run on it with numpy alone. scipy is loaded only
-by the ``trans_p`` view, the LU fallback and :func:`_pattern`, the scipy matrix
-that :func:`_first_reached` and Brandes betweenness multiply by.
+A model's transitions are one sorted CSR layout of numpy arrays, which the solves
+and both searches read; only the ``trans_p`` view and the LU fallback load scipy.
 
 A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
 the integer encoding and sequence codes that a corpus computes once and its
@@ -52,8 +50,8 @@ _TOL = 1e-14
 TIE_TOL = 1e-9
 #: Fixed-point iterations before a chain solve falls back to sparse LU.
 _MAX_ITER = 1000
-#: Cells of the dense seen-mask of one BFS batch (source rows x states);
-#: bounds the search's memory on large models.
+#: Cells of one BFS batch, source rows x max(states, transitions); bounds its seen
+#: slots and each level's candidates, and so the search's memory on large models.
 _BFS_CELLS = 1 << 20
 #: uint64 words of one closeness batch (rows x words of group bits).
 _BATCH_WORDS = 1 << 17
@@ -209,7 +207,7 @@ class MOGenModel:
     @cached_property
     def trans_p(self):
         """Q as a scipy CSR matrix over the layout's arrays."""
-        import scipy.sparse as sp  # slow to import: only this view, _pattern and the LU fallback load it
+        import scipy.sparse as sp  # slow to import: only this view and the LU fallback load it
 
         m = sp.csr_matrix((self.probs, self.indices, self.indptr), shape=(self.n_states, self.n_states))
         m.has_canonical_format = True  # sorted and summed: scipy never sorts the shared data
@@ -322,6 +320,14 @@ def _state_tuples(labels: list[str], rows: np.ndarray) -> tuple[State, ...]:
     return tuple(tuple(r[:m]) for r, m in zip(named, (rows >= 0).sum(axis=1).tolist()))
 
 
+def _state_keys(labels: list[str], rows: np.ndarray, sep: str) -> list[str]:
+    """The labels of each row of ids joined by ``sep``, one column at a time."""
+    keys, joins = np.array(labels, dtype=object)[rows[:, 0]], np.array(["", *(sep + v for v in labels)], dtype=object)
+    for column in rows[:, 1:].T:  # a pad, -1, joins ""
+        keys = keys + joins[column + 1]
+    return keys.tolist()
+
+
 def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     """x = b + A x, with A = Q^T for ``system`` "S.F" and A = Q for "F.1".
 
@@ -362,39 +368,43 @@ def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pattern(adj, n: int):
-    """The CSR pattern ``adj``, its ``(indptr, indices)``, as a scipy CSR matrix of
-    ones with ``n`` columns."""
-    import scipy.sparse as sp
-
-    indptr, indices = adj
-    m = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, n))
-    m.has_canonical_format = True  # sorted and summed
-    return m
+def _entries(indptr: np.ndarray, rows: np.ndarray):
+    """The entries of ``rows`` in the CSR ``indptr``, row by row: each one's index
+    into ``rows``, and its position."""
+    start = indptr[rows]
+    size = indptr[rows + 1] - start
+    of = np.repeat(np.arange(len(rows)), size)
+    return of, (start - np.cumsum(size) + size)[of] + np.arange(len(of))
 
 
 def _first_reached(adj, sources: np.ndarray):
     """Level-synchronous BFS over the CSR pattern ``adj``, its ``(indptr,
     indices)``, from each of the rows ``sources`` at distance 0. Yields ``(lo,
-    dist, level)`` per level and batch of sources from ``lo``: ``level``, a scipy
-    CSR matrix (batch sources x rows), counts the shortest paths to each row first
-    seen at ``dist`` >= 1 hops. A batch's last level is empty."""
-    n = len(adj[0]) - 1
-    adj = _pattern(adj, n)
-    batch = max(1, _BFS_CELLS // n)
+    dist, src, row, sigma)`` per level and batch of sources from ``lo``: the cells
+    first seen at ``dist`` >= 1 hops, by source (index in the batch, ascending) and
+    row, and ``sigma``, their shortest-path counts. A batch's last level is empty.
+    A source expands each cell once, so a level has at most batch x transitions
+    candidates; their positions scatter into the batch's slots, one per cell, and
+    one ``np.bincount`` sums σ at the position that stuck for each unseen cell."""
+    (indptr, indices), n = adj, len(adj[0]) - 1
+    batch = max(1, _BFS_CELLS // max(n, len(indices)))
     for lo in range(0, len(sources), batch):
-        at = sources[lo : lo + batch]
-        b, dist = len(at), 0
-        frontier = _pattern((np.arange(b + 1), at), n)
-        seen = np.zeros(b * n, dtype=bool)
-        while frontier.nnz:
-            seen[np.repeat(np.arange(b) * n, np.diff(frontier.indptr)) + frontier.indices] = True
+        row = sources[lo : lo + batch]
+        src, sigma, dist = np.arange(len(row)), np.ones(len(row)), 0
+        slot = np.full(len(row) * n, -1, np.int32)  # -1 until a cell is seen
+        slot[src * n + row] = 0
+        while len(row):
             dist += 1
-            frontier = frontier @ adj
-            cells = np.repeat(np.arange(b) * n, np.diff(frontier.indptr)) + frontier.indices
-            frontier.data[seen[cells]] = 0  # path counts are positive: only the seen are 0
-            frontier.eliminate_zeros()
-            yield lo, dist, frontier
+            of, at = _entries(indptr, row)
+            src, row = src[of], indices[at]
+            cell, k = src * n + row, np.arange(len(of), dtype=np.int32)
+            new = slot[cell] < 0
+            slot[cell] = k
+            at = slot[cell]
+            head = (at == k) & new
+            sigma = np.bincount(at, sigma[of], len(cell))[head]
+            src, row = src[head], row[head]
+            yield lo, dist, src, row, sigma
 
 
 def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
@@ -422,9 +432,8 @@ def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
         d = 0
         while len(rows):
             d += 1
-            size = pred_ptr[rows + 1] - pred_ptr[rows]  # the predecessors of the grown rows
-            at = np.repeat(pred_ptr[rows] - np.cumsum(size) + size, size) + np.arange(size.sum())
-            rows, new = _gains(pred[at], new[np.repeat(np.arange(len(rows)), size)], reach)
+            of, at = _entries(pred_ptr, rows)  # the predecessors of the grown rows
+            rows, new = _gains(pred[at], new[of], reach)
             own, gained = _gains(group[rows], new, seen) if by_group else (rows, new)
             counts.setdefault(d, np.zeros(n_out))[own] += np.bitwise_count(gained).sum(axis=1)
     return sum((counts[d] / d for d in sorted(counts)), np.zeros(n_out))

@@ -85,3 +85,8 @@ class TestCliPairs:
         result = bench_pairs.run_cli(root, ["ingest", "--input", str(tmp_path / "missing"),
                                             "--format", "paths"], tmp_path / "out")
         assert result["correct"] is False and result["outputs"] == {}
+
+    def test_the_generated_input_holds_the_asked_walks(self, tmp_path):
+        bench_pairs.make_corpus(tmp_path / "input", 37)
+        lines = (tmp_path / "input").read_text().splitlines()
+        assert sum(int(line.rsplit(";", 1)[1]) for line in lines) == 37

@@ -991,6 +991,8 @@ class TestFreshInterpreter:
             steps.append(["ingest", "--input", str(tmp_path / fmt), "--format", fmt, *delta,
                           "--output-dir", str(tmp_path / f"ingest-{fmt}")])
         paths = str(tmp_path / "ingest-paths" / "dataset.paths")
+        corpus = tmp_path / "experiment.paths"  # enough targets for the experiment's deciles
+        corpus.write_text("a,b,c;3;0\na,c,d;2;10\nb,c,d,e;1;20\nc,e;4;30\nd,a,b;2;40\n")
         steps += [["centrality", "--input", paths, "--model", "mogen", "--k", "2",
                    "--output-dir", str(tmp_path / "mogen")],
                   ["smells", "--platform", f"p={paths}", "--window", "10", "--shift", "5",
@@ -998,13 +1000,19 @@ class TestFreshInterpreter:
                   ["centrality", "--input", paths, "--model", "network", "--measure", "closeness",
                    "--output-dir", str(tmp_path / "network")],
                   ["centrality", "--input", paths, "--model", "mogen", "--k", "2", "--edges",
-                   "--output-dir", str(tmp_path / "edges")]]
+                   "--output-dir", str(tmp_path / "edges")],
+                  ["experiment", "--input", str(corpus), "--models", "N,M2,P", "--replicates", "2",
+                   "--output-dir", str(tmp_path / "experiment")],
+                  ["centrality", "--input", paths, "--model", "network",
+                   "--output-dir", str(tmp_path / "network-all")]]
         seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
         # the import, --help, six usage errors, three ingests; then mogen centralities,
-        # smells and network closeness, which load numpy only; then the edge report's
-        # search, which loads scipy
+        # smells, network closeness, the edge report, the experiment with the network
+        # model and network centralities with all measures (betweenness's search
+        # among them), which load numpy only
         assert seen == [[0, []], [0, []], *[[1, []]] * 6, [0, []], [0, []], [0, []],
-                        [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy"]], [0, ["numpy", "scipy"]]]
+                        *[[0, ["numpy"]]] * 6]
+        assert (tmp_path / "network-all" / "centrality.json").exists()
         assert not os.path.exists(out)
 
 

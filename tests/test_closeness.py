@@ -7,8 +7,10 @@ sums and betweenness are compared at a relative tolerance of 1e-12, because
 the searches add level by level rather than in the oracles' order. The
 bit-set search behind every closeness runs over batches of 1 word and up.
 Start sets of several states run through the search over scipy start rows
-that ``model_oracles`` keeps; Brandes betweenness and the edge report's
-closeness equal that search's results bit for bit.
+that ``model_oracles`` keeps, whose cells and path counts the library's search
+yields level by level. The edge report's closeness equals that scipy search's
+results bit for bit; Brandes betweenness equals a plain-Python Brandes that sums
+in the library's order bit for bit, and the scipy one on sparse digraphs.
 """
 from collections import defaultdict, deque
 from unittest import mock
@@ -21,12 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcent import Path, PathDataset, fit_mogen, fit_network
-from pathcent import models
-from pathcent.centrality import compute, edge_centralities, mogen_state_scores
+from pathcent import centrality, models
+from pathcent.centrality import _network_betweenness, compute, edge_centralities, mogen_state_scores
 
 import generators
 import model_oracles
-from test_models import _fit_network_oracle, assert_network_matches_oracle
+from test_models import _fit_network_oracle, assert_network_matches_oracle, small_corpora
 from vector_dicts import as_dict
 
 REL = 1e-12
@@ -124,11 +126,10 @@ def searched(adj, start, groups=None) -> dict:
     if isinstance(start, np.ndarray):
         levels = models._first_reached(adj, start)
     else:
-        levels = model_oracles.first_reached(pattern_matrix(adj), start)
+        levels = model_oracles.level_cells(model_oracles.first_reached(pattern_matrix(adj), start))
     out, seen = {}, set()
-    for lo, dist, level in levels:
-        coo = level.tocoo()
-        for r, c in zip((coo.row + lo).tolist(), coo.col.tolist()):
+    for lo, dist, src, row, _ in levels:
+        for r, c in zip((src + lo).tolist(), row.tolist()):
             assert (r, c) not in seen  # each state is first seen once
             seen.add((r, c))
             out.setdefault((r, int(groups[c])), dist)
@@ -308,6 +309,75 @@ def test_network_betweenness_is_the_matrix_search_bit_for_bit(ds):
         with mock.patch.object(models, "_BFS_CELLS", cells):
             got = compute(model, "betweenness").values
             assert np.array_equal(got, model_oracles.network_betweenness(adj))
+
+
+@st.composite
+def dense_digraphs(draw):
+    """CSR patterns ``(indptr, indices)`` of random digraphs on 1 to 120 nodes, each
+    edge, self-loops too, drawn with a probability of 0.02 to 0.3."""
+    n, p = draw(st.integers(1, 120)), draw(st.floats(0.02, 0.3))
+    rows, cols = np.nonzero(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) < p)
+    return np.searchsorted(rows, np.arange(n + 1)), cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_digraphs(), st.sampled_from([1, 7, 64, models._BFS_CELLS]))
+def test_network_betweenness_is_the_plain_brandes_bit_for_bit(adj, cells):
+    """On denser digraphs, where the order of summation shows in the last bits."""
+    with mock.patch.object(models, "_BFS_CELLS", cells):
+        assert _network_betweenness(adj).tolist() == model_oracles.brandes(adj)
+
+
+def test_a_level_expands_at_most_bfs_cells_candidates(monkeypatch):
+    """On the complete digraph with self-loops, 60 nodes and 3,600 edges, 4 sources
+    fit a batch of 2**14 cells: each level of the search and of Brandes' backward
+    pass expands at most 4 x 3,600 entries, where all 60 sources would expand
+    60 x 59 x 60 at the second level."""
+    n, sizes, entries = 60, [], models._entries
+    adj = np.arange(n + 1) * n, np.tile(np.arange(n), n)
+
+    def spy(indptr, rows):
+        of, at = entries(indptr, rows)
+        sizes.append(len(of))
+        return of, at
+
+    monkeypatch.setattr(models, "_BFS_CELLS", 1 << 14)
+    monkeypatch.setattr(models, "_entries", spy)
+    monkeypatch.setattr(centrality, "_entries", spy)
+    assert _network_betweenness(adj).tolist() == model_oracles.brandes(adj) == [0.0] * n
+    assert max(sizes) <= 1 << 14
+
+
+def assert_same_levels(adj, sources):
+    """The search from ``sources`` yields, level by level, the cells and path counts
+    of the scipy search from their identity rows, each level's sources ascending."""
+    start = sp.identity(len(adj[0]) - 1, format="csr")[sources]
+    want = list(model_oracles.level_cells(model_oracles.first_reached(pattern_matrix(adj), start)))
+    got = list(models._first_reached(adj, sources))
+    assert [(lo, dist) for lo, dist, *_ in got] == [(lo, dist) for lo, dist, *_ in want]
+    for (_, _, *cells), (_, _, *expected) in zip(got, want):
+        assert (np.diff(cells[0]) >= 0).all() and (cells[2].dtype == np.float64 or not len(cells[2]))
+        assert sorted(zip(*(a.tolist() for a in cells))) == sorted(zip(*(a.tolist() for a in expected)))
+
+
+@st.composite
+def searches(draw):
+    """A CSR pattern and source rows, repeats allowed: a random digraph's network
+    model, or a MOGen fit of order 1 to 3 of paths over a/b/c (self-loops and
+    single-node paths among them)."""
+    if draw(st.booleans()):
+        model = fit_network(draw(digraphs()))
+    else:
+        model = fit_mogen(draw(small_corpora()), draw(st.integers(1, 3)))
+    n = len(model.indptr) - 1
+    return (model.indptr, model.indices), np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches(), st.sampled_from([1, 7, 64, models._BFS_CELLS]))
+def test_search_yields_the_matrix_search_levels(search, cells):
+    with mock.patch.object(models, "_BFS_CELLS", cells):
+        assert_same_levels(*search)
 
 
 def oracle_edge_closeness(model, rows) -> np.ndarray:

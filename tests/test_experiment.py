@@ -407,9 +407,8 @@ def _sequential_closeness(model) -> np.ndarray:
     """Per-state closeness summed as the breadth-first search once summed it:
     1/d added once per state first reached at d."""
     out = np.zeros(model.n_states)
-    for lo, dist, level in models._first_reached((model.indptr, model.indices), np.arange(model.n_states)):
-        reached = np.diff(level.indptr)
-        np.add.at(out, lo + np.repeat(np.arange(len(reached)), reached), 1.0 / dist)
+    for lo, dist, src, _, _ in models._first_reached((model.indptr, model.indices), np.arange(model.n_states)):
+        np.add.at(out, lo + src, 1.0 / dist)
     return out
 
 

@@ -334,6 +334,7 @@ class TestStatesAsRows:
             nodes, last, lengths = got.node_index
             assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(want.states)
             assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(got.states)
+            assert models._state_keys(got.labels, got.rows, "|") == ["|".join(s) for s in got.states]
 
     @pytest.mark.parametrize("corpus", [
         lambda: generators.order2_families(seed=2, n_paths=300),

@@ -5,7 +5,7 @@ against the working tree, and write every result and their summary to
 Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py --number N [--workload W ...] [--pairs 10] [--seconds 30]
-    python3 tools/bench_pairs.py --number N [--pairs 10] -- <command>
+    python3 tools/bench_pairs.py --number N [--pairs 10] [--paths 16000] -- <command>
 
 for example ``-- experiment --input {input} --replicates 1``, which writes
 ``BENCH_<n>_experiment.json``.
@@ -19,7 +19,7 @@ uncommitted edits are the change.
 
 Given a command after ``--``, each pair instead runs ``python3 -m
 pathcent.cli <command> --output-dir <fresh dir>`` on each side, with
-``PYTHONHASHSEED=0``, ``{input}`` replaced by a file that
+``PYTHONHASHSEED=0``, ``{input}`` replaced by a file of ``--paths`` walks that
 ``bench/corpora.random_walks`` writes once for seed (0, 0), and the result
 goes to ``BENCH_<n>_<command>.json``. A run's result
 holds its wall time, its CPU time and peak RSS from ``os.wait4`` (this script
@@ -121,10 +121,11 @@ def run_cli(root: Path, args: list[str], out: Path) -> dict:
                         for p in sorted(out.glob("*")) if p.is_file()}}
 
 
-def make_corpus(path: Path) -> None:
-    """Write ``bench/corpora.random_walks((0, 0), path)`` in a child, which loads numpy."""
-    code = "import sys; sys.path.insert(0, 'bench'); import corpora; corpora.random_walks((0, 0), sys.argv[1])"
-    subprocess.run([sys.executable, "-c", code, str(path)], cwd=ROOT, check=True)
+def make_corpus(path: Path, paths: int) -> None:
+    """Write ``bench/corpora.random_walks((0, 0), path, paths)`` in a child, which loads numpy."""
+    code = ("import sys; sys.path.insert(0, 'bench'); import corpora; "
+            "corpora.random_walks((0, 0), sys.argv[1], int(sys.argv[2]))")
+    subprocess.run([sys.executable, "-c", code, str(path), str(paths)], cwd=ROOT, check=True)
 
 
 def git(*args: str) -> str:
@@ -148,6 +149,7 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--paths", type=int, default=16000, help="walks in a command's {input}")
     parser.add_argument("cli", nargs="*", help="a pathcent command and its options, after --;"
                         " writes BENCH_<number>_<command>.json")
     args = parser.parse_args(argv)
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
         roots = {"parent": Path(tmp) / "parent", "change": ROOT}
         export(base, roots["parent"])
         if args.cli:
-            make_corpus(Path(tmp) / "input")
+            make_corpus(Path(tmp) / "input", args.paths)
             command = [a.replace("{input}", str(Path(tmp) / "input")) for a in args.cli]
         for workload in workloads:
             for seed in range(1, args.pairs + 1):
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
         "parent": {"commit": base},
         "change": {"base": base, "uncommitted": git("status", "--porcelain").splitlines()},
         "command": ("python3 -m pathcent.cli " + " ".join(args.cli) + " --output-dir <fresh dir>"
-                    + "; {input} = bench/corpora.random_walks((0, 0), ...)" if args.cli else
+                    + f"; {{input}} = bench/corpora.random_walks((0, 0), ..., {args.paths})" if args.cli else
                     "python3 " + " ".join(bench_command("<workload>", "<pair>", args.seconds))),
         "invocation": " ".join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)]),
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0]},
