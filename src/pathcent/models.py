@@ -24,9 +24,9 @@ A :class:`MOGenModel` comes from :func:`fit_mogen`, which counts with numpy on
 the integer encoding and sequence codes that a corpus computes once and its
 windows and split sides read, and keys each state by its code, in ``(len,
 labels)`` order; or from its constructor over such rows of label ids and COO
-counts; no file format. ``model.states[i]``, a tuple view built from the rows on
-first use, is the only state-to-row key. Later layers hold per-state arrays over
-the rows and read ``model.node_index``.
+counts; no file format. ``model.state_keys[i]``, row i's labels joined by ``|``, is
+the only state-to-row key; ``model.states`` splits the keys into label tuples on first
+use. Later layers hold per-state arrays over the rows and read ``model.node_index``.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .pathdata import END, START, PathDataset, _ranked
+from .pathdata import END, START, PathDataset, _check_labels, _ranked
 
 #: Row-stochasticity tolerance after normalisation.
 STOCHASTIC_TOL = 1e-12
@@ -110,9 +110,9 @@ class MOGenModel:
     Transition counts come as ``(data, (row, col))`` arrays, and are summed per
     transition into one sorted CSR layout (``indptr``, ``indices``, ``counts``,
     ``probs``), dropping a sum of 0; the caller's arrays are left as they are. An
-    order below 1, malformed labels or rows, repeated states, counts not sized to
-    the states, a negative or non-finite count, or start counts summing to 0, raise
-    :class:`DataError`.
+    order below 1, a label the readers reject (so none holds ``|``), malformed labels
+    or rows, repeated states, counts not sized to the states, a negative or non-finite
+    count, or start counts summing to 0, raise :class:`DataError`.
     A fit also sets ``codes``, its states' codes in its corpus's ranking."""
 
     codes: np.ndarray | None = None
@@ -128,6 +128,7 @@ class MOGenModel:
     ):
         if not (isinstance(order, int) and order >= 1):
             raise DataError("order must be >= 1")
+        _check_labels(labels)
         if any(a >= b for a, b in zip(labels, labels[1:])):
             raise DataError("labels must be strictly ascending")
         if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i"):
@@ -217,9 +218,19 @@ class MOGenModel:
     def n_states(self) -> int:
         return len(self.rows)
 
+    @property
+    def state_keys(self) -> list[str]:
+        """Row i's labels joined by ``|``, column by column, on each read; no label
+        holds ``|``, so each key splits back into its state."""
+        keys, joins = np.array(self.labels, dtype=object)[self.rows[:, 0]], np.array(["", *("|" + v for v in self.labels)], dtype=object)
+        for column in self.rows[:, 1:].T:  # a pad, -1, joins ""
+            keys = keys + joins[column + 1]
+        return keys.tolist()
+
     @cached_property
     def states(self) -> tuple[State, ...]:  # row i's state as a tuple of labels
-        return _state_tuples(self.labels, self.rows)
+        label = dict(zip(self.labels, self.labels))  # the labels' own strings, not a copy per state
+        return tuple(tuple(map(label.__getitem__, key.split("|"))) for key in self.state_keys)
 
     @cached_property
     def node_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -312,20 +323,6 @@ def _keyed_rows(ids: np.ndarray, codes: np.ndarray, n_codes: int, at, size):
     back = size[seen, None] - 1 - np.arange(int(size.max()))  # column c holds the node at - back
     rows = np.where(back >= 0, ids[at[seen, None] - back.clip(0)], -1).astype(np.int32)
     return index, distinct, seen, rows
-
-
-def _state_tuples(labels: list[str], rows: np.ndarray) -> tuple[State, ...]:
-    """The label tuple of each row of ids."""
-    named = np.array(labels, dtype=object)[rows].tolist()  # a pad's label is cut off
-    return tuple(tuple(r[:m]) for r, m in zip(named, (rows >= 0).sum(axis=1).tolist()))
-
-
-def _state_keys(labels: list[str], rows: np.ndarray, sep: str) -> list[str]:
-    """The labels of each row of ids joined by ``sep``, one column at a time."""
-    keys, joins = np.array(labels, dtype=object)[rows[:, 0]], np.array(["", *(sep + v for v in labels)], dtype=object)
-    for column in rows[:, 1:].T:  # a pad, -1, joins ""
-        keys = keys + joins[column + 1]
-    return keys.tolist()
 
 
 def _solve(model: MOGenModel, system: str, b: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ import numpy as np
 
 from pathcent import DataError
 from pathcent.centrality import MEASURES, _sequence_closeness, sequence_scores
-from pathcent.models import _state_tuples
 
 
 def sequence_levels(ds, k):
@@ -85,5 +84,6 @@ def scored_sequences(ds, measures, max_len=1) -> dict:
     """``sequence_scores`` as ``{measure: {label tuple: value}}``, each dict in the
     order of the sequences' codes."""
     _, rows, _, value = sequence_scores(ds, measures, max_len)
-    seqs = _state_tuples(ds.encoded[0], rows)
+    labels = ds.encoded[0]
+    seqs = [tuple(labels[i] for i in row if i >= 0) for row in rows.tolist()]
     return {m: dict(zip(seqs, value[m]().tolist())) for m in measures}

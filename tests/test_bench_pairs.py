@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: the summary of alternating benchmark pairs, on canned
-result lines (no benchmark runs)."""
+result lines (no benchmark runs), and the snapshot the change side runs from."""
 import importlib.util
 from pathlib import Path
 
@@ -90,3 +90,39 @@ class TestCliPairs:
         bench_pairs.make_corpus(tmp_path / "input", 37)
         lines = (tmp_path / "input").read_text().splitlines()
         assert sum(int(line.rsplit(";", 1)[1]) for line in lines) == 37
+
+
+class TestSnapshot:
+    def test_an_edit_after_the_snapshot_does_not_reach_the_change_side(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            return bench_pairs.git(*args, root=repo)
+
+        git("init", "-q")
+        (repo / ".gitignore").write_text("ignored/\n")
+        (repo / "kept.txt").write_text("committed\n")
+        (repo / "gone.txt").write_text("committed\n")
+        git("add", "-A")
+        git("-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+            "commit", "-q", "-m", "base")
+        (repo / "kept.txt").write_text("edited\n")
+        (repo / "gone.txt").unlink()
+        (repo / "new.txt").write_text("untracked\n")
+        (repo / "ignored").mkdir()
+        (repo / "ignored" / "out.txt").write_text("built\n")
+        status = git("status", "--porcelain")
+
+        tree = bench_pairs.snapshot(repo)
+        (repo / "kept.txt").write_text("edited after the snapshot\n")
+        (repo / "later.txt").write_text("added after the snapshot\n")
+        bench_pairs.export(tree, tmp_path / "change", repo)
+
+        change = tmp_path / "change"
+        assert sorted(p.name for p in change.rglob("*")) == [".gitignore", "kept.txt", "new.txt"]
+        assert (change / "kept.txt").read_text() == "edited\n"
+        assert (change / "new.txt").read_text() == "untracked\n"
+        (repo / "kept.txt").write_text("edited\n")
+        (repo / "later.txt").unlink()
+        assert git("status", "--porcelain") == status  # the repository's own index is untouched

@@ -300,15 +300,19 @@ def test_network_closeness_on_random_digraphs(ds, words):
 
 @settings(max_examples=150, deadline=None)
 @given(digraphs())
-def test_network_betweenness_is_the_matrix_search_bit_for_bit(ds):
+def test_network_betweenness_matches_the_matrix_search(ds):
     """Brandes over ``(indptr, indices)`` gives the values of Brandes over the scipy
-    count matrix and its start sets, at every batch size."""
+    count matrix and its start sets, at every batch size, within 1e-15 relative.
+    The oracle sums a node's successors in scipy's storage order and the library in
+    ascending order, so the last bits may differ: in 16,000 draws shaped like
+    ``digraphs()`` by at most 5.2e-16 relative, and in 2,000 denser ones by at most
+    6.4e-16. The library's order is checked bit for bit against the plain Brandes below."""
     model = fit_network(ds)
     adj = model_oracles.trans_counts(model) != 0
     for cells in (1, 7, 64, models._BFS_CELLS):
         with mock.patch.object(models, "_BFS_CELLS", cells):
             got = compute(model, "betweenness").values
-            assert np.array_equal(got, model_oracles.network_betweenness(adj))
+            np.testing.assert_allclose(got, model_oracles.network_betweenness(adj), rtol=1e-15, atol=0)
 
 
 @st.composite

@@ -72,6 +72,10 @@ class TestEncodePath:
 
 #: No transition counts, as ``(data, (row, col))`` arrays.
 NO_TRANSITIONS = (np.zeros(0), (np.zeros(0, np.int64), np.zeros(0, np.int64)))
+#: Node labels that every reader accepts: none empty, reserved, starting with '#'
+#: or holding one of '|,;' (``pathdata._check_labels``).
+_VALID_LABELS = st.text(st.characters(blacklist_characters="|,;#"), min_size=1, max_size=3).filter(
+    lambda v: v not in pathdata.RESERVED)
 
 
 def _fit_network_oracle(ds):
@@ -334,7 +338,17 @@ class TestStatesAsRows:
             nodes, last, lengths = got.node_index
             assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(want.states)
             assert (nodes, last.tolist(), lengths.tolist()) == _node_index_oracle(got.states)
-            assert models._state_keys(got.labels, got.rows, "|") == ["|".join(s) for s in got.states]
+            assert got.state_keys == ["|".join(s) for s in got.states]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_VALID_LABELS, min_size=1, max_size=4).map(tuple),
+                    min_size=1, max_size=8, unique=True))
+    def test_constructed_keys_split_back_into_the_states(self, states):
+        """The constructor's labels pass the readers' rule, so no label holds ``|``:
+        each key joins its state's labels, and splits back into them."""
+        model = build(4, states, np.ones(len(states)), NO_TRANSITIONS, np.ones(len(states)))
+        assert model.state_keys == ["|".join(s) for s in states]
+        assert model.states == tuple(states)
 
     @pytest.mark.parametrize("corpus", [
         lambda: generators.order2_families(seed=2, n_paths=300),
@@ -852,6 +866,17 @@ class TestConstructor:
         assert MOGenModel(1, _id_rows([0], [1]), *args, ["a", "b"]).states == (("a",), ("b",))
         with pytest.raises(DataError, match=match):
             MOGenModel(1, rows, *args, labels)
+
+    @pytest.mark.parametrize("bad", ["", START, END, "#a", "a|b", "a,b", "a;b"],
+                             ids=["empty", "start", "end", "leading_hash", "pipe", "comma", "semicolon"])
+    def test_labels_the_readers_reject_are_data_error(self, bad):
+        """A label no reader accepts fails the constructor with the readers' message."""
+        labels = sorted(["a", bad])
+        with pytest.raises(DataError) as want:
+            pathdata._check_labels(labels)
+        with pytest.raises(DataError) as got:
+            MOGenModel(1, _id_rows([0], [1]), np.ones(2), NO_TRANSITIONS, np.ones(2), labels)
+        assert str(got.value) == str(want.value)
 
     def test_zero_start_counts_are_data_error(self):
         trans = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))

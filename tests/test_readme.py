@@ -28,4 +28,5 @@ def test_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert len(edges.rows) and all(len(m2.states[r]) == 2 for r in edges.rows.tolist())
     assert net.nodes == m2.node_index[0] and len(net.counts) == 5
     assert again.states == m2.states and np.array_equal(again.probs, m2.probs)
+    assert m2.state_keys == ["|".join(s) for s in m2.states] == again.state_keys
     assert "('home', 'search')" in capsys.readouterr().out

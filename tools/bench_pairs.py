@@ -12,10 +12,11 @@ for example ``-- experiment --input {input} --replicates 1``, which writes
 
 Pair i (seed i, 1..pairs) runs, on each side and back to back,
 ``python3 bench/run.py --workload W --seed i --seconds S --trace 0``; the
-side that goes first alternates from pair to pair. The parent side runs in
-a ``git archive`` export of ``HEAD`` under a temporary directory, so it has
-the committed files only; the change side runs in the working tree, whose
-uncommitted edits are the change.
+side that goes first alternates from pair to pair. Each side runs in a
+``git archive`` export under a temporary directory: the parent side in one of
+``HEAD``, and the change side in one of the working tree as it was at start
+(its tracked and untracked files, less ignored ones, written to a git tree), so
+an edit made while pairs run reaches none of them.
 
 Given a command after ``--``, each pair instead runs ``python3 -m
 pathcent.cli <command> --output-dir <fresh dir>`` on each side, with
@@ -128,15 +129,25 @@ def make_corpus(path: Path, paths: int) -> None:
     subprocess.run([sys.executable, "-c", code, str(path), str(paths)], cwd=ROOT, check=True)
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def git(*args: str, root: Path = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=root, env=env, capture_output=True, text=True,
                           check=True).stdout.strip("\n")
 
 
-def export(rev: str, into: Path) -> None:
-    """The committed files of ``rev`` under ``into``."""
+def snapshot(root: Path = ROOT) -> str:
+    """The id of a git tree of the working tree under ``root``: its tracked and
+    untracked files, less ignored ones, added to a temporary index, so the
+    repository's own index is left as it is."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", root=root, env=env)
+        return git("write-tree", root=root, env=env)
+
+
+def export(rev: str, into: Path, root: Path = ROOT) -> None:
+    """The files of ``rev``, a commit or tree of the repository at ``root``, under ``into``."""
     archive = into.with_suffix(".tar")
-    git("archive", "--format=tar", "-o", str(archive), rev)
+    git("archive", "--format=tar", "-o", str(archive), rev, root=root)
     into.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-f", str(archive), "-C", str(into)], check=True)
     archive.unlink()
@@ -156,11 +167,12 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = ([" ".join(args.cli)] if args.cli else
                  args.workloads or [w["name"] for w in spec["workloads"]])
-    base = git("rev-parse", "HEAD")
+    base, tree, uncommitted = git("rev-parse", "HEAD"), snapshot(), git("status", "--porcelain")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"parent": Path(tmp) / "parent", "change": ROOT}
-        export(base, roots["parent"])
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, rev in zip(SIDES, (base, tree)):
+            export(rev, roots[side])
         if args.cli:
             make_corpus(Path(tmp) / "input", args.paths)
             command = [a.replace("{input}", str(Path(tmp) / "input")) for a in args.cli]
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
                     print(json.dumps(runs[-1]), flush=True)
     doc = {
         "parent": {"commit": base},
-        "change": {"base": base, "uncommitted": git("status", "--porcelain").splitlines()},
+        "change": {"base": base, "tree": tree, "uncommitted": uncommitted.splitlines()},
         "command": ("python3 -m pathcent.cli " + " ".join(args.cli) + " --output-dir <fresh dir>"
                     + f"; {{input}} = bench/corpora.random_walks((0, 0), ..., {args.paths})" if args.cli else
                     "python3 " + " ".join(bench_command("<workload>", "<pair>", args.seconds))),
