@@ -17,7 +17,7 @@ Closeness is out-direction harmonic closeness over unweighted hop distances,
 searched per node and per state over bit sets of target groups
 (:func:`pathcent.models._closeness`). A breadth-first search over a model's
 ``(indptr, indices)`` serves Brandes betweenness and the edge report's closeness from
-its selected states, so no measure loads scipy: only ``trans_p`` and the LU fallback do.
+its selected states, so no measure and no solve loads scipy: only ``trans_p`` does.
 
 Path-model values and the experiment's ground truth are arrays over the corpus's
 sequence codes (:func:`sequence_scores`; level-1 codes are label ids), counted over

@@ -4,8 +4,8 @@ counts that conserve flow.
 
 ``solve`` is the fixed point x <- b + A x over scipy CSR products, with A = Q^T
 (a transposed CSR copy) for "S.F" and A = Q for "F.1", stepping x -= residual and
-handing over to sparse LU at ``models._MAX_ITER`` iterations; the end search is a
-plain reachability sweep over the nonzero pattern of Q.
+handing over to sparse LU at ``MAX_ITER`` iterations; the end search is a plain
+reachability sweep over the nonzero pattern of Q.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -13,6 +13,9 @@ import scipy.sparse.linalg as spla
 
 from pathcent import NumericError
 from pathcent import models
+
+#: Fixed-point iterations before the oracle hands over to sparse LU.
+MAX_ITER = 1000
 
 
 def reaches_end(model) -> np.ndarray:
@@ -34,7 +37,7 @@ def solve(model, system: str, b: np.ndarray) -> np.ndarray:
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
     x = np.zeros_like(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(models._MAX_ITER):
+        for _ in range(MAX_ITER):
             r = x - a @ x - b
             residual = np.abs(r).max()
             if residual <= models._TOL * np.abs(x).max():

@@ -922,10 +922,11 @@ class TestDeterminism:
         self._run_twice(args, tmp_path / "a", tmp_path / "b")
 
 
-def _run_python(args, hash_seed="0"):
-    """Run a fresh interpreter on this checkout's package."""
+def _run_python(args, hash_seed="0", **env):
+    """Run a fresh interpreter on this checkout's package, with ``env`` added to the
+    environment."""
     src = str(Path(pathcent.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed, **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=True)
 
@@ -964,6 +965,25 @@ class TestFreshInterpreter:
         assert len(outputs[0]) > 1
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_mogen_centrality_byte_identical_across_blas_threads(self, tmp_path, monkeypatch):
+        # a 200-long self-loop run hands F.1 over to GMRES, whose inner products over
+        # the states add in one order however many threads BLAS may use, since none
+        # goes through BLAS
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # the second run's default
+        corpus = tmp_path / "walks.paths"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            write_paths(generators.first_order_walks(0, n_paths=6000, n_nodes=40, stop_p=0.15,
+                                                     max_len=16), fh)
+            fh.write(",".join(["loop"] * 200) + ";3\n")
+        outputs = []
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            out = tmp_path / f"threads{len(threads)}"
+            _run_python(["-m", "pathcent.cli", "centrality", "--input", str(corpus), "--model",
+                         "mogen", "--k", "3", "--output-dir", str(out)], **threads)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) > 1
+        assert outputs[0] == outputs[1]
+
     def test_cli_import_leaves_out_scipy_stats(self):
         # nor the graph and dense/sparse linear-algebra modules, which are slow
         # to import and which no command needs up front
@@ -993,6 +1013,8 @@ class TestFreshInterpreter:
         paths = str(tmp_path / "ingest-paths" / "dataset.paths")
         corpus = tmp_path / "experiment.paths"  # enough targets for the experiment's deciles
         corpus.write_text("a,b,c;3;0\na,c,d;2;10\nb,c,d,e;1;20\nc,e;4;30\nd,a,b;2;40\n")
+        slow = tmp_path / "slow.paths"  # (a, a) loops with probability 0.995
+        slow.write_text(",".join("a" * 200) + ";3\na,b;1\n")
         steps += [["centrality", "--input", paths, "--model", "mogen", "--k", "2",
                    "--output-dir", str(tmp_path / "mogen")],
                   ["smells", "--platform", f"p={paths}", "--window", "10", "--shift", "5",
@@ -1004,15 +1026,18 @@ class TestFreshInterpreter:
                   ["experiment", "--input", str(corpus), "--models", "N,M2,P", "--replicates", "2",
                    "--output-dir", str(tmp_path / "experiment")],
                   ["centrality", "--input", paths, "--model", "network",
-                   "--output-dir", str(tmp_path / "network-all")]]
+                   "--output-dir", str(tmp_path / "network-all")],
+                  ["centrality", "--input", str(slow), "--model", "mogen", "--k", "2",
+                   "--output-dir", str(tmp_path / "slow")]]
         seen = json.loads(_run_python(["-c", _ARRAY_LIBRARIES_PROBE, json.dumps(steps)]).stdout)
         # the import, --help, six usage errors, three ingests; then mogen centralities,
         # smells, network closeness, the edge report, the experiment with the network
-        # model and network centralities with all measures (betweenness's search
-        # among them), which load numpy only
+        # model, network centralities with all measures (betweenness's search among
+        # them) and mogen centralities of a slowly absorbing chain, which load numpy only
         assert seen == [[0, []], [0, []], *[[1, []]] * 6, [0, []], [0, []], [0, []],
-                        *[[0, ["numpy"]]] * 6]
+                        *[[0, ["numpy"]]] * 7]
         assert (tmp_path / "network-all" / "centrality.json").exists()
+        assert (tmp_path / "slow" / "centrality.json").exists()
         assert not os.path.exists(out)
 
 

@@ -416,7 +416,7 @@ def _solve_other_step(model, system, b):
     """The chain solve with its fixed-point step written x += b + A x - x."""
     a = model.trans_p.T.tocsr() if system == "S.F" else model.trans_p
     x = np.zeros_like(b)
-    for _ in range(models._MAX_ITER):
+    for _ in range(1000):
         if np.abs(x - a @ x - b).max() <= models._TOL * np.abs(x).max():
             return x
         x += b + a @ x - x

@@ -8,8 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathcent import (
@@ -583,24 +582,33 @@ SOLVER_CORPORA = {
 
 
 class TestChainSolver:
-    def test_slow_chain_falls_back_to_lu(self, caplog):
+    def test_slow_chain_goes_on_with_gmres(self, caplog):
         model = _slow_chain()
         with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
             sf = model.expected_visits()
         assert sf == pytest.approx([1000.0, 1000.0], rel=1e-12)
         [record] = caplog.records
-        assert "S.F: 2 states, 2 nnz, LU fallback" in record.getMessage()
-        assert f"{models._MAX_ITER} iterations" in record.getMessage()
+        assert "S.F: 2 states, 2 nnz, GMRES" in record.getMessage()
 
     def test_fallback_over_tolerance_is_numeric_error(self, monkeypatch):
-        class WrongLU:
-            def solve(self, b):
-                return 2.0 * b
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: WrongLU())
+        monkeypatch.setattr(models, "_gmres", lambda ax, b, x, cap: (2.0 * b, 0))
         model = _slow_chain()
         with pytest.raises(NumericError, match="S.F residual"):
             model.expected_visits()
+
+    @pytest.mark.parametrize("loop, method", [(0, "fixed point"), (200, "GMRES")])
+    def test_a_long_path_of_distinct_states_solves(self, loop, method, caplog):
+        """3,000 distinct states, which alone make Q nilpotent (any solve needs 3,000
+        products, more than ``_MAX_ITER``), then ``loop`` repeats of one state, whose
+        self-loop holds the whole path back from ending."""
+        length = 3000
+        nodes = tuple(f"s{i}" for i in range(length)) + ("x",) * loop
+        model = fit_mogen(PathDataset([Path(nodes)]), 1)
+        with caplog.at_level(logging.DEBUG, logger="pathcent.models"):
+            reach = model.reach_totals()
+        assert f"nnz, {method}, " in caplog.records[-1].getMessage()
+        exact = [loop if s == "x" else length - int(s[1:]) + loop for (s,) in model.states]
+        assert np.max(np.abs(reach - exact)) <= 1e-12 * (length + loop)
 
     def test_one_debug_record_per_solve(self, caplog):
         """A fit's S.F is read off its counts, and counts that do not conserve flow
@@ -667,7 +675,8 @@ class TestChainSolver:
     @pytest.mark.parametrize("seed, n", [(0, 21), *((s, 8 + s) for s in range(1, 16))])
     @pytest.mark.parametrize("solve", ["expected_visits", "reach_totals"])
     def test_closed_class_with_fractional_probabilities_is_numeric_error(self, seed, n, solve):
-        # LU of the nearly singular I - Q yields ~1e15 visits whose residual passes
+        # the end search catches it: a solve of the nearly singular I - Q can give
+        # ~1e15 visits whose residual passes
         with pytest.raises(NumericError, match="never reaches the end"):
             getattr(_closed_ring(seed, n), solve)()
 
@@ -694,6 +703,43 @@ class TestChainSolver:
         assert np.max(np.abs(sf - q.T @ sf - model.start_p)) <= models._TOL * np.max(sf)
         assert np.max(np.abs(reach - q @ reach - 1.0)) <= models._TOL * np.max(reach)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_timestamped, st.integers(1, 6), st.integers(1, 25), st.integers(1, 25),
+           st.floats(0.1, 0.9), st.integers(0, 2**16))
+    def test_reach_is_one_exactly_where_a_state_has_no_transitions(self, paths, k, length,
+                                                                   shift, fraction, seed):
+        """F.1 >= 1, and a row with no transitions (end_p = 1) reads 1 exactly, so no
+        path_reach is negative."""
+        for sub in _subsets(PathDataset(paths), length, shift, fraction, seed):
+            model = fit_mogen(sub, k)
+            reach, idle = model.reach_totals(), np.diff(model.indptr) == 0
+            assert (reach >= 1.0).all()
+            assert (reach[idle] == 1.0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**16), st.floats(0.9, 0.9999), st.booleans())
+    def test_a_cycle_of_high_probability_matches_the_dense_solve(self, n, seed, q, two):
+        """A self-loop, or a 2-cycle, of probability ``q`` among random counts: the
+        chain a fixed point would crawl through."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.3)
+        start, end = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        start[0] += 1
+        end[end + counts.sum(axis=1) == 0] = 1  # every state ends or moves on
+        cycle = [(0, 1), (1, 0)] if two else [(0, 0)]
+        for i, j in cycle:
+            counts[i, j], end[i] = 0, end[i] + 1
+        trans = counts.astype(float)
+        for i, j in cycle:  # the count that gives i -> j probability q
+            trans[i, j] = q / (1.0 - q) * (counts[i].sum() + end[i])
+        model = build(1, [(f"s{i}",) for i in range(n)], start.astype(float), sp.csr_matrix(trans),
+                      end.astype(float))
+        assume(solver_oracles.reaches_end(model).all())
+        system = np.eye(n) - model.trans_p.toarray()
+        for got, dense in ((model.expected_visits(), np.linalg.solve(system.T, model.start_p)),
+                           (model.reach_totals(), np.linalg.solve(system, np.ones(n)))):
+            assert np.max(np.abs(got - dense)) <= 1e-9 * np.max(np.abs(dense))
+        assert (model.reach_totals()[np.diff(model.indptr) == 0] == 1.0).all()
 
     def test_residual_is_within_bound_on_a_rounding_case(self):
         # stepping on b + A x - x once returned an F.1 residual of 4.84e-14
@@ -1094,10 +1140,22 @@ def _with_cycle(model: MOGenModel, length: int, count: int) -> MOGenModel:
                  np.concatenate([model.end_counts, pad]))
 
 
+#: Largest max|x - oracle| / max|oracle| accepted against ``solver_oracles.solve``,
+#: whose fixed point runs 1,000 steps before LU where the library's may hand over to
+#: GMRES after ``_MAX_ITER``: 3 of 45,180 comparisons made by the tests below (three
+#: hypothesis seeds, 500 examples each) differed, by at most 8.6e-14.
+ORACLE_RTOL = 1e-12
+
+
+def _near_oracle(x: np.ndarray, oracle: np.ndarray) -> bool:
+    return np.max(np.abs(x - oracle)) <= ORACLE_RTOL * np.max(np.abs(oracle))
+
+
 class TestExpectedVisitsFromCounts:
     """A fit's S.F is its occurrence counts over its number of paths, with no solve;
     F.1, and S.F of counts that do not conserve flow, are solved bit for bit as the
-    scipy solve of ``solver_oracles`` solves them."""
+    scipy solve of ``solver_oracles`` solves them where its fixed point converges,
+    and within ``ORACLE_RTOL`` of it otherwise."""
 
     @settings(max_examples=100, deadline=None)
     @given(_timestamped, st.integers(1, 5), st.integers(1, 25), st.integers(1, 25),
@@ -1111,7 +1169,7 @@ class TestExpectedVisitsFromCounts:
             oracle = solver_oracles.solve(model, "S.F", model.start_p)
             assert np.max(np.abs(sf - oracle)) <= 1e-10 * np.max(np.abs(oracle))
             ones = np.ones(model.n_states)
-            assert np.array_equal(model.reach_totals(), solver_oracles.solve(model, "F.1", ones))
+            assert _near_oracle(model.reach_totals(), solver_oracles.solve(model, "F.1", ones))
 
     @settings(max_examples=100, deadline=None)
     @given(_timestamped, st.integers(1, 5), st.integers(1, 25), st.integers(1, 25),
@@ -1127,10 +1185,10 @@ class TestExpectedVisitsFromCounts:
             for trans in (trans_counts(fit), (coo.data[shuffled], (coo.row[shuffled], coo.col[shuffled]))):
                 model = build(k, fit.states, fit.start_counts, trans, end)
                 assert not _conserves_flow(model)
-                assert np.array_equal(model.expected_visits(),
-                                      solver_oracles.solve(model, "S.F", model.start_p))
-                assert np.array_equal(model.reach_totals(),
-                                      solver_oracles.solve(model, "F.1", np.ones(model.n_states)))
+                assert _near_oracle(model.expected_visits(),
+                                    solver_oracles.solve(model, "S.F", model.start_p))
+                assert _near_oracle(model.reach_totals(),
+                                    solver_oracles.solve(model, "F.1", np.ones(model.n_states)))
 
     @settings(max_examples=50, deadline=None)
     @given(labelled_corpora(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3))
