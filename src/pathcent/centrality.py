@@ -13,11 +13,11 @@ A vector holds the sorted first-order labels, a float64 array aligned with them 
 per-state values aligned with ``model.states``; the edge report holds its order-2 rows,
 ascending, and arrays read at them, and searches closeness from those rows only.
 
-Closeness is out-direction harmonic closeness over unweighted hop distances,
-searched per node and per state over bit sets of target groups
-(:func:`pathcent.models._closeness`). A breadth-first search over a model's
-``(indptr, indices)`` serves Brandes betweenness and the edge report's closeness from
-its selected states, so no measure and no solve loads scipy: only ``trans_p`` does.
+Closeness is out-direction harmonic closeness over unweighted hop distances, searched
+per node and per state over bit sets of target groups (:func:`pathcent.models._closeness`);
+over a MOGen model's nodes it ends once no node can gain a target, not once no state can.
+A breadth-first search over ``(indptr, indices)`` serves Brandes betweenness and the edge
+report's closeness from its selected states, so nothing but ``trans_p`` loads scipy.
 
 Path-model values and the experiment's ground truth are arrays over the corpus's
 sequence codes (:func:`sequence_scores`; level-1 codes are label ids), counted over

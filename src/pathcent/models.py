@@ -463,11 +463,11 @@ def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
     """Per row of the CSR pattern ``adj``, its ``(indptr, indices)``, or per group
     if ``by_group``, the sum of 1/d over the groups first reached at d >= 1 hops:
     row i is in group ``group[i]`` (in none if negative), and a row's own group
-    never counts. A multi-source search (Then et al., PVLDB 2014): rows keep the
-    groups they reach as uint64 bit sets, ``_BATCH_WORDS`` per batch (rows x words),
-    and at each hop the rows that grew OR their new bits into their predecessors,
-    and groups their rows' new bits. Counts per hop, over every batch, are summed
-    as count / d, d ascending."""
+    never counts. A multi-source search (Then et al., PVLDB 2014) over uint64 bit
+    sets of groups, ``_BATCH_WORDS`` per batch (rows x words): each hop ORs the grown
+    rows' new bits into their predecessors and groups; by group it then drops the bits
+    every group holds (its own from the start), which can count no more. Per hop,
+    counts over every batch are summed as count / d, d ascending."""
     indptr, indices = adj
     n, n_groups = len(indptr) - 1, int(group.max(initial=-1)) + 1
     by = np.argsort(indices, kind="stable")  # the transposed pattern: each row's predecessors
@@ -481,6 +481,7 @@ def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
         bit, reach = group[rows] - lo, np.zeros((n, words), np.uint64)
         reach[rows, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
         new, seen = reach[rows], np.zeros((n_groups, words), np.uint64)  # per group, its reach
+        seen[group[rows], bit // 64] = new[np.arange(len(rows)), bit // 64]  # its own bit
         d = 0
         while len(rows):
             d += 1
@@ -488,6 +489,9 @@ def _closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
             rows, new = _gains(pred[at], new[of], reach)
             own, gained = _gains(group[rows], new, seen) if by_group else (rows, new)
             counts.setdefault(d, np.zeros(n_out))[own] += np.bitwise_count(gained).sum(axis=1)
+            if by_group:  # a bit that every group has seen can never count again
+                new &= ~np.bitwise_and.reduce(seen)
+                rows, new = rows[new.any(axis=1)], new[new.any(axis=1)]
     return sum((counts[d] / d for d in sorted(counts)), np.zeros(n_out))
 
 

@@ -272,14 +272,10 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class WindowSlice:
-    """One rolling window; ``dataset`` is None when the window is empty."""
+    """One rolling window and the paths that start in it."""
 
     start: int
-    dataset: PathDataset | None
-
-    @property
-    def empty(self) -> bool:
-        return self.dataset is None
+    dataset: PathDataset
 
 
 def parse_paths(source: TextIO | Iterable[str], delimiter: str = ",") -> PathDataset:
@@ -392,29 +388,32 @@ def extract_paths(edges: Sequence[TemporalEdge], delta: int) -> PathDataset:
 
 
 def rolling_windows(ds: PathDataset, length: int, shift: int) -> list[WindowSlice]:
-    """Slice a timestamped dataset into rolling half-open windows.
+    """Slice a timestamped dataset into the rolling half-open windows that hold a path.
 
-    The first window starts at the minimum start_time rounded down to the
-    shift granularity; windows advance by ``shift`` up to the maximum
-    start_time. A path belongs to a window iff start <= t < start + length,
-    so with ``length < shift`` a path may fall between two windows. Empty
-    windows are kept, with ``dataset`` set to None. Each window is the row
-    subset of ``ds`` in a ``searchsorted`` range of one stable start-time order.
-    """
+    Windows start on the multiples of ``shift`` from the minimum start_time rounded
+    down to one. A path belongs to a window iff start <= t < start + length, so with
+    ``length < shift`` it may fall between two. Each path's first and last window
+    ascend with its start time, so the windows that hold one cost paths x ceil(length
+    / shift), however far apart the times lie; an object array keeps far-out times
+    exact. Each window is the row subset of ``ds`` in a ``searchsorted`` range of
+    one stable start-time order."""
     if length <= 0 or shift <= 0:
         raise DataError("window length and shift must be > 0")
     if not ds.has_timestamps:
         raise DataError("rolling windows require timestamps on every path")
     import numpy as np
 
-    times = np.array(ds._times)
+    small = max(-min(ds._times), max(ds._times), length, shift) < 2**61  # no step below overflows
+    times = np.array(ds._times, np.int64 if small else object)
     order = np.argsort(times, kind="stable")
-    times = times[order]
-    out = []
-    for start in range(int(times[0]) // shift * shift, int(times[-1]) + 1, shift):
-        lo, hi = np.searchsorted(times, [start, start + length])
-        out.append(WindowSlice(start, ds._subset(np.sort(order[lo:hi])) if hi > lo else None))
-    return out
+    last = times[order] // shift  # per path, the grid index of its last window
+    first = np.maximum((times[order] - length) // shift + 1, last[0])  # and of its first
+    start = np.maximum(first, np.concatenate([last[:1], last[:-1] + 1]))  # of its first not yet held
+    counts = np.maximum(last - start + 1, 0).astype(np.int64)
+    index = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    lo, hi = np.searchsorted(last, index), np.searchsorted(first, index, "right")
+    return [WindowSlice(int(m) * shift, ds._subset(np.sort(order[a:b])))
+            for m, a, b in zip(index.tolist(), lo.tolist(), hi.tolist())]
 
 
 def stats(ds: PathDataset) -> DatasetStats:

@@ -70,19 +70,18 @@ def windowed_centralities(
     k_max: int = 3,
     platform: str = "",
 ) -> PlatformSeries:
-    """Fit a multi-order model per non-empty window and collect first-order
-    centralities of every measure. With ``k=None`` the order is selected per
-    window by AIC, and the chosen fit is kept. Empty windows are gaps, not zeros."""
-    non_empty = [w for w in windows if not w.empty]
-    if not non_empty:
+    """Fit a multi-order model per window and collect first-order centralities of
+    every measure. With ``k=None`` the order is selected per window by AIC, and the
+    chosen fit is kept. Grid windows without paths are gaps, not zeros."""
+    if not windows:
         raise DataError("all windows are empty")
-    members = tuple(sorted(frozenset().union(*(w.dataset.vocabulary for w in non_empty))))
+    members = tuple(sorted(frozenset().union(*(w.dataset.vocabulary for w in windows))))
     index = np.array(members, dtype=object)  # compared as str: a U array drops a trailing NUL
-    shape = (len(non_empty), len(members))
+    shape = (len(windows), len(members))
     values = {m: np.zeros(shape) for m in MEASURES}
     active = np.zeros(shape, dtype=bool)
     orders = []
-    for i, w in enumerate(non_empty):
+    for i, w in enumerate(windows):
         fits: dict = {}  # the window's fits by order, freed before the next window
         orders.append(k if k is not None else select_order(w.dataset, k_max, fits))
         model = fits.get(orders[-1]) or fit_mogen(w.dataset, orders[-1])
@@ -90,7 +89,7 @@ def windowed_centralities(
         active[i, at] = True
         for m in MEASURES:
             values[m][i, at] = compute(model, m).values
-    return PlatformSeries(platform, tuple(w.start for w in non_empty), members, values, active, tuple(orders))
+    return PlatformSeries(platform, tuple(w.start for w in windows), members, values, active, tuple(orders))
 
 
 def deviation_scores(series_list: list[PlatformSeries]) -> list[DeviationScore]:

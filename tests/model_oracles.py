@@ -10,6 +10,10 @@ CSR layout, for a MOGen or a network model.
 ``first_reached`` and ``network_betweenness`` are the searches as they ran on scipy
 matrices: a breadth-first search from start sets, the rows of a CSR matrix, over
 the nonzero pattern of any square matrix, and Brandes betweenness over it.
+
+``closeness`` is the bit-set closeness search as it ran before it stopped early:
+each batch goes on until no row gains a bit, also where every group has seen
+every bit.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -137,3 +141,58 @@ def brandes(adj) -> list:
                     c[v] = 1.0 / sigma[v] + (1.0 / sigma[v]) * delta
             out = [t + x for t, x in zip(out, level)]
     return out
+
+
+def closeness(adj, group: np.ndarray, by_group: bool = False) -> np.ndarray:
+    """Per row of the CSR pattern ``adj``, its ``(indptr, indices)``, or per group
+    if ``by_group``, the sum of 1/d over the groups first reached at d >= 1 hops:
+    row i is in group ``group[i]`` (in none if negative), and a row's own group
+    never counts. A multi-source search (Then et al., PVLDB 2014): rows keep the
+    groups they reach as uint64 bit sets, ``models._BATCH_WORDS`` per batch (rows x
+    words), read at each call, and at each hop the rows that grew OR their new bits
+    into their predecessors, and groups their rows' new bits. Counts per hop, over
+    every batch, are summed as count / d, d ascending."""
+    from pathcent import models
+
+    indptr, indices = adj
+    n, n_groups = len(indptr) - 1, int(group.max(initial=-1)) + 1
+    by = np.argsort(indices, kind="stable")  # the transposed pattern: each row's predecessors
+    pred = np.repeat(np.arange(n), np.diff(indptr))[by]
+    pred_ptr = np.searchsorted(indices[by], np.arange(n + 1))
+    n_out = n_groups if by_group else n
+    words = max(1, min(models._BATCH_WORDS // max(n, 1), -(-n_groups // 64)))
+    counts: dict[int, np.ndarray] = {}  # per hop: the groups first reached, per row or group
+    for lo in range(0, n_groups, 64 * words):
+        rows = np.flatnonzero((group >= lo) & (group < lo + 64 * words))
+        bit, reach = group[rows] - lo, np.zeros((n, words), np.uint64)
+        reach[rows, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        new, seen = reach[rows], np.zeros((n_groups, words), np.uint64)  # per group, its reach
+        d = 0
+        while len(rows):
+            d += 1
+            of, at = _entries(pred_ptr, rows)  # the predecessors of the grown rows
+            rows, new = _gains(pred[at], new[of], reach)
+            own, gained = _gains(group[rows], new, seen) if by_group else (rows, new)
+            counts.setdefault(d, np.zeros(n_out))[own] += np.bitwise_count(gained).sum(axis=1)
+    return sum((counts[d] / d for d in sorted(counts)), np.zeros(n_out))
+
+
+def _entries(indptr: np.ndarray, rows: np.ndarray):
+    """The entries of ``rows`` in the CSR ``indptr``, row by row: each one's index
+    into ``rows``, and its position."""
+    start = indptr[rows]
+    size = indptr[rows + 1] - start
+    of = np.repeat(np.arange(len(rows)), size)
+    return of, (start - np.cumsum(size) + size)[of] + np.arange(len(of))
+
+
+def _gains(keys: np.ndarray, bits: np.ndarray, seen: np.ndarray):
+    """The distinct ``keys`` whose OR of ``bits`` rows holds bits not yet in
+    ``seen[key]``, and those bits, which join ``seen``."""
+    by = np.argsort(keys, kind="stable")
+    heads = np.flatnonzero(np.diff(keys[by], prepend=-1))
+    keys = keys[by][heads]
+    bits = np.bitwise_or.reduceat(bits[by], heads) & ~seen[keys]
+    seen[keys] |= bits
+    grew = bits.any(axis=1)
+    return keys[grew], bits[grew]

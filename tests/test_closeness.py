@@ -13,13 +13,14 @@ results bit for bit; Brandes betweenness equals a plain-Python Brandes that sums
 in the library's order bit for bit, and the scipy one on sparse digraphs.
 """
 from collections import defaultdict, deque
+from itertools import permutations
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcent import Path, PathDataset, fit_mogen, fit_network
@@ -235,6 +236,54 @@ def test_closeness_over_batch_sizes(monkeypatch, name, words):
         nodes = model.node_index[0]
         oracle = harmonic(oracle_first_order_distances(model), nodes)
         assert as_dict(compute(model, "closeness")) == pytest.approx(oracle, rel=REL, abs=0)
+
+
+def grouped_pattern(seed: int, n: int, n_ids: int, n_edges: int, n_unreached: int):
+    """A random CSR pattern on ``n`` rows, a fifth of them with a self-loop, and each
+    row's group among ``n_ids`` ids, some of which hold no row; no edge enters the
+    rows of ``n_unreached`` of the ids, so no row of another group reaches those."""
+    rng = np.random.default_rng(seed)
+    group = rng.integers(n_ids, size=n)
+    loops = np.flatnonzero(rng.random(n) < 0.2)
+    src, dst = np.concatenate([rng.integers(n, size=(2, n_edges)), [loops, loops]], axis=1)
+    keep = ~np.isin(group[dst], rng.choice(n_ids, n_unreached, replace=False)) | (src == dst)
+    key = np.unique(src[keep] * n + dst[keep])
+    return (np.searchsorted(key // n, np.arange(n + 1)), key % n), group
+
+
+@st.composite
+def grouped_patterns(draw):
+    """Patterns of up to 200 rows in up to 150 groups, from sparse, so that some
+    groups never reach others, to dense."""
+    n, n_ids = draw(st.integers(1, 200)), draw(st.integers(1, 150))
+    return grouped_pattern(draw(st.integers(0, 2**32 - 1)), n, n_ids,
+                           draw(st.integers(0, 4 * n)), draw(st.integers(0, n_ids)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_patterns(), st.sampled_from([1, 2]))
+@example(grouped_pattern(0, 200, 150, 120, 10), 1)  # sparse: bits stay live for levels
+@example(grouped_pattern(1, 200, 130, 800, 5), 2)  # dense: every pair settles early
+def test_group_closeness_is_the_oracle_bit_for_bit(pattern, words):
+    """The group search that stops once every group has seen a bit equals the one
+    that ran until no row grew, over batches of 1 and 2 words per row (more than 64
+    groups take several)."""
+    adj, group = pattern
+    with mock.patch.object(models, "_BATCH_WORDS", words * len(group)):
+        got = models._closeness(adj, group, by_group=True)
+        want = model_oracles.closeness(adj, group, by_group=True)
+    assert np.array_equal(got, want)
+
+
+def test_group_closeness_stops_when_every_pair_is_settled():
+    """Every node directly follows every other, so the first level settles every
+    pair of nodes and the first-order search of the k = 3 fit expands that one level
+    (the search that ran until no state grew expanded 4)."""
+    model = fit_mogen(PathDataset([Path(p) for p in permutations("abcd", 4)]), 3)
+    with mock.patch.object(models, "_entries", wraps=models._entries) as entries:
+        scores = as_dict(compute(model, "closeness"))
+    assert entries.call_count == 1
+    assert scores == {v: 3.0 for v in "abcd"}
 
 
 @pytest.mark.parametrize("words", [1, 2, 4])

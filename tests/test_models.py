@@ -116,7 +116,7 @@ class TestFitNetwork:
         """Windows and split sides keep their corpus's labels in the encoding;
         the network holds only the nodes of their own paths."""
         ds = PathDataset(paths)
-        subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+        subsets = [ds] + [w.dataset for w in rolling_windows(ds, length, shift)]
         try:
             subsets += split(ds, fraction, seed)
         except DataError:
@@ -230,8 +230,8 @@ def _sides(ds, fraction, seed) -> tuple:
 
 
 def _subsets(ds, length, shift, fraction, seed) -> list:
-    """``ds``, its non-empty windows and, where a draw succeeds, its split sides."""
-    windows = [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+    """``ds``, its windows and, where a draw succeeds, its split sides."""
+    windows = [w.dataset for w in rolling_windows(ds, length, shift)]
     return [ds, *windows, *_sides(ds, fraction, seed)]
 
 
@@ -276,7 +276,7 @@ class TestOneRankingPerCorpus:
         and split sides of windows; its rows and end nodes name what the codes name."""
         ds = PathDataset(paths)
         subsets = _subsets(ds, length, shift, fraction, seed)
-        subsets += [side for w in rolling_windows(ds, length, shift) if not w.empty
+        subsets += [side for w in rolling_windows(ds, length, shift)
                     for side in _sides(w.dataset, fraction, seed)]
         for sub in subsets:
             codes, rows, at, _ = sequence_scores(sub, (), k)
@@ -303,7 +303,7 @@ class TestOneRankingPerCorpus:
     def test_fits_and_values_match_by_mask_and_by_sort(self, sort_below, monkeypatch):
         monkeypatch.setattr(pathdata, "_SORT_BELOW", sort_below)
         ds = generators.smell_corpus()  # ranked afresh under the patched threshold
-        for sub in [ds] + [w.dataset for w in rolling_windows(ds, 100, 50) if not w.empty]:
+        for sub in [ds] + [w.dataset for w in rolling_windows(ds, 100, 50)]:
             for k in (3, 1, 2):
                 assert_same_fit(fit_mogen(sub, k), _tuple_fit_oracle(sub, k))
                 _, rows, want = ranking_oracles.sequence_values(sub, k)

@@ -1,6 +1,7 @@
 """Parsing, ingestion, temporal extraction, windows, and statistics."""
 import io
 import re
+import signal
 import statistics
 from bisect import bisect_left
 from collections import defaultdict
@@ -460,10 +461,10 @@ class TestDerivedDatasets:
         ds = PathDataset(paths + paths[:3])
         got = rolling_windows(ds, length, shift)
         want = _rolling_windows_bisect(ds, length, shift)
-        assert [(w.start, w.empty) for w in got] == [(start, d is None) for start, d in want]
+        want = [(start, d) for start, d in want if d is not None]  # the windows that hold a path
+        assert [w.start for w in got] == [start for start, _ in want]
         for w, (_, d) in zip(got, want):
-            if d is not None:
-                _assert_same_dataset(w.dataset, d)
+            _assert_same_dataset(w.dataset, d)
 
     @settings(max_examples=150, deadline=None)
     @given(_timestamped, st.floats(0.1, 0.9), st.integers(0, 2**16))
@@ -488,7 +489,7 @@ class TestDerivedDatasets:
         gives; so do a split side's of a window. A window of a split side, and a
         split side of that window, count its paths as the dataset it was cut from."""
         ds = PathDataset(paths + paths[:3])
-        windows = [w.dataset for w in rolling_windows(ds, length, shift) if not w.empty]
+        windows = [w.dataset for w in rolling_windows(ds, length, shift)]
         sides = list(_sides(ds, fraction, seed))  # hold their own counts
         assert not any({"_nodes", "_times", "_counts", "paths"} & w.__dict__.keys() for w in windows)
         assert not any({"_nodes", "_times", "paths"} & side.__dict__.keys() for side in sides)
@@ -505,7 +506,7 @@ class TestDerivedDatasets:
         assert list(map(_columns, windows)) == list(map(_columns, fresh))
         for side in sides:
             counted = dict(zip(zip(side._nodes, side._times), side._counts))
-            for w in (w.dataset for w in rolling_windows(side, length, shift) if not w.empty):
+            for w in (w.dataset for w in rolling_windows(side, length, shift)):
                 assert w._counts == tuple(map(counted.__getitem__, zip(w._nodes, w._times)))
                 halves = _sides(w, fraction, seed)
                 assert sum(half.total for half in halves) in (0, w.total)
@@ -542,6 +543,10 @@ class TestDerivedDatasets:
         assert fit_mogen(window, 2).states == fit_mogen(PathDataset(window.paths), 2).states
 
 
+def _timed_out(signum, frame):
+    raise TimeoutError("rolling_windows ran past its alarm")
+
+
 class TestRollingWindows:
     def _ds(self, times):
         return PathDataset([Path(("a", "b"), 1, t) for t in times])
@@ -567,17 +572,16 @@ class TestRollingWindows:
     def test_matches_scanning_oracle(self, paths, length, shift):
         ds = PathDataset(paths)
         got = rolling_windows(ds, length, shift)
-        expected = _rolling_windows_oracle(ds, length, shift)
+        expected = [(start, window) for start, window in _rolling_windows_oracle(ds, length, shift) if window]
         assert [w.start for w in got] == [start for start, _ in expected]
-        assert [w.empty for w in got] == [window is None for _, window in expected]
         for w, (_, window) in zip(got, expected):
-            assert (w.dataset and w.dataset.paths) == (window and window.paths)
+            assert w.dataset.paths == window.paths
 
     def test_windows_keep_the_corpus_paths(self):
         ds = self._ds([0, 3, 9, 10, 14, 30])
         paths = set(ds.paths)
         windows = rolling_windows(ds, length=10, shift=5)
-        assert all(p in paths for w in windows if not w.empty for p in w.dataset.paths)
+        assert all(p in paths for w in windows for p in w.dataset.paths)
 
     def test_window_membership_half_open(self):
         windows = rolling_windows(self._ds([0, 9, 10]), length=10, shift=10)
@@ -588,9 +592,35 @@ class TestRollingWindows:
         windows = rolling_windows(self._ds([13, 27]), length=10, shift=10)
         assert windows[0].start == 10
 
-    def test_empty_windows_kept(self):
+    def test_empty_windows_left_out(self):
         windows = rolling_windows(self._ds([0, 35]), length=10, shift=10)
-        assert [w.empty for w in windows] == [False, True, True, False]
+        assert [(w.start, w.dataset.total) for w in windows] == [(0, 1), (30, 1)]
+
+    def test_a_far_off_start_time_adds_one_window(self):
+        """A nanosecond-epoch start time among second-epoch ones: its own window, not
+        the 2.2e11 empty quarters between, and within a 10 s alarm."""
+        quarter = 90 * 86400
+        ds = self._ds([1_700_000_000, 1_700_000_000 + quarter, 1_700_000_000_000_000_000])
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            windows = rolling_windows(ds, quarter, quarter)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        first = 1_700_000_000 // quarter * quarter
+        assert [(w.start, w.dataset.total) for w in windows] == [
+            (first, 1), (first + quarter, 1), (1_700_000_000_000_000_000 // quarter * quarter, 1)]
+
+    @pytest.mark.parametrize("offset", [0, 2**61, 2**63, 10**30, -(10**30)])
+    def test_far_out_times_are_exact(self, offset):
+        """Every start time moved by ``offset`` shift steps, past int64 too: the
+        windows move with them and hold the same paths."""
+        times, length, shift = [-7, -1, 0, 5, 9, 13, 20], 8, 3
+        want = rolling_windows(self._ds(times), length, shift)
+        got = rolling_windows(self._ds([t + offset * shift for t in times]), length, shift)
+        assert [w.start - offset * shift for w in got] == [w.start for w in want]
+        assert [w.dataset._rows.tolist() for w in got] == [w.dataset._rows.tolist() for w in want]
 
     def test_requires_timestamps(self):
         ds = PathDataset([Path(("a", "b"))])

@@ -79,8 +79,8 @@ class TestWindowedCentralities:
         monkeypatch.setattr(smells, "fit_mogen", counted_fit)
         monkeypatch.setattr(smells, "select_order", recorded_select)
         series = windowed_centralities(windows, k=None, k_max=3)
-        non_empty = [w.dataset for w in windows if not w.empty]
-        assert fits == [(id(w), k) for w in non_empty for k in range(1, min(3, w.max_length) + 1)]
+        datasets = [w.dataset for w in windows]
+        assert fits == [(id(w), k) for w in datasets for k in range(1, min(3, w.max_length) + 1)]
         assert series.orders == tuple(chosen)
         monkeypatch.undo()
         again = windowed_centralities(windows, k=None, k_max=3)
@@ -204,13 +204,12 @@ class _DictSeries:
 
 def _windowed_oracle(windows, k=None, k_max=3, platform=""):
     values, active = {m: {} for m in MEASURES}, {}
-    non_empty = [w for w in windows if not w.empty]
-    for w in non_empty:
+    for w in windows:
         model = fit_mogen(w.dataset, k if k is not None else select_order(w.dataset, k_max))
         active[w.start] = frozenset(w.dataset.vocabulary)
         for m in MEASURES:
             values[m][w.start] = as_dict(compute(model, m))
-    return _DictSeries(platform, tuple(w.start for w in non_empty), values, active)
+    return _DictSeries(platform, tuple(w.start for w in windows), values, active)
 
 
 def _deviation_oracle(series_list):
@@ -315,7 +314,7 @@ class TestMatchesDictOracle:
     def test_random_timestamped_corpora(self, corpora, length, shift, k):
         windows = {f"p{i}": rolling_windows(PathDataset(paths), length, shift)
                    for i, paths in enumerate(corpora)}
-        if any(all(w.empty for w in ws) for ws in windows.values()):  # paths between windows
+        if not all(windows.values()):  # every path between windows
             with pytest.raises(DataError, match="all windows are empty"):
                 _assert_matches_dict_oracle(windows, k, k_max=2)
             return
