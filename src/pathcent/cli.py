@@ -302,7 +302,9 @@ def experiment_cmd(input_path, models, measures, train_fraction, replicates, k_t
     with open(out / "auc.csv", "w", encoding="utf-8") as fh:
         _csv_header(fh, meta)
         fh.write(",".join(["dataset", *(f"{r.measure}:{r.model}" for r in results)]) + "\n")
-        fh.write(",".join([FsPath(input_path).name, *(f"{r.mean:.3f}" for r in results)]) + "\n")
+        name = FsPath(input_path).name  # quoted where it holds ',', '"', CR or LF, as csv quotes
+        name = '"' + name.replace('"', '""') + '"' if re.search('[,"\r\n]', name) else name
+        fh.write(",".join([name, *(f"{r.mean:.3f}" for r in results)]) + "\n")
     _write_json(out / "auc.json", meta, [
         {"model": r.model, "measure": r.measure, "mean": r.mean, "replicates": list(r.aucs)}
         for r in results])

@@ -2,25 +2,24 @@
 
 A path is an ordered node sequence with a multiplicity and an optional start
 timestamp. Datasets are immutable and merge identical (sequence, start_time)
-entries by summing multiplicities. A dataset keeps its distinct paths as
-parallel columns (node tuples, multiplicities, start times), sorted once;
-``PathDataset.paths`` is a view of :class:`Path` objects built on first use.
-The readers merge their lines straight into those columns and check each
-distinct label once, naming the first line that holds a bad one. A corpus
-ranks its node sequences once; its windows and split sides hold it and read
-its codes. Only the encoding, the ranking and the windows import numpy.
+entries by summing multiplicities. A dataset keeps its distinct paths, sorted
+once, as label ids and lengths in stdlib arrays beside counts and start times.
+The readers check each distinct label once. A corpus ranks its sequences once;
+its windows and split sides gather its ids and read its codes. Only numpy views
+of the ids, the ranking and the windows import numpy.
 """
 from __future__ import annotations
 
 import logging
 import re
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, islice, pairwise
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import DataError
 
@@ -65,8 +64,10 @@ def parse_model_label(label: str):
 def _check_labels(labels: Iterable[str], where: str = "") -> None:
     """Raise :class:`DataError`, its message prefixed by ``where``, naming the
     least of ``labels`` that is empty, reserved, starts with '#' or contains
-    one of '|,;'."""
+    one of '|,;', or that is not a ``str``."""
     labels = tuple(labels)
+    if not all(isinstance(v, str) for v in labels):
+        raise DataError(f"{where}node label {next(v for v in labels if not isinstance(v, str))!r} is not a str")
     # joined by newlines, so that ^# tests the first character of every label
     if "" in labels or not RESERVED.isdisjoint(labels) or BAD_LABEL.search("\n".join(labels)):
         bad = min(v for v in labels if not v or v in RESERVED or BAD_LABEL.search(v))
@@ -74,20 +75,20 @@ def _check_labels(labels: Iterable[str], where: str = "") -> None:
                         "or contains one of '|,;'")
 
 
-def _check_columns(nodes: Sequence[tuple], counts: Sequence, times: Sequence,
-                   labels: Iterable[str]) -> None:
-    """Raise :class:`DataError` unless every path has a node, every count is an
-    ``int`` (not a ``bool``) >= 1, every start time an ``int`` or None, and
-    every one of ``labels`` is a valid node label."""
-    if not all(nodes):
-        raise DataError("a path needs at least one node")
+def _check_columns(nodes: Sequence[tuple], counts: Iterable, times: Iterable) -> frozenset[str]:
+    """Raise :class:`DataError` unless every path's nodes are a non-empty tuple of valid labels,
+    every count an ``int`` (not a ``bool``) >= 1 and every start time an ``int`` or None."""
+    if not all(isinstance(n, tuple) and n for n in nodes):
+        raise DataError("a path's nodes must be a tuple of at least one node")
     if set(map(type, counts)) != {int}:
         raise DataError("path multiplicity must be an int")
     if min(counts) < 1:
         raise DataError("path multiplicity must be >= 1")
     if not set(map(type, times)) <= {int, type(None)}:
         raise DataError("path start time must be an int or None")
+    labels = frozenset(chain.from_iterable(nodes))
     _check_labels(labels)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class Path:
     start_time: int | None = None
 
     def __post_init__(self):
-        _check_columns((self.nodes,), (self.multiplicity,), (self.start_time,), self.nodes)
+        _check_columns((self.nodes,), (self.multiplicity,), (self.start_time,))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -124,9 +125,9 @@ class PathDataset:
     """An immutable multiset of paths over a shared vocabulary, sorted by key.
 
     Built from a mapping ``{(nodes, start_time): multiplicity}``, or from
-    :class:`Path` objects, which are summed into one. The mapping is checked as
-    a ``Path`` is, each distinct label once, and its distinct paths are kept as
-    parallel columns; ``paths`` views them as ``Path`` objects.
+    :class:`Path` objects, which are summed into one. The mapping is checked as a
+    ``Path`` is, each distinct label once, before the sort; a path is kept as its
+    node ids into the sorted ``_labels``, its length, count and start time.
     """
 
     _corpus = _rows = _at = None  # a subset's corpus, and its rows and node positions there
@@ -139,29 +140,32 @@ class PathDataset:
                 merged[p.nodes, p.start_time] += p.multiplicity
         if not merged:
             raise DataError("empty dataset")
+        self.vocabulary = _check_columns(tuple(map(itemgetter(0), merged)), merged.values(), map(itemgetter(1), merged))
         try:  # no key tuple per path: 1.5 MB less peak RSS on a 20k-path ingest
             keys = sorted(merged)
         except TypeError:  # equal nodes with and without a start time: untimed first
             keys = sorted(merged, key=lambda k: (k[0], k[1] is not None, k[1] or 0))
-        self._nodes = tuple(map(itemgetter(0), keys))
         self._times = tuple(map(itemgetter(1), keys))
         self._counts = tuple(map(merged.__getitem__, keys))
-        self._vocabulary = frozenset(chain.from_iterable(self._nodes))
-        _check_columns(self._nodes, self._counts, self._times, self._vocabulary)
+        self._labels = sorted(self.vocabulary)
+        index = {v: i for i, v in enumerate(self._labels)}
+        self._ids = array("i", map(index.__getitem__, chain.from_iterable(map(itemgetter(0), keys))))
+        self._lengths = array("q", map(len, map(itemgetter(0), keys)))
 
     # a subset gathers these columns from its corpus's on first use; a corpus sets its own
-    _nodes, _times, _counts = (
+    _times, _counts = (
         cached_property(lambda ds, c=c: tuple(map(getattr(ds._corpus, c).__getitem__, ds._rows.tolist())))
-        for c in ("_nodes", "_times", "_counts"))
+        for c in ("_times", "_counts"))
+
+    def _sequences(self) -> Iterator[tuple[str, ...]]:
+        """Each path's nodes in key order, as a tuple of labels read from the ids."""
+        nodes = map(self._labels.__getitem__, self._ids.tolist())
+        return (tuple(islice(nodes, n)) for n in self._lengths.tolist())
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
-        """The distinct paths as :class:`Path` objects in key order, built from the columns."""
-        return tuple(map(Path, self._nodes, self._counts, self._times))
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return self._vocabulary
+        """The distinct paths as :class:`Path` objects in key order, built from the ids."""
+        return tuple(map(Path, self._sequences(), self._counts, self._times))
 
     @cached_property
     def total(self) -> int:
@@ -170,15 +174,10 @@ class PathDataset:
 
     @cached_property
     def encoded(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted labels (a derived dataset's are its parent's), node ids into them
-        over the paths, each path's length and its multiplicity as a float; on first use."""
+        """The sorted labels, numpy views of the ids and lengths, and the counts as floats."""
         import numpy as np
 
-        labels = sorted(self._vocabulary)
-        ids = {v: i for i, v in enumerate(labels)}
-        nodes = np.fromiter(map(ids.__getitem__, chain.from_iterable(self._nodes)), np.int32)
-        lengths = np.fromiter(map(len, self._nodes), np.int64, len(self._nodes))
-        return labels, nodes, lengths, np.array(self._counts, float)
+        return self._labels, np.asarray(self._ids), np.asarray(self._lengths), np.array(self._counts, float)
 
     def _codes(self, k: int) -> tuple[np.ndarray, int]:
         """Per node of ``encoded``, the code of its order-``k`` state (its last ``k`` nodes,
@@ -207,9 +206,8 @@ class PathDataset:
         return levels[m - 1] if self._at is None else levels[m - 1][self._at], ends[m - 1]
 
     def _subset(self, rows: np.ndarray, counts: np.ndarray | None = None) -> PathDataset:
-        """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or
-        those they have here: nothing is merged, sorted or checked again, the encoding
-        is gathered with its ids, and the subset holds its corpus and reads its codes."""
+        """The ascending, non-empty ``rows`` with multiplicities ``counts`` (>= 1) or those they
+        have here, with the corpus's labels and codes and their own ids and lengths gathered."""
         import numpy as np
 
         labels, nodes, lengths, weights = self.encoded
@@ -218,9 +216,9 @@ class PathDataset:
         at = at.astype(np.int32) if len(nodes) < 2**31 else at
         out._corpus, out._rows, out._at = ((self, rows, at) if self._corpus is None
                                            else (self._corpus, self._rows[rows], self._at[at]))
-        out.encoded = (labels, nodes[at], lengths[rows],
-                       weights[rows] if counts is None else counts.astype(float))
-        out._vocabulary = frozenset(labels[i] for i in np.unique(out.encoded[1]).tolist())
+        out._labels, out._ids, out._lengths = labels, nodes[at], lengths[rows]
+        out.encoded = (labels, out._ids, out._lengths, weights[rows] if counts is None else counts.astype(float))
+        out.vocabulary = frozenset(labels[i] for i in np.unique(out._ids).tolist())
         if counts is not None:
             out._counts = tuple(counts.tolist())
         elif self._corpus is not None:  # a split side's counts are its own, not the corpus's
@@ -230,18 +228,18 @@ class PathDataset:
     @cached_property
     def unique(self) -> int:
         """Number of distinct node sequences."""
-        return len(set(self._nodes))
+        return len(set(self._sequences()))
 
     @cached_property
     def max_length(self) -> int:
-        return max(map(len, self._nodes)) if self._corpus is None else int(self.encoded[2].max())
+        return max(self._lengths.tolist())
 
     @property
     def has_timestamps(self) -> bool:
         return None not in self._times
 
     def __len__(self) -> int:
-        return len(self._nodes) if self._corpus is None else len(self._rows)
+        return len(self._lengths)
 
 
 class TemporalEdge(NamedTuple):
@@ -330,7 +328,7 @@ def write_paths(ds: PathDataset, out: TextIO, delimiter: str = ",") -> None:
     """Write a dataset in the canonical path-file format."""
     join = delimiter.join
     out.writelines(f"{join(nodes)};{count}" + ("\n" if time is None else f";{time}\n")
-                   for nodes, count, time in zip(ds._nodes, ds._counts, ds._times))
+                   for nodes, count, time in zip(ds._sequences(), ds._counts, ds._times))
 
 
 def paths_from_actions(records: Sequence[ActionRecord]) -> PathDataset:
@@ -423,11 +421,10 @@ def stats(ds: PathDataset) -> DatasetStats:
     equal those of ``statistics`` on the expanded list.
     """
     counts: Counter[int] = Counter()
-    for n, count in zip(map(len, ds._nodes), ds._counts):
+    for n, count in zip(ds._lengths.tolist(), ds._counts):
         counts[n] += count
-    links = set()
-    for nodes in set(ds._nodes):
-        links.update(zip(nodes, nodes[1:]))
+    inside = b"".join(b"\1" * (n - 1) + b"\0" for n in ds._lengths.tolist())  # 0 at each path's last node
+    links = set(compress(pairwise(ds._ids.tolist()), inside))  # pairs of ids that follow in a path
     lengths = sorted(counts)
     cumulative = list(accumulate(counts[n] for n in lengths))
     total, half = cumulative[-1], cumulative[-1] // 2

@@ -73,7 +73,7 @@ def code_names(ds, max_len) -> dict:
     out = {}
     for m in range(1, max_len + 1):
         codes = root._codes(m)[0].tolist()
-        for nodes, end in zip(root._nodes, ends):
+        for nodes, end in zip((p.nodes for p in root.paths), ends):
             for j in range(m - 1, len(nodes)):
                 seq = nodes[j - m + 1 : j + 1]
                 assert out.setdefault(codes[end - len(nodes) + j], seq) == seq

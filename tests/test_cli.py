@@ -1,4 +1,5 @@
 """CLI pipeline: commands, exit codes, embedded metadata, determinism."""
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -604,6 +605,20 @@ class TestExperimentCommand:
         assert code == 2 and "data error: 1099511627778 path instances" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["x,y.paths", 'say "hi".paths', "a\nb.paths", "a\rb.paths",
+                                      "plain.paths"])
+    def test_auc_csv_reads_back_one_cell_per_column(self, order2_file, tmp_path, name):
+        src = tmp_path / name
+        src.write_bytes(Path(order2_file).read_bytes())
+        assert main(["experiment", "--input", str(src), "--models", "N,M2", "--replicates", "2",
+                     "--k-truth", "2", "--output-dir", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "auc.csv", encoding="utf-8", newline="") as fh:
+            assert fh.readline().startswith("# ")
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) > 1 and (header[0], row[0]) == ("dataset", name)
+        if name == "plain.paths":  # a name without ',', '"', CR or LF is not quoted
+            assert (tmp_path / "out" / "auc.csv").read_text().splitlines()[2].startswith("plain.paths,")
+
     def test_runs_and_reports(self, order2_file, tmp_path):
         out = tmp_path / "exp"
         code = main([
@@ -873,7 +888,7 @@ class TestDatasetsBuiltOnce:
         """``smells`` and ``experiment`` read their windows' and split sides'
         encoding and codes only: no node, time or count column is gathered."""
         gathered = []
-        for name in ("_nodes", "_times", "_counts"):
+        for name in ("_times", "_counts"):
             prop = pathcent.PathDataset.__dict__[name]
             monkeypatch.setattr(prop, "func", lambda ds, gather=prop.func, name=name:
                                 gathered.append(name) or gather(ds))
@@ -883,7 +898,7 @@ class TestDatasetsBuiltOnce:
                      "--k-truth", "2", "--output-dir", str(tmp_path / "experiment")]) == 0
         assert gathered == []
         window = rolling_windows(load_dataset(smell_files[0]), 200, 100)[0].dataset
-        assert window._nodes and gathered == ["_nodes"]  # the spy sees a gather
+        assert window._times and gathered == ["_times"]  # the spy sees a gather
 
     def test_evaluate_builds_no_dataset(self, built):
         ds = generators.order2_families(seed=0, n_paths=200)

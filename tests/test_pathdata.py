@@ -67,6 +67,15 @@ class TestPath:
         with pytest.raises(DataError, match="must be an int"):
             Path(("a", "b"), count, time)
 
+    @pytest.mark.parametrize("nodes, message", [
+        ("abc", "nodes must be a tuple"),
+        (["a", "b"], "nodes must be a tuple"),
+        (("a", 1), "node label 1 is not a str"),
+    ])
+    def test_rejects_nodes_that_are_not_a_tuple_of_str(self, nodes, message):
+        with pytest.raises(DataError, match=message):
+            Path(nodes)
+
     def test_hash_inside_a_label_is_allowed(self):
         assert Path(("a#", "b#c")).nodes == ("a#", "b#c")
 
@@ -111,6 +120,9 @@ class TestPathDataset:
         ({(("a",), 2.5): 1}, "start time must be an int or None"),
         ({((), None): 1}, "at least one node"),
         ({(("a", "b|c"), None): 1, (("a", ""), 3): 2}, "node label '' is empty"),
+        ({("abc", None): 2}, "nodes must be a tuple"),
+        ({(("a", 1), None): 1}, "node label 1 is not a str"),
+        ({("abc", None): 2, (("a",), None): 1}, "nodes must be a tuple"),
     ])
     def test_checks_a_mapping_as_it_checks_paths(self, merged, message):
         with pytest.raises(DataError, match=message):
@@ -441,9 +453,9 @@ def _sides(ds, fraction, seed) -> tuple:
 
 
 def _columns(ds) -> tuple:
-    """A dataset's columns and the figures read from them."""
-    return (ds._nodes, ds._times, ds._counts, len(ds), ds.total, ds.unique, ds.max_length,
-            ds.has_timestamps, ds.vocabulary)
+    """A dataset's columns, its paths' nodes and the figures read from them."""
+    return (tuple(p.nodes for p in ds.paths), ds._times, ds._counts, len(ds), ds.total, ds.unique,
+            ds.max_length, ds.has_timestamps, ds.vocabulary)
 
 
 # timestamped paths whose (nodes, start_time) keys repeat, so the corpus merges them
@@ -454,7 +466,44 @@ _timestamped = st.lists(
 )
 
 
+def _readers(ds) -> tuple:
+    """What the readers of a dataset give: its file text, stats and figures."""
+    out = io.StringIO()
+    write_paths(ds, out)
+    return out.getvalue(), stats(ds), ds.unique, ds.max_length, len(ds)
+
+
+def _oracle_readers(ds) -> tuple:
+    """``_readers`` from the oracles over ``ds.paths``."""
+    out = io.StringIO()
+    oracle.write_paths(ds, out)
+    return (out.getvalue(), oracle.stats(ds), len({p.nodes for p in ds.paths}),
+            max(map(len, ds.paths)), len(ds.paths))
+
+
+# paths all timed, all untimed, or mixed, so that equal node sequences with and without a
+# start time send the corpus to its fallback sort
+_corpora = st.sampled_from([st.integers(-20, 20), st.none(), st.none() | st.integers(-20, 20)]).flatmap(
+    lambda times: st.lists(st.builds(Path, st.lists(st.sampled_from("abcd"), min_size=1, max_size=6).map(tuple),
+                                     st.integers(1, 4), times), min_size=1, max_size=30))
+
+
 class TestDerivedDatasets:
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora, st.integers(1, 25), st.integers(1, 25), st.floats(0.1, 0.9), st.integers(0, 2**16))
+    @example([Path(("a", "b")), Path(("a", "b"), 2, 3), Path(("c",), 1, 7)], 4, 4, 0.5, 0)
+    def test_readers_of_every_dataset_equal_the_oracles(self, paths, length, shift, fraction, seed):
+        """A corpus, each of its windows and split sides, and each split side of a
+        window read their ids as the oracles read their ``paths``, and as a fresh
+        dataset over those paths reads its own."""
+        ds = PathDataset(paths + paths[:3])
+        windows = [w.dataset for w in rolling_windows(ds, length, shift)] if ds.has_timestamps else []
+        halves = [side for w in windows for side in _sides(w, fraction, seed)]
+        for sub in (ds, *windows, *_sides(ds, fraction, seed), *halves):
+            got = _readers(sub)
+            assert got == _oracle_readers(sub)
+            assert got == _readers(PathDataset(sub.paths))
+
     @settings(max_examples=150, deadline=None)
     @given(_timestamped, st.integers(1, 25), st.integers(1, 25))
     def test_windows_equal_fresh_datasets(self, paths, length, shift):
@@ -491,23 +540,23 @@ class TestDerivedDatasets:
         ds = PathDataset(paths + paths[:3])
         windows = [w.dataset for w in rolling_windows(ds, length, shift)]
         sides = list(_sides(ds, fraction, seed))  # hold their own counts
-        assert not any({"_nodes", "_times", "_counts", "paths"} & w.__dict__.keys() for w in windows)
-        assert not any({"_nodes", "_times", "paths"} & side.__dict__.keys() for side in sides)
+        assert not any({"_times", "_counts", "paths"} & w.__dict__.keys() for w in windows)
+        assert not any({"_times", "paths"} & side.__dict__.keys() for side in sides)
         subsets = windows + sides + [side for w in windows for side in _sides(w, fraction, seed)]
         for sub in subsets:  # every subset, a split side of a window too, holds the corpus
             assert sub._corpus is ds
             rows = sub._rows.tolist()
             counts = tuple(ds._counts[i] for i in rows) if sub in windows else sub._counts
-            want = [tuple(column[i] for i in rows) for column in (ds._nodes, ds._times)] + [counts]
-            assert [sub._nodes, sub._times, sub._counts] == want
+            assert [sub._times, sub._counts] == [tuple(ds._times[i] for i in rows), counts]
+            assert [p.nodes for p in sub.paths] == [ds.paths[i].nodes for i in rows]
             assert _columns(sub) == _columns(PathDataset(sub.paths))
-            assert sub.max_length == max(map(len, sub._nodes))
+            assert sub.max_length == max(map(len, sub.paths))
         fresh = [d for _, d in _rolling_windows_bisect(ds, length, shift) if d is not None]
         assert list(map(_columns, windows)) == list(map(_columns, fresh))
         for side in sides:
-            counted = dict(zip(zip(side._nodes, side._times), side._counts))
+            counted = {(p.nodes, p.start_time): p.multiplicity for p in side.paths}
             for w in (w.dataset for w in rolling_windows(side, length, shift)):
-                assert w._counts == tuple(map(counted.__getitem__, zip(w._nodes, w._times)))
+                assert w._counts == tuple(counted[p.nodes, p.start_time] for p in w.paths)
                 halves = _sides(w, fraction, seed)
                 assert sum(half.total for half in halves) in (0, w.total)
                 for sub in (w, *halves):
